@@ -21,9 +21,15 @@ import sys
 from dataclasses import asdict, replace
 
 import click
+import numpy as np
 
 from .algorithm import AlgorithmOptions, SchemeId, run_scheme
-from .physics import check_feasibility, energy_breakdown, latency_breakdown
+from .physics import (
+    check_feasibility,
+    downlink_energy_grid,
+    energy_breakdown,
+    latency_breakdown,
+)
 from .scenario import ScenarioConfig, ScenarioError, default_document, load_scenario
 from .subsolvers import SolverOptions
 
@@ -78,6 +84,12 @@ def _apply_parameter(cfg: ScenarioConfig, name: str, value: float) -> ScenarioCo
     if name == "sat_cpu":
         return replace(cfg, sat_cpu=value)
     raise click.ClickException(f"unknown sweep parameter: {name}")
+
+
+def _grid_axis(lo: float, hi: float, n: int) -> np.ndarray:
+    """``n`` points from ``lo`` to ``hi``, each ``lo + (hi - lo) * i / (n -
+    1)``; ``np.linspace`` rounds some of them differently."""
+    return lo + (hi - lo) * np.arange(n) / (n - 1)
 
 
 def _result_document(cfg: ScenarioConfig, result) -> dict:
@@ -161,7 +173,8 @@ def _sweep_row(cfg, name, value, scheme, options, seed):
               type=str, help="Comma-separated scheme names.")
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--jobs", default=1, type=int, show_default=True,
-              help="Concurrent rows; output order stays deterministic.")
+              help="Rows run on this many threads, which share the "
+                   "interpreter lock; output order stays deterministic.")
 @click.option("--out", default=None, type=str)
 @click.option("--opts", default=None, type=str)
 def sweep(scenario, param_name, values, schemes, seed, jobs, out, opts) -> None:
@@ -212,7 +225,10 @@ def heatmap(scenario, grid_points, seed, out, opts) -> None:
 
     Every block except the location is fixed by a prior location-pinned
     solve; each grid point is then scored by the downlink energy with the
-    UAV moved there, with a per-point feasibility flag.
+    UAV moved there, with a per-point feasibility flag.  The whole grid is
+    scored in one batched pass (``physics.downlink_energy_grid``): the
+    position-independent constraints and latency terms are evaluated once,
+    and only coverage and the UAV-to-GT hop per cell.
     """
     if grid_points < 2:
         raise click.ClickException("--grid-points must be at least 2")
@@ -223,21 +239,17 @@ def heatmap(scenario, grid_points, seed, out, opts) -> None:
     cover = base.placement.coverage_radius
     xs = [p[0] for p in cfg.gt_positions]
     ys = [p[1] for p in cfg.gt_positions]
-    x_lo, x_hi = min(xs) - cover, max(xs) + cover
-    y_lo, y_hi = min(ys) - cover, max(ys) + cover
+    grid_x = _grid_axis(min(xs) - cover, max(xs) + cover, grid_points)
+    grid_y = _grid_axis(min(ys) - cover, max(ys) + cover, grid_points)
+    energy, feasible = downlink_energy_grid(cfg, base, grid_x, grid_y)
 
+    cells_y = [_float_cell(y) for y in grid_y.tolist()]
     lines = ["x,y,objective,feasible"]
-    for i in range(grid_points):
-        x = x_lo + (x_hi - x_lo) * i / (grid_points - 1)
-        for j in range(grid_points):
-            y = y_lo + (y_hi - y_lo) * j / (grid_points - 1)
-            state = replace(base, placement=replace(base.placement,
-                                                    uav_xy=(x, y)))
-            eb = energy_breakdown(cfg, state)
-            feasible = check_feasibility(cfg, state).feasible
-            lines.append(",".join([
-                _float_cell(x), _float_cell(y),
-                _float_cell(eb.uav_gt_comm), str(feasible).lower()]))
+    for x, e_row, f_row in zip(grid_x.tolist(), energy.tolist(),
+                               feasible.tolist()):
+        cell_x = _float_cell(x)
+        lines += [",".join([cell_x, cell_y, _float_cell(e), str(f).lower()])
+                  for cell_y, e, f in zip(cells_y, e_row, f_row)]
     _write_text(out, "\n".join(lines) + "\n")
     if not result.feasible:
         sys.exit(2)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .scenario import ScenarioConfig
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "energy_breakdown",
     "total_energy",
     "check_feasibility",
+    "downlink_energy_grid",
 ]
 
 
@@ -122,6 +125,14 @@ class FeasibilityReport:
 
     def codes(self) -> set[str]:
         return {v.code for v in self.violations}
+
+
+# Default relative tolerance of a constraint slack (see check_feasibility).
+_REL_TOL = 1e-9
+
+
+def _violated(slack, scale: float, rel_tol: float = _REL_TOL):
+    return slack < -rel_tol * max(abs(scale), 1e-30)
 
 
 def rate_sat_uav(cfg: ScenarioConfig) -> float:
@@ -226,7 +237,7 @@ def total_energy(cfg: ScenarioConfig, state: SolutionState) -> float:
 
 
 def check_feasibility(cfg: ScenarioConfig, state: SolutionState,
-                      rel_tol: float = 1e-9) -> FeasibilityReport:
+                      rel_tol: float = _REL_TOL) -> FeasibilityReport:
     """Evaluate every constraint of the joint problem; violations are data.
 
     Slacks are signed: nonnegative slack means satisfied.  Several blocks
@@ -243,7 +254,7 @@ def check_feasibility(cfg: ScenarioConfig, state: SolutionState,
 
     def check(cond_slack: float, code: str, gt: int | None = None,
               scale: float = 1.0):
-        if cond_slack < -rel_tol * max(abs(scale), 1e-30):
+        if _violated(cond_slack, scale, rel_tol):
             out.append(ConstraintViolation(code=code, gt_index=gt, slack=cond_slack))
 
     for k in range(cfg.num_gts):
@@ -283,3 +294,50 @@ def check_feasibility(cfg: ScenarioConfig, state: SolutionState,
             check(cfg.latency_budget - t, "latency", k, scale=cfg.latency_budget)
 
     return FeasibilityReport(violations=tuple(out))
+
+
+def downlink_energy_grid(cfg: ScenarioConfig, state: SolutionState,
+                         xs: np.ndarray, ys: np.ndarray):
+    """UAV-to-GT energy and feasibility with the UAV moved to every
+    ``(xs[i], ys[j])``, everything else held at ``state``.
+
+    Returns ``(energy, feasible)``, two ``(len(xs), len(ys))`` arrays whose
+    cells equal ``energy_breakdown(...).uav_gt_comm`` and
+    ``check_feasibility(...).feasible`` of the moved state.  The
+    constraints and latency terms that do not depend on the horizontal
+    position are evaluated once on ``state``; only coverage and the
+    UAV-to-GT hop are evaluated per cell.  Raises :class:`ModelError` where
+    ``energy_breakdown`` would.
+    """
+    lat = latency_breakdown(cfg, state)
+    static_ok = all(v.code in ("coverage", "latency")
+                    for v in check_feasibility(cfg, state).violations)
+    al = state.allocation
+    pl = state.placement
+    cover = pl.coverage_radius
+    theta = pl.half_beamwidth
+    shared = lat.sat_compute + lat.sat_uav_tx + lat.sat_uav_prop
+    px = np.asarray(xs, dtype=float)[:, None]
+    py = np.asarray(ys, dtype=float)[None, :]
+    energy = np.zeros((px.shape[0], py.shape[1]))
+    feasible = np.full(energy.shape, static_ok)
+    for k in range(cfg.num_gts):
+        gx, gy = cfg.gt_positions[k]
+        horizontal = np.hypot(px - gx, py - gy)
+        feasible &= ~_violated(cover - horizontal, cover)
+        # latency_breakdown above raised unless power and bandwidth are
+        # positive, so only a vanishing per-cell rate is left to reject.
+        d = np.hypot(horizontal, pl.altitude)
+        g_k = cfg.ref_channel_gain / (d * d)
+        snr = (cfg.antenna_gain_const * g_k * al.power[k]
+               / (theta * theta * al.bandwidth[k] * cfg.noise_psd))
+        r_k = al.bandwidth[k] * np.log2(1.0 + snr)
+        if np.any(r_k <= 0.0):
+            raise ModelError(f"GT {k}: zero UAV-GT rate with positive data")
+        bits = cfg.data_bits[k] * effective_fraction(
+            al.task_sat[k], al.task_uav[k], al.ratio[k])
+        t_ug = bits / r_k
+        energy += t_ug * al.power[k]
+        total = shared + lat.uav_compute[k] + t_ug
+        feasible &= ~_violated(cfg.latency_budget - total, cfg.latency_budget)
+    return energy, feasible

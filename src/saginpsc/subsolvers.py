@@ -84,11 +84,17 @@ class DualState:
 @dataclass(frozen=True)
 class SegmentChoice:
     """One active overhead segment per GT (0-based indices), with the
-    one-hot matrix and the per-(GT, segment) midpoints used to rank them."""
+    per-(GT, segment) midpoints used to rank them."""
 
-    alpha: tuple[tuple[int, ...], ...]
     chosen_segment: tuple[int, ...]
     midpoints: tuple[tuple[float, ...], ...]
+
+    @property
+    def alpha(self) -> tuple[tuple[int, ...], ...]:
+        """One-hot segment indicators, one row per GT."""
+        return tuple(tuple(int(d == chosen) for d in range(len(mids)))
+                     for chosen, mids in zip(self.chosen_segment,
+                                             self.midpoints))
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +154,11 @@ def dual_subgradient(adapter, opts: SolverOptions):
     (exact Lagrangian minimizer at fixed multipliers), ``residuals(primal)
     -> array`` (positive = violated, already normalized), and
     ``objective(primal) -> float`` (the true block objective, used to rank
-    feasible iterates).
+    feasible iterates).  Primals must be hashable, and ``residuals`` and
+    ``objective`` must be pure functions of the primal: each is evaluated
+    once per distinct primal and reused when the minimizer returns to it.
 
-    Returns ``(best_primal, multipliers, feasible_found)`` where
+    Returns ``(best_primal, multipliers, steps, feasible_found)`` where
     ``best_primal`` is the feasible iterate of least objective, or the
     final iterate when none was feasible.
     """
@@ -158,17 +166,22 @@ def dual_subgradient(adapter, opts: SolverOptions):
     best_primal = None
     best_obj = math.inf
     primal = None
+    scored = {}  # primal -> (residuals, their positive part)
     t = 0
     for t in range(1, opts.dual_max_iters + 1):
         primal = adapter.minimize(mult)
-        res = np.asarray(adapter.residuals(primal), dtype=float)
-        if np.all(res <= opts.dual_tolerance):
-            obj = adapter.objective(primal)
+        entry = scored.get(primal)
+        if entry is None:
+            res = np.asarray(adapter.residuals(primal), dtype=float)
+            obj = (adapter.objective(primal)
+                   if np.all(res <= opts.dual_tolerance) else math.inf)
+            entry = scored[primal] = (res, np.maximum(res, 0.0))
             if obj < best_obj:
                 best_obj = obj
                 best_primal = primal
-        projected = np.where(mult > 0.0, res, np.maximum(res, 0.0))
-        if float(np.linalg.norm(projected)) < opts.dual_tolerance:
+        res, res_pos = entry
+        projected = np.where(mult > 0.0, res, res_pos)
+        if math.sqrt(projected.dot(projected)) < opts.dual_tolerance:
             break
         step = opts.dual_step_scale / math.sqrt(t)
         mult = np.maximum(0.0, mult + step * res)
@@ -177,65 +190,61 @@ def dual_subgradient(adapter, opts: SolverOptions):
     return primal, mult, t, False
 
 
+def _keep_incumbent(adapter, primal, feasible, incumbent, opts: SolverOptions):
+    """``(incumbent, True)`` when the incumbent is feasible and either the
+    dual loop found nothing feasible or the incumbent is strictly better,
+    else ``(primal, feasible)``: a block must never worsen the state it was
+    given."""
+    if float(np.max(adapter.residuals(incumbent))) <= opts.dual_tolerance:
+        if (not feasible
+                or adapter.objective(incumbent) < adapter.objective(primal)):
+            return incumbent, True
+    return primal, feasible
+
+
 # ---------------------------------------------------------------------------
 # Block 1: compression-site assignment (satellite / UAV / none)
 
 
-def _assignment_rule(a_sat_coef: float, a_uav_coef: float | None) -> tuple[int, int]:
-    """Optimal per-GT assignment for a linear Lagrangian: pick the negative
-    coefficient, or the more negative one when both are.  ``None`` for the
-    UAV coefficient means UAV compression is unavailable (no CPU share)."""
-    if a_uav_coef is None:
-        return (1, 0) if a_sat_coef < 0.0 else (0, 0)
-    if a_sat_coef >= 0.0 and a_uav_coef >= 0.0:
-        return (0, 0)
-    if a_sat_coef >= 0.0 or (a_uav_coef < a_sat_coef < 0.0):
-        return (0, 1)
-    return (1, 0)
-
-
 class _TaskAdapter:
+    """Primal: ``(task_sat, task_uav)``.  Each GT's Lagrangian is linear in
+    its assignment, so ``minimize`` picks per GT the least of the option
+    columns none (0), satellite and UAV; ``argmin`` keeps the first
+    minimum, so ties resolve to none, then satellite.  GTs without a
+    positive UAV CPU share price the UAV option at +inf."""
+
     def __init__(self, cfg: ScenarioConfig, state: SolutionState,
                  pieces: _Pieces):
         self.cfg = cfg
         self.state = state
-        self.p = pieces
         self.num_multipliers = cfg.num_gts
         kappa = cfg.cycles_per_overhead
         tau = cfg.comp_energy_coeff
         al = state.allocation
-        self.sat_obj = []
-        self.sat_lat = []
-        self.uav_obj = []
-        self.uav_lat = []
+        obj = np.zeros((cfg.num_gts, 3))
+        lat = np.zeros((cfg.num_gts, 3))
         for k in range(cfg.num_gts):
             o = pieces.overhead[k]
             save = cfg.data_bits[k] * (1.0 - al.ratio[k])
             r_k = pieces.rates[k]
-            self.sat_obj.append(
-                kappa * tau * o * cfg.sat_cpu ** 2
-                - save * (cfg.sat_tx_power / pieces.r_su + al.power[k] / r_k))
-            self.sat_lat.append(
-                kappa * o / cfg.sat_cpu - save * (1.0 / pieces.r_su + 1.0 / r_k))
+            obj[k, 1] = (kappa * tau * o * cfg.sat_cpu ** 2
+                         - save * (cfg.sat_tx_power / pieces.r_su
+                                   + al.power[k] / r_k))
+            lat[k, 1] = (kappa * o / cfg.sat_cpu
+                         - save * (1.0 / pieces.r_su + 1.0 / r_k))
             if al.cpu[k] > 0.0:
-                self.uav_obj.append(
-                    kappa * tau * o * al.cpu[k] ** 2 - save * al.power[k] / r_k)
-                self.uav_lat.append(
-                    kappa * o / al.cpu[k] - save / r_k)
+                obj[k, 2] = (kappa * tau * o * al.cpu[k] ** 2
+                             - save * al.power[k] / r_k)
+                lat[k, 2] = kappa * o / al.cpu[k] - save / r_k
             else:
-                self.uav_obj.append(None)
-                self.uav_lat.append(None)
+                obj[k, 2] = math.inf
+        self.obj = obj
+        self.lat = lat
 
     def minimize(self, mult):
-        out = []
-        for k in range(self.cfg.num_gts):
-            a_s = self.sat_obj[k] + mult[k] * self.sat_lat[k]
-            if self.uav_obj[k] is None:
-                a_u = None
-            else:
-                a_u = self.uav_obj[k] + mult[k] * self.uav_lat[k]
-            out.append(_assignment_rule(a_s, a_u))
-        return tuple(zip(*out))  # (task_sat, task_uav)
+        choice = (self.obj + mult[:, None] * self.lat).argmin(axis=1)
+        return (tuple((choice == 1).astype(int).tolist()),
+                tuple((choice == 2).astype(int).tolist()))
 
     def _with_assignment(self, primal) -> SolutionState:
         task_sat, task_uav = primal
@@ -267,14 +276,9 @@ def solve_task_allocation(cfg: ScenarioConfig, state: SolutionState,
     """
     adapter = _TaskAdapter(cfg, state, _pieces(cfg, state))
     primal, mult, steps, feasible = dual_subgradient(adapter, opts)
-    # Keep the incumbent assignment when it is feasible and strictly
-    # better; a block must never worsen the state it was given.
     incumbent = (state.allocation.task_sat, state.allocation.task_uav)
-    if float(np.max(adapter.residuals(incumbent))) <= opts.dual_tolerance:
-        if (not feasible
-                or adapter.objective(incumbent) < adapter.objective(primal)):
-            primal, feasible = incumbent, True
-    task_sat, task_uav = primal
+    (task_sat, task_uav), feasible = _keep_incumbent(
+        adapter, primal, feasible, incumbent, opts)
     dual = DualState(lam=tuple(float(x) for x in mult),
                      gamma=tuple(0.0 for _ in range(cfg.num_gts)),
                      step_index=steps)
@@ -286,6 +290,11 @@ def solve_task_allocation(cfg: ScenarioConfig, state: SolutionState,
 
 
 class _SegmentAdapter:
+    """Primal: the chosen 0-based segment per GT.  ``minimize`` ranks each
+    GT's row of midpoint scores; rows of curves with fewer segments are
+    padded with +inf, and ``argmin`` keeps the first minimum, so ties
+    resolve to the shallowest segment."""
+
     def __init__(self, cfg: ScenarioConfig, state: SolutionState,
                  pieces: _Pieces):
         self.cfg = cfg
@@ -303,40 +312,33 @@ class _SegmentAdapter:
         # Per (k, d) objective and latency-residual coefficients of the
         # one-hot segment indicator; GTs with no compression anywhere have
         # all-zero scores and resolve to segment 0 by the tie-break.
-        self.score0 = []
-        self.score_lat = []
+        width = max(len(m) for m in self.mids)
+        self.score0 = np.full((cfg.num_gts, width), math.inf)
+        self.score_lat = np.zeros((cfg.num_gts, width))
         for k in range(cfg.num_gts):
             curve = cfg.overhead_curves[k]
             a_s, a_u = al.task_sat[k], al.task_uav[k]
             if a_u and al.cpu[k] <= 0.0:
                 raise InfeasibleBlockError(
                     "select_segments", f"GT {k}: UAV-assigned with zero CPU share")
-            row0, rowl = [], []
             for d in range(curve.num_segments):
                 mid = self.mids[k][d]
                 o_mid = curve.evaluate_on(mid, d)
-                obj = (kappa * tau * cfg.sat_cpu ** 2 * a_s * o_mid
-                       + cfg.sat_tx_power * cfg.data_bits[k] * a_s * mid / pieces.r_su
-                       + kappa * tau * al.cpu[k] ** 2 * a_u * o_mid
-                       + al.power[k] * cfg.data_bits[k] * mid * (a_s + a_u)
-                       / pieces.rates[k])
-                lat = (kappa * a_s * o_mid / cfg.sat_cpu
-                       + cfg.data_bits[k] * a_s * mid / pieces.r_su
-                       + (kappa * a_u * o_mid / al.cpu[k] if a_u else 0.0)
-                       + cfg.data_bits[k] * mid * (a_s + a_u) / pieces.rates[k])
-                row0.append(obj)
-                rowl.append(lat)
-            self.score0.append(row0)
-            self.score_lat.append(rowl)
+                self.score0[k, d] = (
+                    kappa * tau * cfg.sat_cpu ** 2 * a_s * o_mid
+                    + cfg.sat_tx_power * cfg.data_bits[k] * a_s * mid / pieces.r_su
+                    + kappa * tau * al.cpu[k] ** 2 * a_u * o_mid
+                    + al.power[k] * cfg.data_bits[k] * mid * (a_s + a_u)
+                    / pieces.rates[k])
+                self.score_lat[k, d] = (
+                    kappa * a_s * o_mid / cfg.sat_cpu
+                    + cfg.data_bits[k] * a_s * mid / pieces.r_su
+                    + (kappa * a_u * o_mid / al.cpu[k] if a_u else 0.0)
+                    + cfg.data_bits[k] * mid * (a_s + a_u) / pieces.rates[k])
 
     def minimize(self, mult):
-        chosen = []
-        for k in range(self.cfg.num_gts):
-            scores = [o + mult[k] * l
-                      for o, l in zip(self.score0[k], self.score_lat[k])]
-            best = min(range(len(scores)), key=lambda d: (scores[d], d))
-            chosen.append(best)
-        return tuple(chosen)
+        scores = self.score0 + mult[:, None] * self.score_lat
+        return tuple(scores.argmin(axis=1).tolist())
 
     def _terms(self, chosen):
         """Midpoint-approximated shared and per-GT latency terms."""
@@ -366,7 +368,7 @@ class _SegmentAdapter:
         ])
 
     def objective(self, chosen):
-        return sum(self.score0[k][d] for k, d in enumerate(chosen))
+        return sum(self.score0[k, d] for k, d in enumerate(chosen))
 
 
 def select_segments(cfg: ScenarioConfig, state: SolutionState,
@@ -379,17 +381,9 @@ def select_segments(cfg: ScenarioConfig, state: SolutionState,
     incumbent = tuple(
         cfg.overhead_curves[k].segment_of(state.allocation.ratio[k])
         for k in range(cfg.num_gts))
-    if float(np.max(adapter.residuals(incumbent))) <= opts.dual_tolerance:
-        if (not feasible
-                or adapter.objective(incumbent) < adapter.objective(chosen)):
-            chosen, feasible = incumbent, True
-    alpha = tuple(
-        tuple(1 if d == chosen[k] else 0
-              for d in range(cfg.overhead_curves[k].num_segments))
-        for k in range(cfg.num_gts)
-    )
+    chosen, feasible = _keep_incumbent(adapter, chosen, feasible, incumbent,
+                                       opts)
     choice = SegmentChoice(
-        alpha=alpha,
         chosen_segment=tuple(chosen),
         midpoints=tuple(tuple(m) for m in adapter.mids),
     )

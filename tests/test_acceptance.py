@@ -92,6 +92,7 @@ def test_c02_cpu_shares_tight_and_optimal():
             assert sol.value <= ours + 1e-4 * scale
 
 
+@pytest.mark.slow
 def test_c03_power_bandwidth_tight_and_optimal():
     with criterion("C3 power/bandwidth meets the latency equalities"):
         for cfg, state in feasible_instances(100, start_seed=0):
@@ -135,6 +136,7 @@ def test_c04_dual_blocks_match_enumeration():
         assert compared >= 100
 
 
+@pytest.mark.slow
 def test_c05_ratio_lp_matches_grid_reference():
     with criterion("C5 in-segment ratio LP matches the grid reference"):
         for cfg, state in feasible_instances(100, start_seed=0):
@@ -151,6 +153,7 @@ def test_c05_ratio_lp_matches_grid_reference():
             assert sol.value <= ours + 1e-6 * scale
 
 
+@pytest.mark.slow
 def test_c06_placement_blocks_match_grid_references():
     with criterion("C6 placement blocks land on the reference optimum"):
         th_lo, _ = None, None

@@ -1,11 +1,25 @@
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from saginpsc.cli import OPTIONS_ENV_VAR, main
-from saginpsc.scenario import default_document, loads_scenario
+from saginpsc.algorithm import run_scheme
+from saginpsc.cli import OPTIONS_ENV_VAR, _grid_axis, main
+from saginpsc.physics import (
+    check_feasibility,
+    downlink_energy_grid,
+    energy_breakdown,
+    latency_breakdown,
+)
+from saginpsc.scenario import default_document, load_scenario, loads_scenario
+
+from conftest import feasible_instances
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture()
@@ -170,6 +184,66 @@ class TestHeatmap:
         bx, by = float(best.split(",")[0]), float(best.split(",")[1])
         span = max(abs(float(r.split(",")[0]) - gx) for r in lines[1:])
         assert math.hypot(bx - gx, by - gy) <= 0.1 * span
+
+    @staticmethod
+    def reference_cells(cfg, base, xs, ys):
+        """Per-cell loop: energy, feasibility and violation codes of the
+        state with the UAV moved to each grid point."""
+        energy, feasible, codes = [], [], set()
+        for x in xs:
+            for y in ys:
+                state = replace(base, placement=replace(base.placement,
+                                                        uav_xy=(x, y)))
+                report = check_feasibility(cfg, state)
+                energy.append(energy_breakdown(cfg, state).uav_gt_comm)
+                feasible.append(report.feasible)
+                codes.add(frozenset(report.codes()))
+        shape = (len(xs), len(ys))
+        return (np.reshape(energy, shape), np.reshape(feasible, shape),
+                codes)
+
+    def test_batched_grid_matches_per_cell_loop(self):
+        # Location-pinned solves, as the command runs them, plus random
+        # states that compress on the UAV.
+        cases = [(cfg, run_scheme(cfg, "fixed_location").state) for cfg in (
+            load_scenario(SCENARIOS / "default.json"),
+            load_scenario(SCENARIOS / "heatmap_unequal.json"),
+            loads_scenario(default_document(num_gts=1, data_kib=16.0)),
+            loads_scenario(default_document(num_gts=8, data_kib=16.0)))]
+        cases += feasible_instances(2, start_seed=0, num_gts=3)
+        assert any(any(state.allocation.task_uav) for _, state in cases)
+        n = 25
+        seen = set()
+        for cfg, base in cases:
+            scale = 2.0 * cfg.uav_power_budget / sum(base.allocation.power)
+            over_budget = replace(base, allocation=replace(
+                base.allocation,
+                power=tuple(scale * p for p in base.allocation.power)))
+            relaxed = replace(cfg, latency_budget=10.0 * cfg.latency_budget)
+            tight = replace(cfg, latency_budget=max(
+                latency_breakdown(cfg, base).total))
+            for case, state in ((cfg, base), (cfg, over_budget),
+                                (relaxed, base), (tight, base)):
+                cover = state.placement.coverage_radius
+                lo_hi = [(min(c) - cover, max(c) + cover)
+                         for c in zip(*case.gt_positions)]
+                xs, ys = (_grid_axis(lo, hi, n) for lo, hi in lo_hi)
+                for axis, (lo, hi) in zip((xs, ys), lo_hi):
+                    assert axis.tolist() == [lo + (hi - lo) * i / (n - 1)
+                                             for i in range(n)]
+                energy, feasible = downlink_energy_grid(case, state, xs, ys)
+                ref_e, ref_f, codes = self.reference_cells(
+                    case, state, xs.tolist(), ys.tolist())
+                seen |= codes
+                assert np.array_equal(feasible, ref_f)
+                assert np.all((energy == ref_e)
+                              | (np.abs(energy - ref_e)
+                                 <= 1e-12 * np.abs(ref_e)))
+        # The cases cover feasible cells and cells that fail on coverage
+        # alone, on latency alone and on a position-independent budget.
+        assert {frozenset(), frozenset({"coverage"}),
+                frozenset({"latency"})} <= seen
+        assert any("power_budget" in c for c in seen)
 
     def test_rejects_degenerate_grid(self, runner, scenario_path):
         res = runner.invoke(main, ["heatmap", "--scenario", str(scenario_path),

@@ -15,11 +15,13 @@ from saginpsc.oracle import (
     oracle_ratio,
 )
 from saginpsc.physics import latency_breakdown, total_energy
-from saginpsc.scenario import default_document, loads_scenario
+from saginpsc.scenario import OverheadCurve, default_document, loads_scenario
 from saginpsc.subsolvers import (
     InfeasibleBlockError,
     SolverOptions,
-    _assignment_rule,
+    _SegmentAdapter,
+    _TaskAdapter,
+    _pieces,
     _q,
     dual_subgradient,
     select_segments,
@@ -59,6 +61,121 @@ class _StubAdapter:
         return primal
 
 
+class _FixedPrimalAdapter:
+    """Always the same feasible primal whose residuals keep the projected
+    subgradient above the tolerance, so the loop runs its full budget;
+    counts every call."""
+
+    num_multipliers = 16
+
+    def __init__(self):
+        self.calls = {"minimize": 0, "residuals": 0, "objective": 0}
+
+    def minimize(self, mult):
+        self.calls["minimize"] += 1
+        return ("fixed",)
+
+    def residuals(self, primal):
+        self.calls["residuals"] += 1
+        return np.full(self.num_multipliers, 0.5 * OPTS.dual_tolerance)
+
+    def objective(self, primal):
+        self.calls["objective"] += 1
+        return 1.0
+
+
+def reference_dual_subgradient(adapter, opts):
+    """The dual loop with every iterate scored afresh (the sequential
+    reference for ``dual_subgradient``)."""
+    mult = np.zeros(adapter.num_multipliers)
+    best_primal = None
+    best_obj = math.inf
+    primal = None
+    t = 0
+    for t in range(1, opts.dual_max_iters + 1):
+        primal = adapter.minimize(mult)
+        res = np.asarray(adapter.residuals(primal), dtype=float)
+        if np.all(res <= opts.dual_tolerance):
+            obj = adapter.objective(primal)
+            if obj < best_obj:
+                best_obj = obj
+                best_primal = primal
+        projected = np.where(mult > 0.0, res, np.maximum(res, 0.0))
+        if float(np.linalg.norm(projected)) < opts.dual_tolerance:
+            break
+        step = opts.dual_step_scale / math.sqrt(t)
+        mult = np.maximum(0.0, mult + step * res)
+    if best_primal is not None:
+        return best_primal, mult, t, True
+    return primal, mult, t, False
+
+
+def _assignment_rule(a_sat_coef, a_uav_coef):
+    """Reference per-GT assignment for a linear Lagrangian: pick the
+    negative coefficient, or the more negative one when both are.  ``None``
+    for the UAV coefficient means UAV compression is unavailable."""
+    if a_uav_coef is None:
+        return (1, 0) if a_sat_coef < 0.0 else (0, 0)
+    if a_sat_coef >= 0.0 and a_uav_coef >= 0.0:
+        return (0, 0)
+    if a_sat_coef >= 0.0 or (a_uav_coef < a_sat_coef < 0.0):
+        return (0, 1)
+    return (1, 0)
+
+
+def reference_task_minimize(adapter, mult):
+    """Per-GT scalar loop over the satellite and UAV coefficients."""
+    out = []
+    for k in range(len(mult)):
+        a_s = adapter.obj[k, 1] + mult[k] * adapter.lat[k, 1]
+        if adapter.obj[k, 2] == math.inf:
+            a_u = None
+        else:
+            a_u = adapter.obj[k, 2] + mult[k] * adapter.lat[k, 2]
+        out.append(_assignment_rule(a_s, a_u))
+    return tuple(zip(*out))
+
+
+def reference_segment_minimize(adapter, mult):
+    """Per-GT scan of the unpadded score row, shallowest segment on ties."""
+    chosen = []
+    for k, mids in enumerate(adapter.mids):
+        scores = [adapter.score0[k, d] + mult[k] * adapter.score_lat[k, d]
+                  for d in range(len(mids))]
+        chosen.append(min(range(len(scores)), key=lambda d: (scores[d], d)))
+    return tuple(chosen)
+
+
+def _task_table_adapter(sat, uav):
+    """Task adapter over given Lagrangian coefficients: ``sat`` and ``uav``
+    are per-GT ``(objective, latency)`` pairs, ``None`` for no UAV share."""
+    adapter = object.__new__(_TaskAdapter)
+    adapter.obj = np.array([[0.0, s[0], math.inf if u is None else u[0]]
+                            for s, u in zip(sat, uav)])
+    adapter.lat = np.array([[0.0, s[1], 0.0 if u is None else u[1]]
+                            for s, u in zip(sat, uav)])
+    return adapter
+
+
+def _segment_instances():
+    """Real segment adapters: random compressed states, a state with no
+    compression (all-zero rows), and curves of 1, 2 and 3 segments."""
+    out = [_SegmentAdapter(cfg, state, _pieces(cfg, state))
+           for cfg, state in feasible_instances(4, start_seed=0, num_gts=3)]
+    cfg, state = feasible_instances(1, start_seed=50, num_gts=3)[0]
+    curves = (OverheadCurve(slopes=(-1.0e7,), intercepts=(2.2e7,),
+                            boundaries=(0.25,)),
+              OverheadCurve(slopes=(-1.0e7, -4.0e7), intercepts=(2.2e7, 4.4e7),
+                            boundaries=(0.70, 0.25)),
+              cfg.overhead_curves[2])
+    uneven = replace(cfg, overhead_curves=curves)
+    out.append(_SegmentAdapter(uneven, state, _pieces(uneven, state)))
+    bare = replace(state, allocation=replace(
+        state.allocation, task_sat=(0, 0, 0), task_uav=(0, 0, 0)))
+    out.append(_SegmentAdapter(cfg, bare, _pieces(cfg, bare)))
+    return out
+
+
 class TestDualSubgradient:
     def test_zero_residual_returns_immediately(self):
         adapter = _StubAdapter(lambda p: 0.0)
@@ -86,15 +203,75 @@ class TestDualSubgradient:
         assert feasible
         assert primal >= 0.5
 
+    def test_repeated_primal_is_scored_once(self):
+        adapter = _FixedPrimalAdapter()
+        primal, mult, steps, feasible = dual_subgradient(adapter, OPTS)
+        assert steps == OPTS.dual_max_iters
+        assert adapter.calls == {"minimize": OPTS.dual_max_iters,
+                                 "residuals": 1, "objective": 1}
+        ref = reference_dual_subgradient(_FixedPrimalAdapter(), OPTS)
+        assert (primal, steps, feasible) == (ref[0], ref[2], ref[3])
+        assert np.array_equal(mult, ref[1])
+
+    def test_matches_sequential_reference_on_block_adapters(self):
+        adapters = [_StubAdapter(lambda p: 1.0),
+                    _StubAdapter(lambda p: 1.0 if p < 0.5 else -1.0)]
+        for cfg, state in feasible_instances(6, start_seed=0, num_gts=3):
+            adapters.append(_TaskAdapter(cfg, state, _pieces(cfg, state)))
+        adapters += _segment_instances()
+        for adapter in adapters:
+            got = dual_subgradient(adapter, OPTS)
+            ref = reference_dual_subgradient(adapter, OPTS)
+            assert (got[0], got[2], got[3]) == (ref[0], ref[2], ref[3])
+            assert np.array_equal(got[1], ref[1])
+
+
+class TestTableMinimize:
+    def test_task_matches_scalar_reference(self):
+        rng = np.random.default_rng(5)
+        adapters = [_TaskAdapter(cfg, state, _pieces(cfg, state))
+                    for cfg, state in feasible_instances(6, start_seed=0,
+                                                         num_gts=4)]
+        # Exact ties for every multiplier: satellite equal to UAV, and
+        # satellite equal to leaving the GT uncompressed.
+        adapters.append(_task_table_adapter(
+            [(-1.0, 0.5), (0.0, 0.0), (-2.0, 1.0), (3.0, -1.0)],
+            [(-1.0, 0.5), None, (-2.0, 1.0), None]))
+        for adapter in adapters:
+            k = adapter.obj.shape[0]
+            for mult in [np.zeros(k)] + [rng.exponential(s, size=k)
+                                         for s in (1e-6, 1e-3, 1.0, 1e3)
+                                         for _ in range(10)]:
+                assert adapter.minimize(mult) == reference_task_minimize(
+                    adapter, mult)
+
+    def test_segment_matches_scalar_reference(self):
+        rng = np.random.default_rng(6)
+        for adapter in _segment_instances():
+            k = len(adapter.mids)
+            for mult in [np.zeros(k)] + [rng.exponential(s, size=k)
+                                         for s in (1e-6, 1e-3, 1.0, 1e3)
+                                         for _ in range(10)]:
+                assert adapter.minimize(mult) == reference_segment_minimize(
+                    adapter, mult)
+
 
 class TestTaskAllocation:
     def test_assignment_rule_tie_break(self):
-        assert _assignment_rule(0.0, 0.0) == (0, 0)
-        assert _assignment_rule(-1.0, None) == (1, 0)
-        assert _assignment_rule(1.0, None) == (0, 0)
-        assert _assignment_rule(1.0, -1.0) == (0, 1)
-        assert _assignment_rule(-1.0, -2.0) == (0, 1)
-        assert _assignment_rule(-2.0, -1.0) == (1, 0)
+        for (a_s, a_u), expected in [((0.0, 0.0), (0, 0)),
+                                     ((-1.0, None), (1, 0)),
+                                     ((1.0, None), (0, 0)),
+                                     ((1.0, -1.0), (0, 1)),
+                                     ((-1.0, -2.0), (0, 1)),
+                                     ((-2.0, -1.0), (1, 0)),
+                                     ((-1.0, -1.0), (1, 0)),
+                                     ((0.0, None), (0, 0)),
+                                     ((-0.0, -0.0), (0, 0))]:
+            assert _assignment_rule(a_s, a_u) == expected
+            adapter = _task_table_adapter(
+                [(a_s, 0.0)], [None if a_u is None else (a_u, 0.0)])
+            task_sat, task_uav = adapter.minimize(np.zeros(1))
+            assert (task_sat[0], task_uav[0]) == expected
 
     def test_output_is_binary_and_exclusive(self):
         for cfg, state in feasible_instances(5, start_seed=0):
