@@ -162,14 +162,14 @@ def _sweep(cfg: ScenarioConfig, state: SolutionState, obj: float,
 
     if "tasks" in blocks:
         def build_tasks():
-            a_s, a_u, _, _ = solve_task_allocation(cfg, state, solver)
+            a_s, a_u, _ = solve_task_allocation(cfg, state, solver)
             al = replace(state.allocation, task_sat=a_s, task_uav=a_u)
             return replace(state, allocation=al)
         attempt("tasks", build_tasks)
 
     if "segments" in blocks:
         def build_segments():
-            choice, _, _ = select_segments(cfg, state, solver)
+            choice, _ = select_segments(cfg, state, solver)
             ratios, _ = solve_ratio_lp(cfg, state, choice, solver)
             return replace(state, allocation=replace(state.allocation,
                                                      ratio=ratios))

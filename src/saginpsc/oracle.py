@@ -8,7 +8,12 @@ value can be regenerated.
 
 Exhaustive enumeration is capped at 3^12 combinations; the grid search
 evaluates in fixed-size chunks and breaks ties toward the lowest grid
-index in row-major order.
+index in row-major order.  Each per-block grid oracle scores a chunk in
+one pass: it derives the shared latency/rate pieces once and returns the
+objective with +inf wherever a constraint fails, so no point is
+evaluated twice.  Row reductions over the narrow (points, GTs) arrays use
+column arithmetic (``_row_sum``/``_row_all``) with the same rounding as
+``np.sum``/``np.all``.
 """
 
 from __future__ import annotations
@@ -43,6 +48,9 @@ __all__ = [
 _ENUM_BUDGET = 3 ** 12
 _CHUNK = 1 << 19
 _FEAS_TOL = 1e-12
+# NumPy sums a row shorter than this left to right from 0.0; from this
+# width on it sums pairwise, which column arithmetic does not reproduce.
+_SEQUENTIAL_SUM_WIDTH = 8
 
 
 class OracleSizeError(ValueError):
@@ -83,14 +91,42 @@ class OracleSolution:
     cell: tuple[float, ...]
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``np.sum(a, axis=1)`` of a 2-D array with at least one column, bit
+    for bit.
+
+    Rows narrower than ``_SEQUENTIAL_SUM_WIDTH`` are summed column by
+    column in NumPy's own order, which avoids its per-row reduction
+    overhead; wider rows go to ``np.sum``."""
+    width = a.shape[1]
+    if width >= _SEQUENTIAL_SUM_WIDTH:
+        return np.sum(a, axis=1)
+    total = a[:, 0] + 0.0  # NumPy starts from +0.0, so -0.0 rows sum to +0.0
+    for k in range(1, width):
+        total += a[:, k]
+    return total
+
+
+def _row_all(a: np.ndarray) -> np.ndarray:
+    """``np.all(a, axis=1)`` of a 2-D boolean array with at least one
+    column, column by column."""
+    out = a[:, 0].copy()
+    for k in range(1, a.shape[1]):
+        out &= a[:, k]
+    return out
+
+
 def grid_minimize(objective, specs: Sequence[GridSpec], feasible=None):
     """Exact minimum of ``objective`` over the cartesian grid, restricted
     to points passing ``feasible``.
 
     Both callables are vectorized: they receive an (N, ndim) array and
-    return a length-N array.  Ties break toward the lowest row-major
-    index.  Raises :class:`EmptyFeasibleError` when the filter rejects
-    every point.
+    return a length-N array.  A separate ``feasible`` filter is the same
+    as one score ``np.where(feasible(pts), objective(pts), inf)``; the
+    per-block oracles pass such a one-pass score and no filter, so the
+    pieces shared by the objective and the constraints are computed once
+    per chunk.  Ties break toward the lowest row-major index.  Raises
+    :class:`EmptyFeasibleError` when no point has a finite score.
     """
     axes = [np.linspace(s.lower, s.upper, s.points) for s in specs]
     shape = tuple(s.points for s in specs)
@@ -403,31 +439,32 @@ def oracle_ratio(cfg: ScenarioConfig, state, chosen_segments,
     f_safe = np.where(f > 0.0, f, 1.0)
 
     def pieces(rho):
+        """Overheads, satellite overhead sum, shared satellite transmit
+        time, per-GT downlink time and the total energy."""
         over = slope[None, :] * rho + intercept[None, :]
         eff = (a_s + a_u)[None, :] * rho + (1 - a_s - a_u)[None, :]
-        t_sat = kappa * np.sum(a_s[None, :] * over, axis=1) / cfg.sat_cpu
-        t_tx = np.sum((a_s[None, :] * rho + (1 - a_s)[None, :])
-                      * data[None, :], axis=1) / r_su
-        t_u = kappa * a_u[None, :] * over / f_safe[None, :]
+        sat_over = _row_sum(a_s[None, :] * over)
+        t_tx = _row_sum((a_s[None, :] * rho + (1 - a_s)[None, :])
+                        * data[None, :]) / r_su
         t_ug = data[None, :] * eff / rate[None, :]
-        return over, eff, t_sat, t_tx, t_u, t_ug
+        e_sat = tau * kappa * cfg.sat_cpu ** 2 * sat_over
+        e_su = t_tx * cfg.sat_tx_power
+        e_uav = tau * kappa * _row_sum(a_u[None, :] * over * f[None, :] ** 2)
+        e_ug = _row_sum(p[None, :] * t_ug)
+        return over, sat_over, t_tx, t_ug, e_sat + e_su + e_uav + e_ug
 
     def objective(pts):
-        over, eff, t_sat, t_tx, t_u, t_ug = pieces(pts)
-        e_sat = tau * kappa * cfg.sat_cpu ** 2 * np.sum(a_s[None, :] * over,
-                                                        axis=1)
-        e_su = t_tx * cfg.sat_tx_power
-        e_uav = tau * kappa * np.sum(a_u[None, :] * over * f[None, :] ** 2,
-                                     axis=1)
-        e_ug = np.sum(p[None, :] * t_ug, axis=1)
-        return e_sat + e_su + e_uav + e_ug
+        return pieces(pts)[-1]
 
-    def feasible(pts):
-        _, _, t_sat, t_tx, t_u, t_ug = pieces(pts)
+    def score(pts):
+        over, sat_over, t_tx, t_ug, energy = pieces(pts)
+        t_sat = kappa * sat_over / cfg.sat_cpu
+        t_u = kappa * a_u[None, :] * over / f_safe[None, :]
         lat = t_sat[:, None] + t_tx[:, None] + t_prop + t_u + t_ug
-        return np.all(lat <= cfg.latency_budget * (1.0 + _FEAS_TOL), axis=1)
+        ok = _row_all(lat <= cfg.latency_budget * (1.0 + _FEAS_TOL))
+        return np.where(ok, energy, np.inf)
 
-    point, value, cell = refine_minimize(objective, specs, feasible, passes)
+    point, value, cell = refine_minimize(score, specs, passes=passes)
     return OracleSolution(point, value,
                           lambda x: float(objective(np.array([x]))[0]), cell)
 
@@ -445,23 +482,23 @@ def oracle_cpu(cfg: ScenarioConfig, state, points: int = 400,
         return OracleSolution(zero, 0.0, lambda x: 0.0, zero)
     rate = [_ug_rate_vec(cfg, d2[k], state.placement.half_beamwidth,
                          al.bandwidth[k], al.power[k]) for k in active]
-    base = [cfg.latency_budget - t_sat - t_tx - t_prop
-            - cfg.data_bits[k] * eff[k] / rate[i]
-            for i, k in enumerate(active)]
+    base = np.array([cfg.latency_budget - t_sat - t_tx - t_prop
+                     - cfg.data_bits[k] * eff[k] / rate[i]
+                     for i, k in enumerate(active)])
     ov = np.array([over[k] for k in active])
     specs = [GridSpec(1e-6 * cfg.uav_cpu_total, cfg.uav_cpu_total, points)
              for _ in active]
 
     def objective(pts):
-        return tau * kappa * np.sum(ov[None, :] * pts ** 2, axis=1)
+        return tau * kappa * _row_sum(ov[None, :] * pts ** 2)
 
-    def feasible(pts):
+    def score(pts):
         t_u = kappa * ov[None, :] / pts
-        ok = np.all(t_u <= np.array(base)[None, :] * (1.0 + _FEAS_TOL), axis=1)
-        return ok & (np.sum(pts, axis=1)
-                     <= cfg.uav_cpu_total * (1.0 + _FEAS_TOL))
+        ok = (_row_all(t_u <= base[None, :] * (1.0 + _FEAS_TOL))
+              & (_row_sum(pts) <= cfg.uav_cpu_total * (1.0 + _FEAS_TOL)))
+        return np.where(ok, objective(pts), np.inf)
 
-    point, value, cell = refine_minimize(objective, specs, feasible, passes)
+    point, value, cell = refine_minimize(score, specs, passes=passes)
     full = [0.0] * cfg.num_gts
     for i, k in enumerate(active):
         full[k] = point[i]
@@ -499,15 +536,15 @@ def oracle_power_bandwidth(cfg: ScenarioConfig, state, points: int = 2000,
         return pts * (np.exp2(x) - 1.0) / v[None, :]
 
     def objective(pts):
-        return np.sum(powers(pts) * slack[None, :], axis=1)
+        return _row_sum(powers(pts) * slack[None, :])
 
-    def feasible(pts):
-        ok_b = np.sum(pts, axis=1) <= b_total * (1.0 + _FEAS_TOL)
-        ok_p = (np.sum(powers(pts), axis=1)
-                <= cfg.uav_power_budget * (1.0 + _FEAS_TOL))
-        return ok_b & ok_p
+    def score(pts):
+        pw = powers(pts)
+        ok = ((_row_sum(pts) <= b_total * (1.0 + _FEAS_TOL))
+              & (_row_sum(pw) <= cfg.uav_power_budget * (1.0 + _FEAS_TOL)))
+        return np.where(ok, _row_sum(pw * slack[None, :]), np.inf)
 
-    point, value, cell = refine_minimize(objective, specs, feasible, passes)
+    point, value, cell = refine_minimize(score, specs, passes=passes)
     return OracleSolution(point, value,
                           lambda x: float(objective(np.array([x]))[0]), cell)
 
@@ -543,19 +580,21 @@ def oracle_altitude_beamwidth(cfg: ScenarioConfig, state, points: int = 600,
         rate = bw[None, :] * np.log2(1.0 + snr)
         return h, theta, rate
 
+    def energy(rate):
+        return _row_sum(pw[None, :] * bits[None, :] / rate)
+
     def objective(pts):
-        _, _, rate = pieces(pts)
-        return np.sum(pw[None, :] * bits[None, :] / rate, axis=1)
+        return energy(pieces(pts)[2])
 
-    def feasible(pts):
+    def score(pts):
         h, theta, rate = pieces(pts)
-        cover = np.all(dists[None, :] <= h * np.tan(theta) * (1.0 + _FEAS_TOL),
-                       axis=1)
-        lat = np.all(bits[None, :] / rate <= slack[None, :] * (1.0 + _FEAS_TOL),
-                     axis=1)
-        return cover & lat
+        cover = _row_all(dists[None, :]
+                         <= h * np.tan(theta) * (1.0 + _FEAS_TOL))
+        lat = _row_all(bits[None, :] / rate
+                       <= slack[None, :] * (1.0 + _FEAS_TOL))
+        return np.where(cover & lat, energy(rate), np.inf)
 
-    point, value, cell = refine_minimize(objective, specs, feasible, passes)
+    point, value, cell = refine_minimize(score, specs, passes=passes)
     return OracleSolution(point, value,
                           lambda x: float(objective(np.array([x]))[0]), cell)
 
@@ -608,17 +647,19 @@ def oracle_location(cfg: ScenarioConfig, state, points: int = 2010,
         rate = bw[None, :] * np.log2(1.0 + snr)
         return d2h, rate
 
+    def energy(rate):
+        return _row_sum(pw[None, :] * bits[None, :] / rate)
+
     def objective(pts):
-        _, rate = pieces(pts)
-        return np.sum(pw[None, :] * bits[None, :] / rate, axis=1)
+        return energy(pieces(pts)[1])
 
-    def feasible(pts):
+    def score(pts):
         d2h, rate = pieces(pts)
-        in_cover = np.all(d2h <= cover * cover * (1.0 + _FEAS_TOL), axis=1)
-        lat = np.all(bits[None, :] / rate <= slack[None, :] * (1.0 + _FEAS_TOL),
-                     axis=1)
-        return in_cover & lat
+        in_cover = _row_all(d2h <= cover * cover * (1.0 + _FEAS_TOL))
+        lat = _row_all(bits[None, :] / rate
+                       <= slack[None, :] * (1.0 + _FEAS_TOL))
+        return np.where(in_cover & lat, energy(rate), np.inf)
 
-    point, value, cell = refine_minimize(objective, specs, feasible, passes)
+    point, value, cell = refine_minimize(score, specs, passes=passes)
     return OracleSolution(point, value,
                           lambda x: float(objective(np.array([x]))[0]), cell)

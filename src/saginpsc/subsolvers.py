@@ -29,7 +29,6 @@ from .scenario import ScenarioConfig
 
 __all__ = [
     "SolverOptions",
-    "DualState",
     "SegmentChoice",
     "InfeasibleBlockError",
     "dual_subgradient",
@@ -70,15 +69,6 @@ class SolverOptions:
                      "refinement_levels", "kkt_tolerance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-
-@dataclass(frozen=True)
-class DualState:
-    """Multipliers of the per-GT latency constraints plus the step counter."""
-
-    lam: tuple[float, ...]
-    gamma: tuple[float, ...]
-    step_index: int
 
 
 @dataclass(frozen=True)
@@ -270,19 +260,16 @@ def solve_task_allocation(cfg: ScenarioConfig, state: SolutionState,
                           opts: SolverOptions):
     """Assign the compression site per GT by the dual method.
 
-    Returns ``(task_sat, task_uav, dual_state, feasible)``.  GTs without a
+    Returns ``(task_sat, task_uav, feasible)``.  GTs without a
     positive UAV CPU share can only be assigned to the satellite or left
     uncompressed.
     """
     adapter = _TaskAdapter(cfg, state, _pieces(cfg, state))
-    primal, mult, steps, feasible = dual_subgradient(adapter, opts)
+    primal, _, _, feasible = dual_subgradient(adapter, opts)
     incumbent = (state.allocation.task_sat, state.allocation.task_uav)
     (task_sat, task_uav), feasible = _keep_incumbent(
         adapter, primal, feasible, incumbent, opts)
-    dual = DualState(lam=tuple(float(x) for x in mult),
-                     gamma=tuple(0.0 for _ in range(cfg.num_gts)),
-                     step_index=steps)
-    return tuple(task_sat), tuple(task_uav), dual, feasible
+    return tuple(task_sat), tuple(task_uav), feasible
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +361,10 @@ class _SegmentAdapter:
 def select_segments(cfg: ScenarioConfig, state: SolutionState,
                     opts: SolverOptions):
     """Pick one overhead segment per GT by ranking the midpoint scores
-    under the dual multipliers.  Returns ``(SegmentChoice, dual_state,
-    feasible)``; ties resolve to the shallowest segment."""
+    under the dual multipliers.  Returns ``(SegmentChoice, feasible)``;
+    ties resolve to the shallowest segment."""
     adapter = _SegmentAdapter(cfg, state, _pieces(cfg, state))
-    chosen, mult, steps, feasible = dual_subgradient(adapter, opts)
+    chosen, _, _, feasible = dual_subgradient(adapter, opts)
     incumbent = tuple(
         cfg.overhead_curves[k].segment_of(state.allocation.ratio[k])
         for k in range(cfg.num_gts))
@@ -387,10 +374,7 @@ def select_segments(cfg: ScenarioConfig, state: SolutionState,
         chosen_segment=tuple(chosen),
         midpoints=tuple(tuple(m) for m in adapter.mids),
     )
-    dual = DualState(lam=tuple(0.0 for _ in range(cfg.num_gts)),
-                     gamma=tuple(float(x) for x in mult),
-                     step_index=steps)
-    return choice, dual, feasible
+    return choice, feasible
 
 
 # ---------------------------------------------------------------------------
@@ -774,11 +758,41 @@ def solve_altitude_beamwidth(cfg: ScenarioConfig, state: SolutionState,
 # Block 6: horizontal location
 
 
+def _score_inside_disks(score, px, py, xs, ys, limit):
+    """``score`` of the points inside every disk, +inf for the others.
+
+    Disk ``k`` admits the points with squared horizontal distance to
+    ``(xs[k], ys[k])`` at most ``limit[k]``.  The points are tested
+    against one disk at a time over the shrinking set still inside every
+    disk so far, and the result is all-+inf as soon as that set is empty.
+    ``score`` maps the (M, K) squared horizontal distances of the M
+    survivors to their M objective values, row by row, so a survivor's
+    value does not depend on which other points survived.
+    """
+    out = np.full(px.shape, np.inf)
+    keep = np.arange(px.size)
+    for k in range(xs.size):
+        d2k = (px[keep] - xs[k]) ** 2 + (py[keep] - ys[k]) ** 2
+        keep = keep[d2k <= limit[k]]
+        if keep.size == 0:
+            return out
+    d2 = ((px[keep, None] - xs[None, :]) ** 2
+          + (py[keep, None] - ys[None, :]) ** 2)
+    out[keep] = score(d2)
+    return out
+
+
 def solve_location(cfg: ScenarioConfig, state: SolutionState,
                    opts: SolverOptions):
     """Place the UAV inside the intersection of the per-GT admissible
     disks (coverage radius capped by the latency-derived radius) by
     exhaustive grid search with one refinement pass per level.
+
+    The search is filter-first (``_score_inside_disks``): candidates are
+    tested one disk at a time, and only the points inside every disk go
+    through the rate and energy terms; the rest score +inf.  The
+    incumbent is scored first and kept unless a grid point beats it;
+    ties go to the first minimum in grid order.
 
     Returns ``(uav_xy, objective)``.
     """
@@ -825,16 +839,17 @@ def solve_location(cfg: ScenarioConfig, state: SolutionState,
     gain = cfg.antenna_gain_const * cfg.ref_channel_gain / (theta * theta
                                                             * cfg.noise_psd)
 
-    def evaluate(px: np.ndarray, py: np.ndarray):
-        """Objective and feasibility over flat point arrays."""
-        d2 = ((px[:, None] - xs[None, :]) ** 2
-              + (py[:, None] - ys[None, :]) ** 2)
-        inside = np.all(d2 <= (rr[None, :] ** 2) * (1.0 + 1e-9), axis=1)
+    limit = (rr ** 2) * (1.0 + 1e-9)
+
+    def downlink(d2: np.ndarray) -> np.ndarray:
+        """Downlink energy per row of squared horizontal distances."""
         snr = gain * pw[None, :] / ((d2 + h * h) * bw[None, :])
         r = bw[None, :] * np.log2(1.0 + snr)
-        obj = np.sum(pw[None, :] * bits[None, :] / r, axis=1)
-        obj[~inside] = np.inf
-        return obj
+        return np.sum(pw[None, :] * bits[None, :] / r, axis=1)
+
+    def evaluate(px: np.ndarray, py: np.ndarray):
+        """Objective over flat point arrays, +inf outside any disk."""
+        return _score_inside_disks(downlink, px, py, xs, ys, limit)
 
     # The incumbent location is evaluated first: when the admissible
     # intersection is thinner than the grid pitch (latency constraints

@@ -116,7 +116,7 @@ def test_c04_dual_blocks_match_enumeration():
     with criterion("C4 dual assignment blocks match exhaustive enumeration"):
         compared = 0
         for cfg, state in feasible_instances(100, start_seed=0):
-            a_s, a_u, _, feas = solve_task_allocation(cfg, state, OPTS)
+            a_s, a_u, feas = solve_task_allocation(cfg, state, OPTS)
             if feas:
                 e_s, e_u, best = enumerate_task_assignments(cfg, state)
                 if (a_s, a_u) != (e_s, e_u):
@@ -125,7 +125,7 @@ def test_c04_dual_blocks_match_enumeration():
                     assert _rel(total_energy(cfg, cand), best) < 1e-9
                 compared += 1
 
-            choice, _, feas = select_segments(cfg, state, OPTS)
+            choice, feas = select_segments(cfg, state, OPTS)
             if feas:
                 combo, ratios, best = enumerate_segment_choices(cfg, state)
                 if choice.chosen_segment != combo:
@@ -140,7 +140,7 @@ def test_c04_dual_blocks_match_enumeration():
 def test_c05_ratio_lp_matches_grid_reference():
     with criterion("C5 in-segment ratio LP matches the grid reference"):
         for cfg, state in feasible_instances(100, start_seed=0):
-            choice, _, feas = select_segments(cfg, state, OPTS)
+            choice, feas = select_segments(cfg, state, OPTS)
             if not feas:
                 continue
             ratios, clean = solve_ratio_lp(cfg, state, choice, OPTS)

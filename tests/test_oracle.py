@@ -1,21 +1,30 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from saginpsc import oracle
 from saginpsc.oracle import (
     EmptyFeasibleError,
     GridSpec,
     OracleSizeError,
+    _row_all,
+    _row_sum,
     enumerate_segment_choices,
     enumerate_task_assignments,
     eval_formula_extended,
     grid_minimize,
+    oracle_altitude_beamwidth,
+    oracle_location,
+    oracle_power_bandwidth,
     refine_minimize,
     reference_evaluation,
 )
 from saginpsc.physics import (
     channel_gain_ug,
+    check_feasibility,
+    energy_breakdown,
     latency_breakdown,
     rate_sat_uav,
     rate_uav_gt,
@@ -68,6 +77,119 @@ class TestGridMinimize:
         point, _ = grid_minimize(lambda pts: pts[:, 0], specs,
                                  feasible=lambda pts: pts[:, 0] >= 0.5)
         assert point[0] == pytest.approx(0.5)
+
+
+def _fused(objective, feasible):
+    """The one-pass score an oracle passes instead of a filter pair."""
+    return lambda pts: np.where(feasible(pts), objective(pts), np.inf)
+
+
+class TestOnePassScore:
+    """A score that is +inf where the filter rejects gives the same
+    search as the (objective, feasible) pair."""
+
+    @staticmethod
+    def _problem():
+        # Stepped objective: long runs of exactly equal values, so the
+        # row-major tie-break decides.  The filter rejects the whole first
+        # chunk (x < 0.3) and a band in the middle.
+        def objective(pts):
+            return np.floor(4.0 * np.abs(pts[:, 0] - 0.6)) + np.floor(
+                3.0 * np.abs(pts[:, 1] - 0.2))
+
+        def feasible(pts):
+            return (pts[:, 0] >= 0.3) & ~((pts[:, 1] > 0.4) & (pts[:, 1] < 0.5))
+
+        return objective, feasible
+
+    def test_grid_minimize_same_point_and_value(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_CHUNK", 64)
+        objective, feasible = self._problem()
+        specs = [GridSpec(0.0, 1.0, 41), GridSpec(-1.0, 1.0, 37)]
+        pair = grid_minimize(objective, specs, feasible)
+        one = grid_minimize(_fused(objective, feasible), specs)
+        assert repr(one) == repr(pair)
+        assert pair[0][0] >= 0.3
+
+    def test_refine_minimize_same_point_value_and_cell(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_CHUNK", 64)
+        objective, feasible = self._problem()
+        specs = [GridSpec(0.0, 1.0, 23), GridSpec(-1.0, 1.0, 19)]
+        for passes in (0, 1, 3):
+            pair = refine_minimize(objective, specs, feasible, passes)
+            one = refine_minimize(_fused(objective, feasible), specs,
+                                  passes=passes)
+            assert repr(one) == repr(pair)
+
+    def test_all_infeasible_raises_either_way(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_CHUNK", 8)
+        specs = [GridSpec(0.0, 1.0, 30)]
+        reject = lambda pts: np.zeros(pts.shape[0], bool)
+        with pytest.raises(EmptyFeasibleError):
+            grid_minimize(lambda pts: pts[:, 0], specs, reject)
+        with pytest.raises(EmptyFeasibleError):
+            grid_minimize(_fused(lambda pts: pts[:, 0], reject), specs)
+
+
+class TestRowReductions:
+    @pytest.mark.parametrize("width", range(1, 11))
+    def test_row_sum_equals_numpy_bit_for_bit(self, width):
+        rng = np.random.default_rng(width)
+        for rows in (1, 3, 8, 1000):
+            a = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(
+                -12, 12, size=(rows, width))
+            a[0] = -0.0
+            if width > 1:
+                a[-1, 1] = -a[-1, 0]
+            assert _row_sum(a).tobytes() == np.sum(a, axis=1).tobytes()
+            strided = np.asfortranarray(a)
+            assert (_row_sum(strided).tobytes()
+                    == np.sum(strided, axis=1).tobytes())
+
+    @pytest.mark.parametrize("width", range(1, 11))
+    def test_row_all_equals_numpy(self, width):
+        rng = np.random.default_rng(100 + width)
+        for rows in (1, 3, 1000):
+            a = rng.random((rows, width)) < 0.9
+            assert np.array_equal(_row_all(a), np.all(a, axis=1))
+
+
+class TestUnfilteredEvaluate:
+    """``OracleSolution.evaluate`` scores any point; the feasibility
+    filter only restricts the search."""
+
+    def test_location_outside_the_disks(self):
+        cfg, state = feasible_instances(1, start_seed=0)[0]
+        sol = oracle_location(cfg, state)
+        far = (cfg.gt_positions[0][0] + 5e3, cfg.gt_positions[0][1])
+        moved = replace(state, placement=replace(state.placement,
+                                                 uav_xy=far))
+        assert not check_feasibility(cfg, moved).feasible
+        value = sol.evaluate(far)
+        assert math.isfinite(value)
+        assert value == pytest.approx(
+            energy_breakdown(cfg, moved).uav_gt_comm, rel=1e-12)
+
+    def test_altitude_beamwidth_too_narrow_to_cover(self):
+        cfg, state = feasible_instances(1, start_seed=0)[0]
+        sol = oracle_altitude_beamwidth(cfg, state)
+        h = cfg.altitude_range[0]
+        theta = cfg.beam_range_clamped[0]
+        moved = replace(state, placement=replace(
+            state.placement, altitude=h, half_beamwidth=theta))
+        assert not check_feasibility(cfg, moved).feasible
+        value = sol.evaluate((h, theta))
+        assert math.isfinite(value)
+        assert value == pytest.approx(
+            energy_breakdown(cfg, moved).uav_gt_comm, rel=1e-12)
+
+    def test_power_bandwidth_over_the_budget(self):
+        cfg, state = feasible_instances(1, start_seed=0)[0]
+        sol = oracle_power_bandwidth(cfg, state)
+        over = tuple(cfg.uav_bandwidth_total for _ in range(cfg.num_gts))
+        value = sol.evaluate(over)
+        assert math.isfinite(value) and value > 0.0
+        assert value < sol.value
 
 
 class TestRefineMinimize:

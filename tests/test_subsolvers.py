@@ -1,11 +1,13 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from saginpsc.algorithm import initialize
+from saginpsc import algorithm, subsolvers
+from saginpsc.algorithm import initialize, run_scheme
 from saginpsc.oracle import (
     EmptyFeasibleError,
     enumerate_segment_choices,
@@ -15,7 +17,12 @@ from saginpsc.oracle import (
     oracle_ratio,
 )
 from saginpsc.physics import latency_breakdown, total_energy
-from saginpsc.scenario import OverheadCurve, default_document, loads_scenario
+from saginpsc.scenario import (
+    OverheadCurve,
+    default_document,
+    load_scenario,
+    loads_scenario,
+)
 from saginpsc.subsolvers import (
     InfeasibleBlockError,
     SolverOptions,
@@ -36,6 +43,7 @@ from saginpsc.subsolvers import (
 from conftest import feasible_instances
 
 OPTS = SolverOptions()
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def rel(a, b):
@@ -275,14 +283,14 @@ class TestTaskAllocation:
 
     def test_output_is_binary_and_exclusive(self):
         for cfg, state in feasible_instances(5, start_seed=0):
-            a_s, a_u, dual, feasible = solve_task_allocation(cfg, state, OPTS)
+            a_s, a_u, feasible = solve_task_allocation(cfg, state, OPTS)
             for s, u in zip(a_s, a_u):
                 assert s in (0, 1) and u in (0, 1)
                 assert s + u <= 1
 
     def test_matches_enumeration_on_random_instances(self):
         for cfg, state in feasible_instances(10, start_seed=0):
-            a_s, a_u, dual, feasible = solve_task_allocation(cfg, state, OPTS)
+            a_s, a_u, feasible = solve_task_allocation(cfg, state, OPTS)
             try:
                 e_s, e_u, e_obj = enumerate_task_assignments(cfg, state)
             except EmptyFeasibleError:
@@ -296,7 +304,7 @@ class TestTaskAllocation:
 
     def test_never_worsens_input(self):
         for cfg, state in feasible_instances(5, start_seed=20):
-            a_s, a_u, _, _ = solve_task_allocation(cfg, state, OPTS)
+            a_s, a_u, _ = solve_task_allocation(cfg, state, OPTS)
             cand = replace(state, allocation=replace(
                 state.allocation, task_sat=a_s, task_uav=a_u))
             assert total_energy(cfg, cand) <= total_energy(cfg, state) * (1 + 1e-9)
@@ -305,14 +313,14 @@ class TestTaskAllocation:
 class TestSegmentSelection:
     def test_exactly_one_active_segment_per_gt(self):
         for cfg, state in feasible_instances(5, start_seed=0):
-            choice, dual, feasible = select_segments(cfg, state, OPTS)
+            choice, feasible = select_segments(cfg, state, OPTS)
             for k, row in enumerate(choice.alpha):
                 assert sum(row) == 1
                 assert row[choice.chosen_segment[k]] == 1
 
     def test_matches_enumeration_on_random_instances(self):
         for cfg, state in feasible_instances(10, start_seed=0):
-            choice, dual, feasible = select_segments(cfg, state, OPTS)
+            choice, feasible = select_segments(cfg, state, OPTS)
             try:
                 e_combo, e_rho, e_obj = enumerate_segment_choices(cfg, state)
             except EmptyFeasibleError:
@@ -332,7 +340,7 @@ class TestRatioLp:
             segs = tuple(
                 cfg.overhead_curves[k].segment_of(state.allocation.ratio[k])
                 for k in range(cfg.num_gts))
-            choice, _, _ = select_segments(cfg, state, OPTS)
+            choice, _ = select_segments(cfg, state, OPTS)
             choice = replace(choice, chosen_segment=segs)
             ratios, clean = solve_ratio_lp(cfg, state, choice, OPTS)
             sol = oracle_ratio(cfg, state, segs)
@@ -343,7 +351,7 @@ class TestRatioLp:
         # coefficients; a violated budget is then someone else's problem.
         cfg = loads_scenario(default_document())
         state = initialize(cfg)
-        choice, _, _ = select_segments(cfg, state, OPTS)
+        choice, _ = select_segments(cfg, state, OPTS)
         ratios, clean = solve_ratio_lp(cfg, state, choice, OPTS)
         assert not clean
         lo, _ = cfg.overhead_curves[0].segment_bounds(choice.chosen_segment[0])
@@ -354,7 +362,7 @@ class TestRatioLp:
         state = initialize(cfg)
         state = replace(state, allocation=replace(
             state.allocation, task_sat=(1, 0, 0, 0)))
-        choice, _, _ = select_segments(cfg, state, OPTS)
+        choice, _ = select_segments(cfg, state, OPTS)
         with pytest.raises(InfeasibleBlockError, match="ratio"):
             solve_ratio_lp(cfg, state, choice, OPTS)
 
@@ -508,6 +516,101 @@ class TestLocation:
             xy, obj = solve_location(cfg, state, OPTS)
             cand = replace(state, placement=replace(state.placement, uav_xy=xy))
             assert total_energy(cfg, cand) <= total_energy(cfg, state) * (1 + 1e-9)
+
+
+def dense_score_inside_disks(score, px, py, xs, ys, limit):
+    """The location search's scoring before the disk filter came first:
+    every (point, GT) pair is scored, then points outside a disk are
+    masked to +inf."""
+    d2 = ((px[:, None] - xs[None, :]) ** 2
+          + (py[:, None] - ys[None, :]) ** 2)
+    inside = np.all(d2 <= limit[None, :], axis=1)
+    obj = score(d2)
+    obj[~inside] = np.inf
+    return obj
+
+
+def _location_outcome(cfg, state):
+    try:
+        return repr(solve_location(cfg, state, OPTS))
+    except InfeasibleBlockError as exc:
+        return f"InfeasibleBlockError: {exc}"
+
+
+def _solve_location_calls(cfg):
+    """The ``(cfg, state)`` of every ``solve_location`` call of one
+    ``sagin_psc`` solve."""
+    calls = []
+
+    def record(cfg, state, opts):
+        calls.append((cfg, state))
+        return solve_location(cfg, state, opts)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algorithm, "solve_location", record)
+        run_scheme(cfg, "sagin_psc")
+    return calls
+
+
+def _scale_config(num_gts=256):
+    """Default scenario at ``num_gts`` terminals with the shared resources
+    scaled by K/4 and the satellite beam 10*log10(K/4) + 3 dB stronger,
+    so the solve stays feasible as it scales."""
+    doc = default_document(num_gts=num_gts, seed=1)
+    factor = num_gts / 4
+    doc["sat_beam_gain_db"] += 10.0 * math.log10(factor) + 3.0
+    for key in ("sat_cpu", "uav_cpu_total", "uav_bandwidth_total",
+                "uav_power_budget"):
+        doc[key] *= factor
+    return loads_scenario(doc)
+
+
+class TestFilteredLocationSearch:
+    def test_matches_dense_reference_bit_for_bit(self, monkeypatch):
+        # Random instances (widened beams leave interior points), the
+        # states both shipped solves hand to the block, and a K=256
+        # solve's states, where the tight latency disks leave no grid
+        # point inside all of them.
+        cases = list(feasible_instances(100, start_seed=0))
+        for name in ("default.json", "heatmap_unequal.json"):
+            cases += _solve_location_calls(load_scenario(SCENARIOS / name))
+        cases += _solve_location_calls(_scale_config())
+        assert len(cases) > 100
+
+        filtered = [_location_outcome(cfg, state) for cfg, state in cases]
+        grids = []
+
+        def reference(score, px, py, xs, ys, limit):
+            obj = dense_score_inside_disks(score, px, py, xs, ys, limit)
+            if px.size > 1:
+                grids.append(int(np.isfinite(obj).sum()))
+            return obj
+
+        monkeypatch.setattr(subsolvers, "_score_inside_disks", reference)
+        dense = [_location_outcome(cfg, state) for cfg, state in cases]
+        assert filtered == dense
+        assert any(n > 0 for n in grids)
+        assert any(n == 0 for n in grids)
+
+    def test_filter_matches_dense_scores_on_random_points(self):
+        # Disks of radius 150..500 around centres within 200 of the
+        # origin: some draws leave points inside all of them, some none.
+        rng = np.random.default_rng(5)
+        counts = []
+        for _ in range(40):
+            k = int(rng.integers(1, 40))
+            xs, ys = rng.uniform(-200, 200, size=(2, k))
+            limit = rng.uniform(150, 500, size=k) ** 2
+            px, py = rng.uniform(-400, 400, size=(2, 2000))
+
+            def score(d2):
+                return np.sum(np.log2(1.0 + 1e6 / (d2 + 1e4)), axis=1)
+
+            got = subsolvers._score_inside_disks(score, px, py, xs, ys, limit)
+            want = dense_score_inside_disks(score, px, py, xs, ys, limit)
+            assert got.tobytes() == want.tobytes()
+            counts.append(int(np.isfinite(got).sum()))
+        assert 0 in counts and max(counts) > 0
 
 
 @given(st.floats(min_value=1e3, max_value=1e7),
