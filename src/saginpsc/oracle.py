@@ -116,6 +116,29 @@ def _row_all(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _chunk_points(axes, start: int, stop: int) -> np.ndarray:
+    """Points ``start:stop`` of the cartesian grid of ``axes`` in
+    row-major order, as an (N, ndim) array.
+
+    Along axis ``d`` the grid holds each axis value ``stride`` times in a
+    row (``stride`` being the product of the later axis lengths), and the
+    axis repeats over the earlier ones; so each column is the axis tiled
+    over the runs the chunk touches, each run repeated ``stride`` times,
+    trimmed to the chunk.  No arithmetic touches the values.
+    """
+    pts = np.empty((stop - start, len(axes)))
+    stride = 1
+    for d in range(len(axes) - 1, -1, -1):
+        n = axes[d].size
+        first, last = start // stride, -(-stop // stride)  # runs touched
+        lead = first - first % n  # first run of the axis period holding `first`
+        runs = np.tile(axes[d], -(-(last - lead) // n))[first - lead:last - lead]
+        offset = start - first * stride
+        pts[:, d] = np.repeat(runs, stride)[offset:offset + stop - start]
+        stride *= n
+    return pts
+
+
 def grid_minimize(objective, specs: Sequence[GridSpec], feasible=None):
     """Exact minimum of ``objective`` over the cartesian grid, restricted
     to points passing ``feasible``.
@@ -129,14 +152,12 @@ def grid_minimize(objective, specs: Sequence[GridSpec], feasible=None):
     :class:`EmptyFeasibleError` when no point has a finite score.
     """
     axes = [np.linspace(s.lower, s.upper, s.points) for s in specs]
-    shape = tuple(s.points for s in specs)
-    total = int(np.prod(shape))
+    total = math.prod(s.points for s in specs)
     best_val = math.inf
     best_point = None
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
-        idx = np.unravel_index(np.arange(start, stop), shape)
-        pts = np.stack([axes[d][idx[d]] for d in range(len(specs))], axis=1)
+        pts = _chunk_points(axes, start, stop)
         vals = np.asarray(objective(pts), dtype=float)
         if feasible is not None:
             ok = np.asarray(feasible(pts), dtype=bool)

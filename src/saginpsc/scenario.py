@@ -175,7 +175,6 @@ class ScenarioConfig:
     altitude_range: tuple[float, float]
     beamwidth_range: tuple[float, float]
     overhead_curves: tuple[OverheadCurve, ...]
-    sidelobe_gain: float = 0.0
     lightspeed: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
@@ -200,7 +199,6 @@ class ScenarioConfig:
         ]
         for name, value in positives:
             _require(value > 0, name, "must be strictly positive")
-        _require(self.sidelobe_gain >= 0, "sidelobe_gain", "must be nonnegative")
         for bits in self.data_bits:
             _require(bits > 0, "data_bits", "must be strictly positive")
         h_lo, h_hi = self.altitude_range
@@ -312,7 +310,6 @@ def loads_scenario(document: dict | str) -> ScenarioConfig:
         noise_psd=_db_to_linear(noise_dbm_hz) * 1e-3,
         ref_channel_gain=float(document["ref_channel_gain"]),
         antenna_gain_const=float(document.get("antenna_gain_const", 2.2846)),
-        sidelobe_gain=float(document.get("sidelobe_gain", 0.0)),
         comp_energy_coeff=float(document.get("comp_energy_coeff", 1e-28)),
         cycles_per_overhead=float(document.get("cycles_per_overhead", 1.0)),
         sat_cpu=float(document["sat_cpu"]),
@@ -355,7 +352,6 @@ def scenario_to_document(cfg: ScenarioConfig) -> dict:
         "noise_psd_dbm_hz": _linear_to_db(cfg.noise_psd * 1e3),
         "ref_channel_gain": cfg.ref_channel_gain,
         "antenna_gain_const": cfg.antenna_gain_const,
-        "sidelobe_gain": cfg.sidelobe_gain,
         "comp_energy_coeff": cfg.comp_energy_coeff,
         "cycles_per_overhead": cfg.cycles_per_overhead,
         "sat_cpu": cfg.sat_cpu,

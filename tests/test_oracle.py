@@ -1,5 +1,7 @@
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +79,75 @@ class TestGridMinimize:
         point, _ = grid_minimize(lambda pts: pts[:, 0], specs,
                                  feasible=lambda pts: pts[:, 0] >= 0.5)
         assert point[0] == pytest.approx(0.5)
+
+
+def unravel_chunk_points(axes, start, stop):
+    """Grid points ``start:stop`` as ``grid_minimize`` built them before:
+    ``np.unravel_index``, one fancy index per axis and ``np.stack``."""
+    shape = tuple(a.size for a in axes)
+    idx = np.unravel_index(np.arange(start, stop), shape)
+    return np.stack([axes[d][idx[d]] for d in range(len(axes))], axis=1)
+
+
+def test_oracle_imports_no_production_model():
+    # The oracles are evidence only while they re-derive the model.
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names}
+    assert not any(name and name.split(".")[-1] in ("physics", "subsolvers")
+                   for name in imported)
+
+
+class TestChunkPoints:
+    @staticmethod
+    def _axes(rng, sizes):
+        return [np.linspace(rng.uniform(-5.0, 0.0), rng.uniform(1.0, 5.0), n)
+                for n in sizes]
+
+    @pytest.mark.parametrize("sizes", [(17,), (5, 7), (3, 4, 6), (2, 2, 2)])
+    def test_every_chunk_equals_unravel_build(self, sizes):
+        # All (start, stop) pairs: chunks that start or stop mid-row, span
+        # several rows or planes, cover the whole grid, or hold one point.
+        axes = self._axes(np.random.default_rng(len(sizes)), sizes)
+        total = math.prod(sizes)
+        for start in range(total):
+            for stop in range(start + 1, total + 1):
+                got = oracle._chunk_points(axes, start, stop)
+                want = unravel_chunk_points(axes, start, stop)
+                assert got.tobytes() == want.tobytes()
+                assert got.shape == want.shape and got.flags.c_contiguous
+
+    def test_random_chunks_of_larger_grids(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            sizes = tuple(int(n) for n in rng.integers(2, 40,
+                                                       size=rng.integers(1, 4)))
+            axes = self._axes(rng, sizes)
+            total = math.prod(sizes)
+            start = int(rng.integers(0, total))
+            stop = int(rng.integers(start + 1, total + 1))
+            assert (oracle._chunk_points(axes, start, stop).tobytes()
+                    == unravel_chunk_points(axes, start, stop).tobytes())
+
+    def test_grid_minimize_unchanged_across_chunk_sizes(self, monkeypatch):
+        # A stepped objective with long runs of ties, searched in chunks
+        # of 1, 7 and 64 points and in one chunk, against the old build.
+        def objective(pts):
+            return np.floor(3.0 * np.abs(pts[:, 0] - 0.4)) + np.floor(
+                2.0 * np.abs(pts[:, -1] + 0.1))
+
+        specs = [GridSpec(0.0, 1.0, 9), GridSpec(-1.0, 1.0, 7),
+                 GridSpec(-0.5, 0.5, 5)]
+        for dims in (1, 2, 3):
+            for chunk in (1, 7, 64, 1 << 19):
+                monkeypatch.setattr(oracle, "_CHUNK", chunk)
+                got = grid_minimize(objective, specs[:dims])
+                with monkeypatch.context() as patch:
+                    patch.setattr(oracle, "_chunk_points", unravel_chunk_points)
+                    want = grid_minimize(objective, specs[:dims])
+                assert repr(got) == repr(want)
 
 
 def _fused(objective, feasible):

@@ -60,6 +60,16 @@ class TestDocumentValidation:
         with pytest.raises(ScenarioError, match="gt_positions"):
             loads_scenario(doc)
 
+    def test_retired_sidelobe_gain_key_is_ignored(self):
+        # The model never used a sidelobe gain; documents that still carry
+        # the key, negative values included, load as if it were absent.
+        for value in (0.5, -1.0):
+            doc = default_document()
+            doc["sidelobe_gain"] = value
+            assert loads_scenario(doc) == loads_scenario(default_document())
+        assert "sidelobe_gain" not in scenario_to_document(
+            loads_scenario(default_document()))
+
     def test_invalid_json_text(self):
         with pytest.raises(ScenarioError, match="invalid JSON"):
             loads_scenario("{not json")

@@ -16,7 +16,7 @@ from saginpsc.oracle import (
     oracle_power_bandwidth,
     oracle_ratio,
 )
-from saginpsc.physics import latency_breakdown, total_energy
+from saginpsc.physics import channel_gain_ug, latency_breakdown, total_energy
 from saginpsc.scenario import (
     OverheadCurve,
     default_document,
@@ -530,24 +530,26 @@ def dense_score_inside_disks(score, px, py, xs, ys, limit):
     return obj
 
 
-def _location_outcome(cfg, state):
+def _outcome(solver, cfg, state):
+    """``repr`` of a block solver's return, or of the error it raised."""
     try:
-        return repr(solve_location(cfg, state, OPTS))
+        return repr(solver(cfg, state, OPTS))
     except InfeasibleBlockError as exc:
         return f"InfeasibleBlockError: {exc}"
 
 
-def _solve_location_calls(cfg):
-    """The ``(cfg, state)`` of every ``solve_location`` call of one
-    ``sagin_psc`` solve."""
+def _block_calls(cfg, block):
+    """The ``(cfg, state)`` of every call of the block solver named
+    ``block`` in one ``sagin_psc`` solve."""
     calls = []
+    solver = getattr(subsolvers, block)
 
     def record(cfg, state, opts):
         calls.append((cfg, state))
-        return solve_location(cfg, state, opts)
+        return solver(cfg, state, opts)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(algorithm, "solve_location", record)
+        patch.setattr(algorithm, block, record)
         run_scheme(cfg, "sagin_psc")
     return calls
 
@@ -573,11 +575,12 @@ class TestFilteredLocationSearch:
         # point inside all of them.
         cases = list(feasible_instances(100, start_seed=0))
         for name in ("default.json", "heatmap_unequal.json"):
-            cases += _solve_location_calls(load_scenario(SCENARIOS / name))
-        cases += _solve_location_calls(_scale_config())
+            cases += _block_calls(load_scenario(SCENARIOS / name),
+                                  "solve_location")
+        cases += _block_calls(_scale_config(), "solve_location")
         assert len(cases) > 100
 
-        filtered = [_location_outcome(cfg, state) for cfg, state in cases]
+        filtered = [_outcome(solve_location, cfg, state) for cfg, state in cases]
         grids = []
 
         def reference(score, px, py, xs, ys, limit):
@@ -587,7 +590,7 @@ class TestFilteredLocationSearch:
             return obj
 
         monkeypatch.setattr(subsolvers, "_score_inside_disks", reference)
-        dense = [_location_outcome(cfg, state) for cfg, state in cases]
+        dense = [_outcome(solve_location, cfg, state) for cfg, state in cases]
         assert filtered == dense
         assert any(n > 0 for n in grids)
         assert any(n == 0 for n in grids)
@@ -611,6 +614,298 @@ class TestFilteredLocationSearch:
             assert got.tobytes() == want.tobytes()
             counts.append(int(np.isfinite(got).sum()))
         assert 0 in counts and max(counts) > 0
+
+
+def reference_q_prime(u, b):
+    x = u / b
+    if x > 500.0:
+        return -math.inf
+    e = 2.0 ** x
+    return e - 1.0 - x * math.log(2.0) * e
+
+
+def reference_solve_b_stationary(u, weight, mu):
+    """``_solve_b_stationary`` before its bisection loop inlined q'."""
+    target = -mu / weight
+    if target >= 0.0:
+        return math.inf
+    b_hi = u
+    while reference_q_prime(u, b_hi) < target:
+        b_hi *= 2.0
+    b_lo = b_hi / 2.0 if b_hi > u else u
+    if b_hi == u:
+        b_lo = u
+        while reference_q_prime(u, b_lo) > target:
+            b_lo /= 2.0
+            if b_lo < 1e-300:
+                return b_lo
+    for _ in range(200):
+        b_mid = 0.5 * (b_lo + b_hi)
+        if reference_q_prime(u, b_mid) < target:
+            b_lo = b_mid
+        else:
+            b_hi = b_mid
+        if b_hi - b_lo <= 1e-15 * b_hi:
+            break
+    return 0.5 * (b_lo + b_hi)
+
+
+def reference_solve_power_bandwidth(cfg, state, opts):
+    """``solve_power_bandwidth`` before the record: every comparison of
+    the bandwidth multiplier's bisection evaluates ``total_b``."""
+    p = _pieces(cfg, state)
+    n = cfg.num_gts
+    slacks = subsolvers._downlink_slacks(cfg, p)
+    u = []
+    v = []
+    w = []
+    for k in range(n):
+        if slacks[k] <= 0.0:
+            raise InfeasibleBlockError(
+                "solve_power_bandwidth",
+                f"GT {k}: no latency left for the downlink (slack {slacks[k]:.3e} s)")
+        g_k = channel_gain_ug(cfg, state.placement, k)
+        theta = state.placement.half_beamwidth
+        u.append(cfg.data_bits[k] * p.eff[k] / slacks[k])
+        v.append(cfg.antenna_gain_const * g_k / (theta * theta * cfg.noise_psd))
+        w.append(slacks[k] / v[k])
+
+    b_total = cfg.uav_bandwidth_total
+
+    def allocation_for(nu):
+        weights = [w[k] + nu / v[k] for k in range(n)]
+
+        def total_b(mu):
+            return sum(min(reference_solve_b_stationary(u[k], weights[k], mu),
+                           10.0 * b_total)
+                       for k in range(n))
+
+        mu_lo, mu_hi = 1e-30, 1.0
+        while total_b(mu_hi) > b_total:
+            mu_hi *= 10.0
+            if mu_hi > 1e60:
+                break
+        while total_b(mu_lo) < b_total and mu_lo > 1e-200:
+            mu_lo /= 10.0
+        for _ in range(200):
+            mu_mid = math.sqrt(mu_lo * mu_hi)
+            if total_b(mu_mid) > b_total:
+                mu_lo = mu_mid
+            else:
+                mu_hi = mu_mid
+            if mu_hi / mu_lo < 1.0 + 1e-14:
+                break
+        mu = math.sqrt(mu_lo * mu_hi)
+        b = [reference_solve_b_stationary(u[k], weights[k], mu)
+             for k in range(n)]
+        scale = b_total / sum(b)
+        b = [x * scale for x in b]
+        sum_p = sum(_q(u[k], b[k]) / v[k] for k in range(n))
+        return b, sum_p
+
+    b, sum_p = allocation_for(0.0)
+    if sum_p > cfg.uav_power_budget * (1.0 + opts.kkt_tolerance):
+        nu_lo, nu_hi = 0.0, max(w) * max(v)
+        while allocation_for(nu_hi)[1] > cfg.uav_power_budget:
+            nu_hi *= 10.0
+            if nu_hi > 1e80:
+                raise InfeasibleBlockError(
+                    "solve_power_bandwidth",
+                    "power budget unreachable even at the minimum-power split")
+        for _ in range(200):
+            nu_mid = 0.5 * (nu_lo + nu_hi)
+            b, sum_p = allocation_for(nu_mid)
+            if sum_p > cfg.uav_power_budget:
+                nu_lo = nu_mid
+            else:
+                nu_hi = nu_mid
+            if nu_hi - nu_lo <= 1e-14 * nu_hi:
+                break
+        b, sum_p = allocation_for(nu_hi)
+
+    power = [_q(u[k], b[k]) / v[k] for k in range(n)]
+    return tuple(b), tuple(power)
+
+
+class _CountingRecord(subsolvers._MonotoneRecord):
+    """The record, counting how many ``allocation_for`` calls build one."""
+
+    built = 0
+
+    def __init__(self, total, level):
+        super().__init__(total, level)
+        type(self).built += 1
+
+
+def _budget_cases(count=15):
+    """Feasible instances with the UAV power budget cut to 0.999999, 0.9999
+    and 0.99 of the power the unconstrained split spends."""
+    cases = []
+    for cfg, state in feasible_instances(count, start_seed=200):
+        free = replace(cfg, uav_power_budget=math.inf)
+        spent = sum(solve_power_bandwidth(free, state, OPTS)[1])
+        for factor in (0.999999, 0.9999, 0.99):
+            cases.append((replace(cfg, uav_power_budget=factor * spent), state))
+    return cases
+
+
+class TestPowerBandwidthReplay:
+    def test_matches_full_bisection_bit_for_bit(self):
+        # Random instances, the states both shipped solves hand to the
+        # block, and a K=256 solve's states.
+        cases = list(feasible_instances(100, start_seed=0))
+        for name in ("default.json", "heatmap_unequal.json"):
+            cases += _block_calls(load_scenario(SCENARIOS / name),
+                                  "solve_power_bandwidth")
+        cases += _block_calls(_scale_config(), "solve_power_bandwidth")
+        assert len(cases) > 110
+        for cfg, state in cases:
+            assert (_outcome(solve_power_bandwidth, cfg, state)
+                    == _outcome(reference_solve_power_bandwidth, cfg, state))
+
+    def test_power_budget_bisection_matches(self, monkeypatch):
+        # Each allocation_for call builds its own record, so more than
+        # one record per call means the power multiplier was bisected.
+        monkeypatch.setattr(subsolvers, "_MonotoneRecord", _CountingRecord)
+        bisected = 0
+        for cfg, state in _budget_cases():
+            _CountingRecord.built = 0
+            got = _outcome(solve_power_bandwidth, cfg, state)
+            assert got == _outcome(reference_solve_power_bandwidth, cfg, state)
+            if _CountingRecord.built > 1 and not got.startswith("Infeasible"):
+                bisected += 1
+        assert bisected >= 3
+
+    def test_extreme_bandwidth_budgets_match(self):
+        # Budgets from 1 kHz (spectral efficiencies past the 2**x cap, or
+        # no way to meet the power budget) to 1 THz (tiny x everywhere).
+        outcomes = set()
+        for cfg, state in feasible_instances(4, start_seed=500):
+            for b_total in (1e3, 1e4, 1e12):
+                wide = replace(cfg, uav_bandwidth_total=b_total)
+                got = _outcome(solve_power_bandwidth, wide, state)
+                assert got == _outcome(reference_solve_power_bandwidth,
+                                       wide, state)
+                outcomes.add(got.startswith("Infeasible"))
+        assert outcomes == {True, False}
+
+    def test_raises_the_same_errors(self):
+        cfg, state = feasible_instances(1, start_seed=0)[0]
+        starved = replace(cfg, uav_power_budget=1e-30)
+        no_slack = loads_scenario(default_document())
+        for cfg, state, match in ((starved, state, "unreachable"),
+                                  (no_slack, initialize(no_slack),
+                                   "no latency left")):
+            got = _outcome(solve_power_bandwidth, cfg, state)
+            assert match in got
+            assert got == _outcome(reference_solve_power_bandwidth, cfg, state)
+
+    def test_stationary_bandwidth_matches_reference(self):
+        # Inlining q' into the bisection keeps every operation: random
+        # demands, weights and multipliers, including x past the 2**x cap
+        # (tiny b) and a target that rounds to zero (b = inf).
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            u = float(10 ** rng.uniform(2, 8))
+            weight = float(10 ** rng.uniform(-25, -5))
+            mu = float(10 ** rng.uniform(-320, 10))
+            assert (repr(subsolvers._solve_b_stationary(u, weight, mu))
+                    == repr(reference_solve_b_stationary(u, weight, mu)))
+
+    def test_capped_total_is_non_increasing_in_mu(self, monkeypatch):
+        # The record replays comparisons only because the computed total
+        # never rises with mu.  Sweep mu log-spaced over 12 decades around
+        # each root, plus 100 floating-point neighbours on either side of
+        # the root and of each GT's halving points u / 2**h.
+        seen = []
+        tighten = subsolvers._tighten
+
+        def keep(record, u, weights, b_total):
+            seen.append((record, u, weights, b_total))
+            tighten(record, u, weights, b_total)
+
+        monkeypatch.setattr(subsolvers, "_tighten", keep)
+        for cfg, state in feasible_instances(6, start_seed=0):
+            solve_power_bandwidth(cfg, state, OPTS)
+        solve_power_bandwidth(*_budget_cases(1)[0], OPTS)
+        assert len(seen) > 7
+
+        def neighbours(mu, count=100):
+            out = [mu]
+            for direction in (0.0, math.inf):
+                m = mu
+                for _ in range(count):
+                    m = math.nextafter(m, direction)
+                    out.append(m)
+            return out
+
+        for record, u, weights, b_total in seen:
+            root = record.at_most
+            mus = list(root * np.logspace(-6, 6, 400)) + neighbours(root)
+            for u_k, w_k in zip(u, weights):
+                for h in (1, 2, 3):
+                    edge = -w_k * subsolvers._q_prime(u_k, u_k / 2 ** h)
+                    mus += neighbours(edge)
+            mus.sort()
+            totals = [subsolvers._capped_total(
+                subsolvers._bandwidths(u, weights, mu), 10.0 * b_total)
+                for mu in mus]
+            assert all(b <= a for a, b in zip(totals, totals[1:]))
+            assert totals[0] > b_total >= totals[-1]
+
+    def test_block_call_evaluates_few_totals(self, monkeypatch):
+        # At K=256 the record leaves a handful of total_b evaluations per
+        # allocation_for call instead of about 55.
+        states = _block_calls(_scale_config(), "solve_power_bandwidth")
+        calls = 0
+        solve_b = subsolvers._solve_b_stationary
+
+        def count(u, weight, mu):
+            nonlocal calls
+            calls += 1
+            return solve_b(u, weight, mu)
+
+        monkeypatch.setattr(subsolvers, "_solve_b_stationary", count)
+        for cfg, state in states:
+            calls = 0
+            solve_power_bandwidth(cfg, state, OPTS)
+            assert 0 < calls <= 16 * cfg.num_gts
+
+    def test_record_decides_only_what_a_point_implies(self):
+        evaluated = []
+
+        def total(mu):
+            evaluated.append(mu)
+            return 5.0
+
+        record = subsolvers._MonotoneRecord(total, 5.0)
+        record.add(1.0, 5.0)  # exactly at the level
+        # total(m) > 5 for m < 1, and total(m) < 5 for m > 1, are open.
+        assert not record.exceeds(0.5)
+        assert not record.falls_short(2.0)
+        assert evaluated == [0.5, 2.0]
+        # total(m) <= 5 for m >= 1 and total(m) >= 5 for m <= 1 are not.
+        assert not record.exceeds(3.0)
+        assert not record.falls_short(0.25)
+        assert evaluated == [0.5, 2.0]
+        record.add(0.1, 6.0)
+        record.add(10.0, 4.0)
+        assert record.exceeds(0.1) and record.exceeds(0.05)
+        assert record.falls_short(10.0) and record.falls_short(20.0)
+        assert evaluated == [0.5, 2.0]
+
+    def test_probe_enters_the_capped_total(self):
+        # Far below the root some bandwidths exceed the 10 * b_total cap;
+        # the probe must record the total the bisection would compare.
+        u = [2e6, 5e5, 1e6]
+        weights = [1e-16, 4e-16, 2e-16]
+        b_total = 1e6
+        mu = 1e-40
+        bs = subsolvers._bandwidths(u, weights, mu)
+        assert max(bs) > 10.0 * b_total
+        total, _ = subsolvers._newton_probe(u, weights, mu, b_total)
+        assert total == sum(min(b, 10.0 * b_total) for b in bs)
+        assert total < sum(bs)
 
 
 @given(st.floats(min_value=1e3, max_value=1e7),
