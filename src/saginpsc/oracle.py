@@ -6,14 +6,14 @@ between the two is evidence, not tautology.  The oracles are shipped
 with the library (not hidden in the tests) so any documented reference
 value can be regenerated.
 
-Exhaustive enumeration is capped at 3^12 combinations; the grid search
-evaluates in fixed-size chunks and breaks ties toward the lowest grid
-index in row-major order.  Each per-block grid oracle scores a chunk in
-one pass: it derives the shared latency/rate pieces once and returns the
-objective with +inf wherever a constraint fails, so no point is
-evaluated twice.  Row reductions over the narrow (points, GTs) arrays use
-column arithmetic (``_row_sum``/``_row_all``) with the same rounding as
-``np.sum``/``np.all``.
+Exhaustive enumeration is capped at 3^12 combinations.  The grid search
+walks the grid in blocks of whole leading-axis rows and hands the score
+an open mesh of each block, one array per axis, so a per-block grid
+oracle computes a term of one axis once per axis value and only the
+cross-axis combination once per point, in the order a per-point
+evaluation uses; the score is the objective, +inf wherever a constraint
+fails.  Ties break toward the lowest grid index in row-major order.
+Sums over GTs (``_gt_sum``) round exactly as ``np.sum`` over a row does.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,84 +92,82 @@ class OracleSolution:
     cell: tuple[float, ...]
 
 
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """``np.sum(a, axis=1)`` of a 2-D array with at least one column, bit
-    for bit.
-
-    Rows narrower than ``_SEQUENTIAL_SUM_WIDTH`` are summed column by
-    column in NumPy's own order, which avoids its per-row reduction
-    overhead; wider rows go to ``np.sum``."""
-    width = a.shape[1]
+def _gt_sum(terms):
+    """Sum of per-GT terms of shapes that broadcast together, bit for bit
+    as ``np.sum`` adds a row of them: in GT order from +0.0 (so -0.0 terms
+    sum to +0.0) below ``_SEQUENTIAL_SUM_WIDTH`` terms, and by ``np.sum``
+    on the stacked rows from that width on."""
+    width = len(terms)
     if width >= _SEQUENTIAL_SUM_WIDTH:
-        return np.sum(a, axis=1)
-    total = a[:, 0] + 0.0  # NumPy starts from +0.0, so -0.0 rows sum to +0.0
-    for k in range(1, width):
-        total += a[:, k]
+        rows = np.stack(np.broadcast_arrays(*terms), axis=-1)
+        return np.sum(rows.reshape(-1, width), axis=1).reshape(rows.shape[:-1])
+    total = terms[0] + 0.0
+    for term in terms[1:]:
+        total = total + term
     return total
 
 
-def _row_all(a: np.ndarray) -> np.ndarray:
-    """``np.all(a, axis=1)`` of a 2-D boolean array with at least one
-    column, column by column."""
-    out = a[:, 0].copy()
-    for k in range(1, a.shape[1]):
-        out &= a[:, k]
-    return out
+def _on_points(objective, feasible=None):
+    """Mesh score of a vectorized ``objective`` (and optional ``feasible``
+    filter) of (N, ndim) points, built row-major from the mesh block."""
+    def score(*mesh):
+        rows = np.stack(np.broadcast_arrays(*mesh), axis=-1)
+        pts = rows.reshape(-1, len(mesh))
+        vals = np.asarray(objective(pts), dtype=float)
+        if feasible is not None:
+            ok = np.asarray(feasible(pts), dtype=bool)
+            vals = np.where(ok, vals, np.inf)
+        return vals.reshape(rows.shape[:-1])
+    return score
 
 
-def _chunk_points(axes, start: int, stop: int) -> np.ndarray:
-    """Points ``start:stop`` of the cartesian grid of ``axes`` in
-    row-major order, as an (N, ndim) array.
+def _grid_search(score, specs: Sequence[GridSpec]):
+    """Exact minimum of a mesh ``score`` over the cartesian grid of
+    ``specs``.
 
-    Along axis ``d`` the grid holds each axis value ``stride`` times in a
-    row (``stride`` being the product of the later axis lengths), and the
-    axis repeats over the earlier ones; so each column is the axis tiled
-    over the runs the chunk touches, each run repeated ``stride`` times,
-    trimmed to the chunk.  No arithmetic touches the values.
-    """
-    pts = np.empty((stop - start, len(axes)))
-    stride = 1
-    for d in range(len(axes) - 1, -1, -1):
-        n = axes[d].size
-        first, last = start // stride, -(-stop // stride)  # runs touched
-        lead = first - first % n  # first run of the axis period holding `first`
-        runs = np.tile(axes[d], -(-(last - lead) // n))[first - lead:last - lead]
-        offset = start - first * stride
-        pts[:, d] = np.repeat(runs, stride)[offset:offset + stop - start]
-        stride *= n
-    return pts
+    The grid is walked in blocks of whole leading-axis rows, about
+    ``_CHUNK`` points each.  ``score`` receives an open mesh of the block,
+    one array per axis shaped to broadcast over it (``np.ix_``), so a term
+    of one axis is computed once per axis value; its result is broadcast
+    to the block and read row-major.  NaN counts as +inf.  Ties break
+    toward the lowest row-major index."""
+    axes = [np.linspace(s.lower, s.upper, s.points) for s in specs]
+    lead, *later = np.ix_(*axes)
+    sizes = [a.size for a in axes]
+    step = max(1, _CHUNK // math.prod(sizes[1:]))
+    best_val = math.inf
+    best_point = None
+    for r0 in range(0, sizes[0], step):
+        rows = lead[r0:r0 + step]
+        block = (rows.shape[0], *sizes[1:])
+        vals = np.broadcast_to(np.asarray(score(rows, *later), dtype=float),
+                               block).ravel()
+        j = int(np.argmin(vals))
+        if math.isnan(vals[j]):  # argmin stops at the first NaN
+            vals = np.where(np.isnan(vals), np.inf, vals)
+            j = int(np.argmin(vals))
+        if vals[j] < best_val:
+            best_val = float(vals[j])
+            idx = np.unravel_index(j, block)
+            best_point = tuple(float(a[i]) for a, i
+                               in zip(axes, (r0 + idx[0], *idx[1:])))
+    if not math.isfinite(best_val):
+        raise EmptyFeasibleError("no grid point passed the feasibility filter")
+    return best_point, best_val
 
 
 def grid_minimize(objective, specs: Sequence[GridSpec], feasible=None):
     """Exact minimum of ``objective`` over the cartesian grid, restricted
     to points passing ``feasible``.
 
-    Both callables are vectorized: they receive an (N, ndim) array and
-    return a length-N array.  A separate ``feasible`` filter is the same
-    as one score ``np.where(feasible(pts), objective(pts), inf)``; the
-    per-block oracles pass such a one-pass score and no filter, so the
-    pieces shared by the objective and the constraints are computed once
-    per chunk.  Ties break toward the lowest row-major index.  Raises
-    :class:`EmptyFeasibleError` when no point has a finite score.
+    Both callables are vectorized: they receive an (N, ndim) array of
+    points in row-major order and return a length-N array.  A separate
+    ``feasible`` filter is the same as one score ``np.where(feasible(pts),
+    objective(pts), inf)``.  Ties break toward the lowest row-major index
+    and NaN counts as +inf.  Raises :class:`EmptyFeasibleError` when no
+    point has a finite score.
     """
-    axes = [np.linspace(s.lower, s.upper, s.points) for s in specs]
-    total = math.prod(s.points for s in specs)
-    best_val = math.inf
-    best_point = None
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        pts = _chunk_points(axes, start, stop)
-        vals = np.asarray(objective(pts), dtype=float)
-        if feasible is not None:
-            ok = np.asarray(feasible(pts), dtype=bool)
-            vals = np.where(ok, vals, np.inf)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            best_point = tuple(float(x) for x in pts[j])
-    if not math.isfinite(best_val):
-        raise EmptyFeasibleError("no grid point passed the feasibility filter")
-    return best_point, best_val
+    return _grid_search(_on_points(objective, feasible), specs)
 
 
 def refine_minimize(objective, specs: Sequence[GridSpec], feasible=None,
@@ -180,7 +179,12 @@ def refine_minimize(objective, specs: Sequence[GridSpec], feasible=None,
     incumbent pinned to the window edge keeps the window size so the
     search can crawl along an active constraint toward an off-grid
     vertex.  Returns (point, value, final cell sizes)."""
-    point, value = grid_minimize(objective, specs, feasible)
+    return _refine(_on_points(objective, feasible), specs, passes)
+
+
+def _refine(score, specs: Sequence[GridSpec], passes: int):
+    """:func:`refine_minimize` of a mesh ``score`` (:func:`_grid_search`)."""
+    point, value = _grid_search(score, specs)
     width = [s.cell for s in specs]
     cells = list(width)
     for _ in range(passes):
@@ -192,7 +196,7 @@ def refine_minimize(objective, specs: Sequence[GridSpec], feasible=None,
                 lo, hi = specs[d].lower, specs[d].upper
             window.append(GridSpec(lo, hi, specs[d].points))
         try:
-            p2, v2 = grid_minimize(objective, window, feasible)
+            p2, v2 = _grid_search(score, window)
         except EmptyFeasibleError:
             break
         for d, s in enumerate(window):
@@ -430,6 +434,27 @@ def _fixed_terms(cfg: ScenarioConfig, state):
     return r_su, over, t_sat, t_tx, t_prop, eff, d2
 
 
+def _evaluate_with(objective):
+    """``OracleSolution.evaluate`` of a mesh objective: the point is
+    handed over as a mesh of one value per axis."""
+    return lambda x: float(objective(*(np.array([float(v)]) for v in x))[0])
+
+
+def _hop_terms(cfg: ScenarioConfig, state):
+    """Per-GT latency slack left for the UAV-GT hop, the bits it carries,
+    its bandwidth and its power."""
+    al = state.allocation
+    r_su, over, t_sat, t_tx, t_prop, eff, _ = _fixed_terms(cfg, state)
+    kappa = cfg.cycles_per_overhead
+    slack = np.array([
+        cfg.latency_budget - t_sat - t_tx - t_prop
+        - ((kappa * over[k] / al.cpu[k]) if al.task_uav[k] else 0.0)
+        for k in range(cfg.num_gts)
+    ])
+    bits = np.array(cfg.data_bits) * np.array(eff)
+    return slack, bits, np.array(al.bandwidth), np.array(al.power)
+
+
 def oracle_ratio(cfg: ScenarioConfig, state, chosen_segments,
                  points: int = 1000, passes: int = 3) -> OracleSolution:
     """Grid reference for the in-segment compression ratios."""
@@ -458,36 +483,38 @@ def oracle_ratio(cfg: ScenarioConfig, state, chosen_segments,
                    for k in range(n)])
     rate = _ug_rate_vec(cfg, d2, pl.half_beamwidth, np.array(al.bandwidth), p)
     f_safe = np.where(f > 0.0, f, 1.0)
+    gts = range(n)
+    # Per-GT factors, each applied to the GT's own ratio axis.
+    sent, kept, forwarded = a_s + a_u, 1 - a_s - a_u, 1 - a_s
+    f2, uav_time = f ** 2, kappa * a_u
 
-    def pieces(rho):
+    def pieces(*rho):
         """Overheads, satellite overhead sum, shared satellite transmit
         time, per-GT downlink time and the total energy."""
-        over = slope[None, :] * rho + intercept[None, :]
-        eff = (a_s + a_u)[None, :] * rho + (1 - a_s - a_u)[None, :]
-        sat_over = _row_sum(a_s[None, :] * over)
-        t_tx = _row_sum((a_s[None, :] * rho + (1 - a_s)[None, :])
-                        * data[None, :]) / r_su
-        t_ug = data[None, :] * eff / rate[None, :]
+        over = [slope[k] * rho[k] + intercept[k] for k in gts]
+        t_ug = [data[k] * (sent[k] * rho[k] + kept[k]) / rate[k] for k in gts]
+        sat_over = _gt_sum([a_s[k] * over[k] for k in gts])
+        t_tx = _gt_sum([(a_s[k] * rho[k] + forwarded[k]) * data[k]
+                        for k in gts]) / r_su
         e_sat = tau * kappa * cfg.sat_cpu ** 2 * sat_over
         e_su = t_tx * cfg.sat_tx_power
-        e_uav = tau * kappa * _row_sum(a_u[None, :] * over * f[None, :] ** 2)
-        e_ug = _row_sum(p[None, :] * t_ug)
+        e_uav = tau * kappa * _gt_sum([a_u[k] * over[k] * f2[k] for k in gts])
+        e_ug = _gt_sum([p[k] * t_ug[k] for k in gts])
         return over, sat_over, t_tx, t_ug, e_sat + e_su + e_uav + e_ug
 
-    def objective(pts):
-        return pieces(pts)[-1]
+    def objective(*rho):
+        return pieces(*rho)[-1]
 
-    def score(pts):
-        over, sat_over, t_tx, t_ug, energy = pieces(pts)
-        t_sat = kappa * sat_over / cfg.sat_cpu
-        t_u = kappa * a_u[None, :] * over / f_safe[None, :]
-        lat = t_sat[:, None] + t_tx[:, None] + t_prop + t_u + t_ug
-        ok = _row_all(lat <= cfg.latency_budget * (1.0 + _FEAS_TOL))
+    def score(*rho):
+        over, sat_over, t_tx, t_ug, energy = pieces(*rho)
+        t_shared = kappa * sat_over / cfg.sat_cpu + t_tx + t_prop
+        ok = reduce(np.logical_and, [
+            t_shared + uav_time[k] * over[k] / f_safe[k] + t_ug[k]
+            <= cfg.latency_budget * (1.0 + _FEAS_TOL) for k in gts])
         return np.where(ok, energy, np.inf)
 
-    point, value, cell = refine_minimize(score, specs, passes=passes)
-    return OracleSolution(point, value,
-                          lambda x: float(objective(np.array([x]))[0]), cell)
+    point, value, cell = _refine(score, specs, passes)
+    return OracleSolution(point, value, _evaluate_with(objective), cell)
 
 
 def oracle_cpu(cfg: ScenarioConfig, state, points: int = 400,
@@ -509,26 +536,24 @@ def oracle_cpu(cfg: ScenarioConfig, state, points: int = 400,
     ov = np.array([over[k] for k in active])
     specs = [GridSpec(1e-6 * cfg.uav_cpu_total, cfg.uav_cpu_total, points)
              for _ in active]
+    cycles, limit = kappa * ov, base * (1.0 + _FEAS_TOL)
 
-    def objective(pts):
-        return tau * kappa * _row_sum(ov[None, :] * pts ** 2)
+    def objective(*f):
+        return tau * kappa * _gt_sum([o * x ** 2 for o, x in zip(ov, f)])
 
-    def score(pts):
-        t_u = kappa * ov[None, :] / pts
-        ok = (_row_all(t_u <= base[None, :] * (1.0 + _FEAS_TOL))
-              & (_row_sum(pts) <= cfg.uav_cpu_total * (1.0 + _FEAS_TOL)))
-        return np.where(ok, objective(pts), np.inf)
+    def score(*f):
+        ok = reduce(np.logical_and,
+                    [c / x <= t for c, x, t in zip(cycles, f, limit)]
+                    + [_gt_sum(f) <= cfg.uav_cpu_total * (1.0 + _FEAS_TOL)])
+        return np.where(ok, objective(*f), np.inf)
 
-    point, value, cell = refine_minimize(score, specs, passes=passes)
+    point, value, cell = _refine(score, specs, passes)
     full = [0.0] * cfg.num_gts
     for i, k in enumerate(active):
         full[k] = point[i]
-
-    def evaluate(x):
-        sub = np.array([[x[k] for k in active]], dtype=float)
-        return float(objective(sub)[0])
-
-    return OracleSolution(tuple(full), value, evaluate, cell)
+    evaluate = _evaluate_with(objective)
+    return OracleSolution(tuple(full), value,
+                          lambda x: evaluate([x[k] for k in active]), cell)
 
 
 def oracle_power_bandwidth(cfg: ScenarioConfig, state, points: int = 2000,
@@ -551,73 +576,71 @@ def oracle_power_bandwidth(cfg: ScenarioConfig, state, points: int = 2000,
     b_total = cfg.uav_bandwidth_total
     specs = [GridSpec(1e-5 * b_total, b_total, points) for _ in range(n)]
 
-    def powers(pts):
-        x = demand[None, :] / pts
-        x = np.minimum(x, 600.0)
-        return pts * (np.exp2(x) - 1.0) / v[None, :]
+    def powers(*b):
+        return [x * (np.exp2(np.minimum(u / x, 600.0)) - 1.0) / g
+                for u, x, g in zip(demand, b, v)]
 
-    def objective(pts):
-        return _row_sum(powers(pts) * slack[None, :])
+    def energy(pw):
+        return _gt_sum([q * t for q, t in zip(pw, slack)])
 
-    def score(pts):
-        pw = powers(pts)
-        ok = ((_row_sum(pts) <= b_total * (1.0 + _FEAS_TOL))
-              & (_row_sum(pw) <= cfg.uav_power_budget * (1.0 + _FEAS_TOL)))
-        return np.where(ok, _row_sum(pw * slack[None, :]), np.inf)
+    def objective(*b):
+        return energy(powers(*b))
 
-    point, value, cell = refine_minimize(score, specs, passes=passes)
-    return OracleSolution(point, value,
-                          lambda x: float(objective(np.array([x]))[0]), cell)
+    def score(*b):
+        pw = powers(*b)
+        ok = ((_gt_sum(b) <= b_total * (1.0 + _FEAS_TOL))
+              & (_gt_sum(pw) <= cfg.uav_power_budget * (1.0 + _FEAS_TOL)))
+        return np.where(ok, energy(pw), np.inf)
+
+    point, value, cell = _refine(score, specs, passes)
+    return OracleSolution(point, value, _evaluate_with(objective), cell)
+
+
+def _hop_search(hop, slack, bits, pw, specs, passes):
+    """Refined grid search of a placement oracle over two axes.
+
+    ``hop(u, w)`` gives the per-GT UAV-GT rates on a mesh and whether
+    each point covers every GT; a point is feasible when it covers them
+    and every GT's downlink time fits its slack (see :func:`_hop_terms`
+    for the per-GT terms)."""
+    load = pw * bits
+    limit = slack * (1.0 + _FEAS_TOL)
+
+    def energy(rate):
+        return _gt_sum([e / r for e, r in zip(load, rate)])
+
+    def objective(u, w):
+        return energy(hop(u, w)[0])
+
+    def score(u, w):
+        rate, covered = hop(u, w)
+        lat = [b / r <= t for b, r, t in zip(bits, rate, limit)]
+        ok = reduce(np.logical_and, lat, covered)
+        return np.where(ok, energy(rate), np.inf)
+
+    point, value, cell = _refine(score, specs, passes)
+    return OracleSolution(point, value, _evaluate_with(objective), cell)
 
 
 def oracle_altitude_beamwidth(cfg: ScenarioConfig, state, points: int = 600,
                               passes: int = 2) -> OracleSolution:
     """Grid reference over (altitude, half-beamwidth)."""
-    al = state.allocation
-    r_su, over, t_sat, t_tx, t_prop, eff, _ = _fixed_terms(cfg, state)
-    kappa = cfg.cycles_per_overhead
-    n = cfg.num_gts
     pl = state.placement
-    dists = np.array([pl.horizontal_distance(cfg.gt_positions[k])
-                      for k in range(n)])
-    slack = np.array([
-        cfg.latency_budget - t_sat - t_tx - t_prop
-        - ((kappa * over[k] / al.cpu[k]) if al.task_uav[k] else 0.0)
-        for k in range(n)
-    ])
-    bits = np.array(cfg.data_bits) * np.array(eff)
-    bw = np.array(al.bandwidth)
-    pw = np.array(al.power)
+    slack, bits, bw, pw = _hop_terms(cfg, state)
+    dists = np.array([pl.horizontal_distance(p) for p in cfg.gt_positions])
+    gain = cfg.antenna_gain_const * cfg.ref_channel_gain * pw
     th_lo, th_hi = cfg.beam_range_clamped
     specs = [GridSpec(cfg.altitude_range[0], cfg.altitude_range[1], points),
              GridSpec(th_lo, th_hi, points)]
 
-    def pieces(pts):
-        h = pts[:, 0:1]
-        theta = pts[:, 1:2]
-        d2 = dists[None, :] ** 2 + h ** 2
-        snr = (cfg.antenna_gain_const * cfg.ref_channel_gain * pw[None, :]
-               / (d2 * theta ** 2 * bw[None, :] * cfg.noise_psd))
-        rate = bw[None, :] * np.log2(1.0 + snr)
-        return h, theta, rate
+    def hop(h, theta):
+        h2, th2 = h ** 2, theta ** 2
+        rate = [b * np.log2(1.0 + g / ((l2 + h2) * th2 * b * cfg.noise_psd))
+                for b, g, l2 in zip(bw, gain, dists ** 2)]
+        # Every GT is covered iff the farthest one is.
+        return rate, dists.max() <= h * np.tan(theta) * (1.0 + _FEAS_TOL)
 
-    def energy(rate):
-        return _row_sum(pw[None, :] * bits[None, :] / rate)
-
-    def objective(pts):
-        return energy(pieces(pts)[2])
-
-    def score(pts):
-        h, theta, rate = pieces(pts)
-        cover = _row_all(dists[None, :]
-                         <= h * np.tan(theta) * (1.0 + _FEAS_TOL))
-        lat = _row_all(bits[None, :] / rate
-                       <= slack[None, :] * (1.0 + _FEAS_TOL))
-        return np.where(cover & lat, energy(rate), np.inf)
-
-    point, value, cell = refine_minimize(score, specs, passes=passes)
-    return OracleSolution(point, value,
-                          lambda x: float(objective(np.array([x]))[0]), cell)
+    return _hop_search(hop, slack, bits, pw, specs, passes)
 
 
 def oracle_location(cfg: ScenarioConfig, state, points: int = 2010,
@@ -627,19 +650,9 @@ def oracle_location(cfg: ScenarioConfig, state, points: int = 2010,
     The grid covers the bounding box of the intersection of the per-GT
     admissible disks (coverage radius capped by the latency-derived
     radius), re-derived here from the model equations."""
-    al = state.allocation
-    r_su, over, t_sat, t_tx, t_prop, eff, _ = _fixed_terms(cfg, state)
-    kappa = cfg.cycles_per_overhead
+    slack, bits, bw, pw = _hop_terms(cfg, state)
     n = cfg.num_gts
     pl = state.placement
-    slack = np.array([
-        cfg.latency_budget - t_sat - t_tx - t_prop
-        - ((kappa * over[k] / al.cpu[k]) if al.task_uav[k] else 0.0)
-        for k in range(n)
-    ])
-    bits = np.array(cfg.data_bits) * np.array(eff)
-    bw = np.array(al.bandwidth)
-    pw = np.array(al.power)
     xs = np.array([p[0] for p in cfg.gt_positions])
     ys = np.array([p[1] for p in cfg.gt_positions])
     h = pl.altitude
@@ -659,28 +672,14 @@ def oracle_location(cfg: ScenarioConfig, state, points: int = 2010,
     if x_lo >= x_hi or y_lo >= y_hi:
         raise EmptyFeasibleError("admissible disks have empty intersection")
     specs = [GridSpec(x_lo, x_hi, points), GridSpec(y_lo, y_hi, points)]
+    gain = cfg.antenna_gain_const * cfg.ref_channel_gain * pw
+    reach2 = cover * cover * (1.0 + _FEAS_TOL)
 
-    def pieces(pts):
-        d2h = ((pts[:, 0:1] - xs[None, :]) ** 2
-               + (pts[:, 1:2] - ys[None, :]) ** 2)
-        snr = (cfg.antenna_gain_const * cfg.ref_channel_gain * pw[None, :]
-               / ((d2h + h * h) * theta * theta * bw[None, :] * cfg.noise_psd))
-        rate = bw[None, :] * np.log2(1.0 + snr)
-        return d2h, rate
+    def hop(x, y):
+        d2h = [(x - gx) ** 2 + (y - gy) ** 2 for gx, gy in zip(xs, ys)]
+        rate = [b * np.log2(1.0 + g / ((d + h * h) * theta * theta * b
+                                       * cfg.noise_psd))
+                for b, g, d in zip(bw, gain, d2h)]
+        return rate, reduce(np.logical_and, [d <= reach2 for d in d2h])
 
-    def energy(rate):
-        return _row_sum(pw[None, :] * bits[None, :] / rate)
-
-    def objective(pts):
-        return energy(pieces(pts)[1])
-
-    def score(pts):
-        d2h, rate = pieces(pts)
-        in_cover = _row_all(d2h <= cover * cover * (1.0 + _FEAS_TOL))
-        lat = _row_all(bits[None, :] / rate
-                       <= slack[None, :] * (1.0 + _FEAS_TOL))
-        return np.where(in_cover & lat, energy(rate), np.inf)
-
-    point, value, cell = refine_minimize(score, specs, passes=passes)
-    return OracleSolution(point, value,
-                          lambda x: float(objective(np.array([x]))[0]), cell)
+    return _hop_search(hop, slack, bits, pw, specs, passes)

@@ -11,8 +11,6 @@ from saginpsc.oracle import (
     EmptyFeasibleError,
     GridSpec,
     OracleSizeError,
-    _row_all,
-    _row_sum,
     enumerate_segment_choices,
     enumerate_task_assignments,
     eval_formula_extended,
@@ -33,8 +31,16 @@ from saginpsc.physics import (
     total_energy,
 )
 from saginpsc.scenario import default_document, loads_scenario
+from saginpsc.subsolvers import SolverOptions, select_segments
 
+import oracle_reference
 from conftest import feasible_instances
+from oracle_reference import (
+    _row_all,
+    _row_sum,
+    reference_grid_minimize,
+    reference_refine_minimize,
+)
 
 
 class TestGridSpec:
@@ -100,40 +106,67 @@ def test_oracle_imports_no_production_model():
                    for name in imported)
 
 
+def _search_blocks(specs):
+    """The (N, ndim) point blocks ``grid_minimize`` hands its objective,
+    in the order it hands them over."""
+    blocks = []
+
+    def objective(pts):
+        blocks.append(pts.copy())
+        return np.zeros(pts.shape[0])
+
+    grid_minimize(objective, specs)
+    return blocks
+
+
 class TestChunkPoints:
+    """The points the mesh loop builds for an (N, ndim) objective are the
+    grid's row-major points, block by block."""
+
     @staticmethod
-    def _axes(rng, sizes):
-        return [np.linspace(rng.uniform(-5.0, 0.0), rng.uniform(1.0, 5.0), n)
+    def _specs(rng, sizes):
+        return [GridSpec(rng.uniform(-5.0, 0.0), rng.uniform(1.0, 5.0), n)
                 for n in sizes]
 
-    @pytest.mark.parametrize("sizes", [(17,), (5, 7), (3, 4, 6), (2, 2, 2)])
-    def test_every_chunk_equals_unravel_build(self, sizes):
-        # All (start, stop) pairs: chunks that start or stop mid-row, span
-        # several rows or planes, cover the whole grid, or hold one point.
-        axes = self._axes(np.random.default_rng(len(sizes)), sizes)
-        total = math.prod(sizes)
-        for start in range(total):
-            for stop in range(start + 1, total + 1):
-                got = oracle._chunk_points(axes, start, stop)
-                want = unravel_chunk_points(axes, start, stop)
-                assert got.tobytes() == want.tobytes()
-                assert got.shape == want.shape and got.flags.c_contiguous
+    @staticmethod
+    def _check_blocks(specs):
+        axes = [np.linspace(s.lower, s.upper, s.points) for s in specs]
+        total = math.prod(s.points for s in specs)
+        row = total // specs[0].points
+        # Whole leading-axis rows, about _CHUNK points and at least one row.
+        step = max(1, oracle._CHUNK // row) * row
+        start = 0
+        for pts in _search_blocks(specs):
+            stop = start + pts.shape[0]
+            want = unravel_chunk_points(axes, start, stop)
+            assert pts.tobytes() == want.tobytes()
+            assert pts.shape == want.shape and pts.flags.c_contiguous
+            assert pts.shape[0] == step or stop == total
+            start = stop
+        assert start == total
 
-    def test_random_chunks_of_larger_grids(self):
+    @pytest.mark.parametrize("sizes", [(17,), (5, 7), (3, 4, 6), (2, 2, 2)])
+    def test_every_chunk_equals_unravel_build(self, sizes, monkeypatch):
+        # Every chunk size from one point to past the whole grid: blocks of
+        # one row, of several rows or planes, a short last block, and the
+        # whole grid in one block.
+        specs = self._specs(np.random.default_rng(len(sizes)), sizes)
+        for chunk in range(1, math.prod(sizes) + 2):
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            self._check_blocks(specs)
+
+    def test_random_chunks_of_larger_grids(self, monkeypatch):
         rng = np.random.default_rng(11)
         for _ in range(200):
             sizes = tuple(int(n) for n in rng.integers(2, 40,
                                                        size=rng.integers(1, 4)))
-            axes = self._axes(rng, sizes)
-            total = math.prod(sizes)
-            start = int(rng.integers(0, total))
-            stop = int(rng.integers(start + 1, total + 1))
-            assert (oracle._chunk_points(axes, start, stop).tobytes()
-                    == unravel_chunk_points(axes, start, stop).tobytes())
+            monkeypatch.setattr(oracle, "_CHUNK",
+                                int(rng.integers(1, math.prod(sizes) + 1)))
+            self._check_blocks(self._specs(rng, sizes))
 
     def test_grid_minimize_unchanged_across_chunk_sizes(self, monkeypatch):
         # A stepped objective with long runs of ties, searched in chunks
-        # of 1, 7 and 64 points and in one chunk, against the old build.
+        # of 1, 7 and 64 points and in one chunk, against the old search.
         def objective(pts):
             return np.floor(3.0 * np.abs(pts[:, 0] - 0.4)) + np.floor(
                 2.0 * np.abs(pts[:, -1] + 0.1))
@@ -141,13 +174,118 @@ class TestChunkPoints:
         specs = [GridSpec(0.0, 1.0, 9), GridSpec(-1.0, 1.0, 7),
                  GridSpec(-0.5, 0.5, 5)]
         for dims in (1, 2, 3):
+            want = reference_grid_minimize(objective, specs[:dims])
             for chunk in (1, 7, 64, 1 << 19):
                 monkeypatch.setattr(oracle, "_CHUNK", chunk)
                 got = grid_minimize(objective, specs[:dims])
-                with monkeypatch.context() as patch:
-                    patch.setattr(oracle, "_chunk_points", unravel_chunk_points)
-                    want = grid_minimize(objective, specs[:dims])
                 assert repr(got) == repr(want)
+
+
+class TestMeshSearch:
+    """The mesh loop against the old search over (N, ndim) points, for
+    mesh scores and for point objectives."""
+
+    SPECS = [GridSpec(0.0, 1.0, 9), GridSpec(-1.0, 1.0, 7),
+             GridSpec(-0.5, 0.5, 5)]
+    CHUNKS = (1, 7, 64, 9 * 7 * 5)
+
+    # (mesh score, the same score of (N, ndim) points)
+    CASES = {
+        # Long runs of exactly equal values: the row-major tie-break decides.
+        "stepped": (
+            lambda *m: np.floor(3.0 * np.abs(m[0] - 0.4))
+            + np.floor(2.0 * np.abs(m[-1] + 0.1)),
+            lambda p: np.floor(3.0 * np.abs(p[:, 0] - 0.4))
+            + np.floor(2.0 * np.abs(p[:, -1] + 0.1))),
+        # Depends on the last axis only: a lower-rank result is broadcast.
+        "one_axis": (lambda *m: np.abs(m[-1] - 0.3),
+                     lambda p: np.abs(p[:, -1] - 0.3)),
+        "flat": (lambda *m: np.zeros(()), lambda p: np.zeros(p.shape[0])),
+        # +inf below 0.3 on the leading axis: whole first blocks reject.
+        "filtered": (
+            lambda *m: np.where(m[0] >= 0.3, np.abs(m[0] - 0.6) - m[-1],
+                                np.inf),
+            lambda p: np.where(p[:, 0] >= 0.3,
+                               np.abs(p[:, 0] - 0.6) - p[:, -1], np.inf)),
+    }
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_point_and_value_as_points_search(self, dims, case,
+                                                   monkeypatch):
+        mesh_score, points_score = self.CASES[case]
+        specs = self.SPECS[:dims]
+        want = repr(reference_grid_minimize(points_score, specs))
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            assert repr(oracle._grid_search(mesh_score, specs)) == want
+            assert repr(grid_minimize(points_score, specs)) == want
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refine_same_point_value_and_cell(self, case, monkeypatch):
+        mesh_score, points_score = self.CASES[case]
+        specs = [GridSpec(0.0, 1.0, 23), GridSpec(-1.0, 1.0, 19)]
+        monkeypatch.setattr(oracle, "_CHUNK", 64)
+        for passes in (0, 1, 3):
+            want = repr(reference_refine_minimize(points_score, specs,
+                                                  passes=passes))
+            assert repr(oracle._refine(mesh_score, specs, passes)) == want
+            assert repr(refine_minimize(points_score, specs,
+                                        passes=passes)) == want
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_all_infeasible_raises(self, dims, monkeypatch):
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            for fill in (np.inf, np.nan):
+                with pytest.raises(EmptyFeasibleError):
+                    oracle._grid_search(lambda *m: np.full((), fill),
+                                        self.SPECS[:dims])
+
+    def test_nan_score_is_no_candidate(self):
+        # argmin stops at the first NaN; the search used to skip the whole
+        # block holding it and raise although 0.2 scores 0.
+        point, value = grid_minimize(
+            lambda p: np.where(p[:, 0] == 0.0, np.nan, abs(p[:, 0] - 0.2)),
+            [GridSpec(0.0, 1.0, 11)])
+        assert (point, value) == ((0.2,), 0.0)
+
+    def test_nan_result_independent_of_blocks(self, monkeypatch):
+        # NaN on every fourth leading row, the minimum in a block with NaN.
+        def score(*m):
+            return np.where(np.round(m[0] * 8.0) % 4 == 2, np.nan,
+                            np.abs(m[0] - 0.625) + np.abs(m[-1]))
+
+        specs = [GridSpec(0.0, 1.0, 9), GridSpec(-1.0, 1.0, 7)]
+        results = set()
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            results.add(repr(oracle._grid_search(score, specs)))
+        assert results == {repr(((0.625, 0.0), 0.0))}
+
+
+class TestGtSum:
+    """``_gt_sum`` adds per-GT terms exactly as ``np.sum`` adds a row."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 9, 16, 130, 300])
+    def test_equals_numpy_row_sum_bit_for_bit(self, width):
+        rng = np.random.default_rng(width)
+        rows = rng.standard_normal((60, width)) * 10.0 ** rng.integers(
+            -12, 12, size=(60, width))
+        rows[0] = -0.0
+        rows[-1, -1] = -rows[-1, 0]
+        want = np.sum(rows, axis=1)
+        assert oracle._gt_sum(list(rows.T)).tobytes() == want.tobytes()
+        # The same terms spread over a mesh: term k varies along the
+        # first or the second axis of a (6, 10) block, or is one value.
+        grid = rows.reshape(6, 10, width)
+        terms = [grid[:, :1, k] if k % 3 == 0 else
+                 grid[:1, :, k] if k % 3 == 1 else grid[:1, :1, k]
+                 for k in range(width)]
+        rows = np.stack(np.broadcast_arrays(*terms), axis=-1)
+        assert (oracle._gt_sum(terms).tobytes()
+                == np.sum(rows.reshape(-1, width), axis=1).tobytes())
+        assert oracle._gt_sum(terms).shape == rows.shape[:-1]
 
 
 def _fused(objective, feasible):
@@ -261,6 +399,155 @@ class TestUnfilteredEvaluate:
         value = sol.evaluate(over)
         assert math.isfinite(value) and value > 0.0
         assert value < sol.value
+
+
+def _outcome(solver, *args, **kwargs):
+    """``repr((point, value, cell))`` of an oracle's solution, or of the
+    exception it raised, and the solution (None after an exception)."""
+    try:
+        sol = solver(*args, **kwargs)
+    except (EmptyFeasibleError, ArithmeticError, ValueError) as exc:
+        return repr(exc), None
+    return repr((sol.point, sol.value, sol.cell)), sol
+
+
+def _own_segments(cfg, state):
+    return tuple(cfg.overhead_curves[k].segment_of(r)
+                 for k, r in enumerate(state.allocation.ratio))
+
+
+ORACLES = ("oracle_ratio", "oracle_cpu", "oracle_power_bandwidth",
+           "oracle_altitude_beamwidth", "oracle_location")
+
+
+def _uav_instance():
+    """A 2-GT instance where every GT compresses on the UAV with a CPU
+    share, so every UAV term of every oracle is live."""
+    cfg, state = feasible_instances(1, start_seed=3)[0]
+    n = cfg.num_gts
+    al = replace(state.allocation, task_sat=(0,) * n, task_uav=(1,) * n,
+                 cpu=tuple(0.45 * cfg.uav_cpu_total for _ in range(n)))
+    return cfg, replace(state, allocation=al)
+
+
+class _FirstScore(Exception):
+    pass
+
+
+def _first_score(monkeypatch, module, refine, solver, *args, **kwargs):
+    """The score and grid an oracle hands its first refined search; the
+    search itself does not run."""
+    def capture(score, specs, *_, **__):
+        raise _FirstScore(score, specs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, refine, capture)
+        with pytest.raises(_FirstScore) as caught:
+            getattr(module, solver)(*args, **kwargs)
+    return caught.value.args
+
+
+class TestMeshOraclesMatchReference:
+    """Each grid oracle returns the same point, value and cell as its
+    pre-mesh version (``oracle_reference``), bit for bit, or raises the
+    same exception; and its ``evaluate`` reproduces its value at its
+    point."""
+
+    @staticmethod
+    def _compare(name, cfg, state, *args, **kwargs):
+        new = getattr(oracle, name)
+        old = getattr(oracle_reference, "reference_" + name)
+        got, sol = _outcome(new, cfg, state, *args, **kwargs)
+        assert got == _outcome(old, cfg, state, *args, **kwargs)[0], name
+        if sol is not None:
+            assert sol.evaluate(sol.point) == sol.value, name
+        return sol
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("start_seed", [100, 200])
+    def test_benchmark_style_draws(self, start_seed):
+        # The benchmark's oracle_instances(1) and (2): the same draws.
+        for cfg, state in feasible_instances(4, start_seed=start_seed):
+            for name in ORACLES:
+                args = ((_own_segments(cfg, state),)
+                        if name == "oracle_ratio" else ())
+                self._compare(name, cfg, state, *args)
+
+    @pytest.mark.slow
+    def test_acceptance_instances(self):
+        # The first c02/c03/c05 and c06 instances, as those tests call the
+        # oracles; some compress on the UAV with a CPU share.
+        uav = 0
+        for i, (cfg, state) in enumerate(feasible_instances(10)):
+            uav += any(state.allocation.task_uav)
+            self._compare("oracle_cpu", cfg, state)
+            self._compare("oracle_power_bandwidth", cfg, state)
+            choice, feas = select_segments(cfg, state, SolverOptions())
+            if feas:
+                self._compare("oracle_ratio", cfg, state,
+                              choice.chosen_segment)
+            if i < 5:
+                self._compare("oracle_location", cfg, state)
+                self._compare("oracle_altitude_beamwidth", cfg, state)
+        assert uav >= 2
+
+    @pytest.mark.parametrize("num_gts, points", [(1, None), (3, 40), (9, 3)])
+    def test_other_gt_counts(self, num_gts, points):
+        # One axis; three axes; nine axes, where every GT sum runs in
+        # np.sum's pairwise order.  The 2-D oracles keep their own sizes
+        # except at nine GTs.
+        per_gt = {} if points is None else {"points": points}
+        planar = {} if num_gts < 9 else {"points": 201}
+        seen_cpu = False
+        for cfg, state in feasible_instances(2, num_gts=num_gts):
+            seen_cpu |= any(c > 0.0 for c in state.allocation.cpu)
+            self._compare("oracle_ratio", cfg, state,
+                          _own_segments(cfg, state), **per_gt)
+            self._compare("oracle_cpu", cfg, state, **per_gt)
+            # Three bandwidths per axis leave most GTs at 1e-5 of the
+            # total, whose power no budget of nine GTs meets.
+            ample = (replace(cfg, uav_power_budget=1e300) if num_gts == 9
+                     else cfg)
+            assert self._compare("oracle_power_bandwidth", ample, state,
+                                 **per_gt) is not None
+            self._compare("oracle_altitude_beamwidth", cfg, state, **planar)
+            self._compare("oracle_location", cfg, state, **planar)
+        assert seen_cpu
+
+    def test_uav_compressing_state(self):
+        cfg, state = _uav_instance()
+        for name in ORACLES:
+            args = ((_own_segments(cfg, state),)
+                    if name == "oracle_ratio" else ())
+            self._compare(name, cfg, state, *args)
+
+    @pytest.mark.parametrize("name", ORACLES)
+    def test_every_grid_score_bit_identical(self, name, monkeypatch):
+        # Not only the argmin: the first search's score at every point of
+        # its grid, mesh against (N, ndim) points, on a 2-GT instance with
+        # every UAV term live (also with 1.3 cycles per overhead unit, so
+        # no factor of kappa is exact) and on a 3-GT instance.
+        planar = name in ("oracle_altitude_beamwidth", "oracle_location")
+        uav_cfg, uav_state = _uav_instance()
+        for (cfg, state), points in (
+                ((uav_cfg, uav_state), 600),
+                ((replace(uav_cfg, cycles_per_overhead=1.3), uav_state), 600),
+                (feasible_instances(1, num_gts=3)[0], 600 if planar else 60)):
+            kwargs = {"points": points}
+            args = ((_own_segments(cfg, state),)
+                    if name == "oracle_ratio" else ())
+            new, specs = _first_score(monkeypatch, oracle, "_refine", name,
+                                      cfg, state, *args, **kwargs)
+            old, old_specs = _first_score(
+                monkeypatch, oracle_reference, "reference_refine_minimize",
+                "reference_" + name, cfg, state, *args, **kwargs)
+            assert specs == old_specs
+            axes = [np.linspace(s.lower, s.upper, s.points) for s in specs]
+            shape = tuple(a.size for a in axes)
+            got = np.broadcast_to(new(*np.ix_(*axes)), shape).ravel()
+            want = old(unravel_chunk_points(axes, 0, math.prod(shape)))
+            assert got.tobytes() == want.tobytes()
+            assert np.isfinite(got).any()
 
 
 class TestRefineMinimize:
