@@ -31,6 +31,7 @@ from .scenario import ScenarioConfig
 from .subsolvers import (
     InfeasibleBlockError,
     SolverOptions,
+    _require_positive,
     select_segments,
     solve_altitude_beamwidth,
     solve_cpu_allocation,
@@ -73,10 +74,8 @@ class AlgorithmOptions:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        if self.outer_tolerance <= 0:
-            raise ValueError("outer_tolerance must be positive")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be at least 1")
+        _require_positive(self, integers=("max_outer_iters",),
+                          reals=("outer_tolerance",))
 
 
 @dataclass(frozen=True)

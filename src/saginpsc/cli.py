@@ -57,6 +57,8 @@ def _load_options(path: str | None) -> AlgorithmOptions:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("the document must be a JSON object")
         solver = SolverOptions(**doc.pop("solver", {}))
         return AlgorithmOptions(solver=solver, **doc)
     except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
@@ -174,7 +176,8 @@ def _sweep_row(cfg, name, value, scheme, options, seed):
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--jobs", default=1, type=int, show_default=True,
               help="Rows run on this many threads, which share the "
-                   "interpreter lock; output order stays deterministic.")
+                   "interpreter lock, so more jobs need not be faster; "
+                   "output order stays deterministic.")
 @click.option("--out", default=None, type=str)
 @click.option("--opts", default=None, type=str)
 def sweep(scenario, param_name, values, schemes, seed, jobs, out, opts) -> None:

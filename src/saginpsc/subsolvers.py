@@ -64,11 +64,29 @@ class SolverOptions:
     kkt_tolerance: float = 1e-9
 
     def __post_init__(self):
-        for name in ("dual_max_iters", "dual_step_scale", "dual_tolerance",
-                     "grid_step_theta", "location_grid_points",
-                     "refinement_levels", "kkt_tolerance"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        _require_positive(
+            self,
+            integers=("dual_max_iters", "location_grid_points",
+                      "refinement_levels"),
+            reals=("dual_step_scale", "dual_tolerance", "grid_step_theta",
+                   "kkt_tolerance"))
+
+
+def _require_positive(options, integers=(), reals=()) -> None:
+    """Reject option fields that are not positive: ``integers`` must hold
+    an ``int`` (not a ``bool``), ``reals`` a finite ``int`` or ``float``.
+    Option files are JSON, where ``2.5``, ``true`` and ``NaN`` parse."""
+    for name in integers:
+        value = getattr(options, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+            raise ValueError(f"{name} must be a positive integer, "
+                             f"got {value!r}")
+    for name in reals:
+        value = getattr(options, name)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value) or value <= 0):
+            raise ValueError(f"{name} must be a positive finite number, "
+                             f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -136,45 +154,151 @@ def _downlink_slacks(cfg: ScenarioConfig, pieces: _Pieces) -> list[float]:
 # Generic projected dual subgradient loop
 
 
+def _least_option(obj, lat, mult):
+    """Per-GT index of the least Lagrangian ``obj + mult * lat`` over the
+    option columns of the ``(K, options)`` tables; ``argmin`` keeps the
+    first minimum.  ``mult`` is one multiplier vector ``(K,)`` or a batch
+    ``(W, K)`` of them, giving ``(K,)`` or ``(W, K)`` choices."""
+    return (obj + mult[..., None] * lat).argmin(-1)
+
+
+# Steps in a run's first window; each next one doubles up to the cap,
+# which bounds a call's memory at (_MAX_WINDOW + 1) x K multipliers.
+_FIRST_WINDOW = 2
+_MAX_WINDOW = 1024
+
+
+class _Scored:
+    """One distinct primal of a dual loop: its residuals and the stopping
+    rule's verdict per ``mult > 0`` mask, each computed once."""
+
+    __slots__ = ("primal", "res", "res_pos", "may_stop", "verdicts")
+
+    def __init__(self, primal, res, tol):
+        self.primal = primal
+        self.res = res
+        self.res_pos = np.maximum(res, 0.0)
+        # The projected subgradient keeps every positive residual, and a
+        # dot product of non-negative terms is at least each rounded term,
+        # so a residual this large rules out a stop on this primal (as
+        # does a NaN, whichever value ``max`` returns then).
+        worst = max(self.res_pos.tolist())
+        self.may_stop = not math.sqrt(worst * worst) >= tol
+        self.verdicts = {}
+
+    def stops(self, mask, tol) -> bool:
+        """The stopping rule: the subgradient projected on the multipliers'
+        feasible cone (``mask``: multipliers above 0) is shorter than
+        ``tol``."""
+        key = mask.tobytes()
+        verdict = self.verdicts.get(key)
+        if verdict is None:
+            projected = np.where(mask, self.res, self.res_pos)
+            verdict = self.verdicts[key] = (
+                math.sqrt(projected.dot(projected)) < tol)
+        return verdict
+
+
 def dual_subgradient(adapter, opts: SolverOptions):
     """Maximize a Lagrangian dual by projected subgradient with the
     diminishing step ``step_scale / sqrt(t)`` on normalized residuals.
 
-    The adapter supplies ``num_multipliers``, ``minimize(mult) -> primal``
-    (exact Lagrangian minimizer at fixed multipliers), ``residuals(primal)
-    -> array`` (positive = violated, already normalized), and
-    ``objective(primal) -> float`` (the true block objective, used to rank
-    feasible iterates).  Primals must be hashable, and ``residuals`` and
-    ``objective`` must be pure functions of the primal: each is evaluated
-    once per distinct primal and reused when the minimizer returns to it.
+    The adapter supplies ``num_multipliers`` (K); the ``(K, options)``
+    tables ``obj`` and ``lat`` of the per-GT Lagrangian ``obj + mult *
+    lat``, whose least option per GT (:func:`_least_option`) is the exact
+    minimizer at fixed multipliers; ``primal_of(choice) -> primal`` for a
+    ``(K,)`` array of option indices; ``residuals(primal) -> array``
+    (positive = violated, already normalized); and ``objective(primal) ->
+    float`` (the true block objective, used to rank feasible iterates).
+    ``residuals`` and ``objective`` must be pure functions of the primal:
+    each is evaluated once per distinct choice and reused when the
+    minimizer returns to it.
+
+    The loop advances over a whole run of steps on one primal at a time.
+    While the primal holds, so do its residuals ``r``, and the multipliers
+    entering the run's steps follow ``m <- max(0, m + step_t * r)``.
+    ``ufunc.accumulate`` adds sequentially, so accumulating the rows ``m,
+    step_t * r, step_(t+1) * r, ...`` gives the unclamped sums in the same
+    bits as the per-step update.  A column with ``r_k >= 0`` never needs
+    the clamp, and for ``r_k < 0`` the clamp is absorbing (from 0 the next
+    sum is negative again), so ``max(0, .)`` of the accumulated column is
+    the clamped sequence.  One batched argmin over a window's multipliers
+    finds the first step whose primal differs.  The stopping rule depends
+    on the residuals and the ``mult > 0`` mask only, so within a run it is
+    tested where the mask changes, and never on a primal with a residual
+    that alone keeps the projected norm at ``tol`` or above.  A run's
+    first window spans ``_FIRST_WINDOW`` steps, and each next one doubles
+    up to ``_MAX_WINDOW``.
 
     Returns ``(best_primal, multipliers, steps, feasible_found)`` where
     ``best_primal`` is the feasible iterate of least objective, or the
     final iterate when none was feasible.
     """
-    mult = np.zeros(adapter.num_multipliers)
+    last = opts.dual_max_iters
+    tol = opts.dual_tolerance
+    table_obj, table_lat = adapter.obj, adapter.lat
+    steps = buf = None
+    mult = np.zeros(adapter.num_multipliers)  # entering step t
+    choice = _least_option(table_obj, table_lat, mult)
     best_primal = None
     best_obj = math.inf
-    primal = None
-    scored = {}  # primal -> (residuals, their positive part)
-    t = 0
-    for t in range(1, opts.dual_max_iters + 1):
-        primal = adapter.minimize(mult)
-        entry = scored.get(primal)
+    scored = {}  # choice bytes -> _Scored
+    t = 1
+    done = False
+    while not done:  # a run of steps t, t + 1, ... on one primal
+        key = choice.tobytes()
+        entry = scored.get(key)
         if entry is None:
+            primal = adapter.primal_of(choice)
             res = np.asarray(adapter.residuals(primal), dtype=float)
             obj = (adapter.objective(primal)
-                   if np.all(res <= opts.dual_tolerance) else math.inf)
-            entry = scored[primal] = (res, np.maximum(res, 0.0))
+                   if np.all(res <= tol) else math.inf)
+            entry = scored[key] = _Scored(primal, res, tol)
             if obj < best_obj:
                 best_obj = obj
                 best_primal = primal
-        res, res_pos = entry
-        projected = np.where(mult > 0.0, res, res_pos)
-        if math.sqrt(projected.dot(projected)) < opts.dual_tolerance:
+        primal, res = entry.primal, entry.res
+        if entry.may_stop and entry.stops(mult > 0.0, tol):
             break
-        step = opts.dual_step_scale / math.sqrt(t)
-        mult = np.maximum(0.0, mult + step * res)
+        if steps is None:
+            steps = opts.dual_step_scale / np.sqrt(
+                np.arange(1.0, last + 1.0)[:, None])
+            buf = np.empty((min(last, _MAX_WINDOW) + 1, mult.size))
+        width = _FIRST_WINDOW
+        while True:  # a window of steps t .. t + w - 1
+            w = min(width, last + 1 - t)
+            rows = buf[:w + 1]  # rows[j] enters step t + j
+            rows[0] = mult
+            np.multiply(steps[t - 1:t - 1 + w], res, out=rows[1:])
+            np.add.accumulate(rows, 0, out=rows)
+            np.maximum(rows, 0.0, out=rows)
+            # the row after the last step is no step's
+            after = _least_option(table_obj, table_lat,
+                                  rows[1:] if t + w <= last else rows[1:-1])
+            if after[:1].tobytes() != key:  # cheap test of the first row
+                span = 0
+            else:
+                moved = (after != choice).nonzero()[0]
+                span = int(moved[0]) if moved.size else len(after)
+            if entry.may_stop and span:
+                # Steps t + 1 .. t + span keep the primal; test the stopping
+                # rule where the mask changes (a row may repeat).
+                pos = rows[:span + 1] > 0.0
+                flips = ((pos[1:] != pos[:-1]).nonzero()[0] + 1).tolist()
+                stop = next((j for j in flips if entry.stops(pos[j], tol)),
+                            None)
+                if stop is not None:
+                    t, mult, done = t + stop, rows[stop], True
+                    break
+            if span < len(after):
+                t, mult, choice = t + span + 1, rows[span + 1], after[span]
+                break
+            if t + w > last:
+                t, mult, done = last, rows[w], True
+                break
+            t, mult, width = t + w, rows[w], min(2 * width, _MAX_WINDOW)
+    if buf is not None:
+        mult = mult.copy()  # not a view of the window buffer
     if best_primal is not None:
         return best_primal, mult, t, True
     return primal, mult, t, False
@@ -198,10 +322,11 @@ def _keep_incumbent(adapter, primal, feasible, incumbent, opts: SolverOptions):
 
 class _TaskAdapter:
     """Primal: ``(task_sat, task_uav)``.  Each GT's Lagrangian is linear in
-    its assignment, so ``minimize`` picks per GT the least of the option
-    columns none (0), satellite and UAV; ``argmin`` keeps the first
-    minimum, so ties resolve to none, then satellite.  GTs without a
-    positive UAV CPU share price the UAV option at +inf."""
+    its assignment, so the tables ``obj`` and ``lat`` hold per GT the
+    option columns none (0), satellite and UAV, and the least option wins;
+    ``argmin`` keeps the first minimum, so ties resolve to none, then
+    satellite.  GTs without a positive UAV CPU share price the UAV option
+    at +inf."""
 
     def __init__(self, cfg: ScenarioConfig, state: SolutionState,
                  pieces: _Pieces):
@@ -231,8 +356,7 @@ class _TaskAdapter:
         self.obj = obj
         self.lat = lat
 
-    def minimize(self, mult):
-        choice = (self.obj + mult[:, None] * self.lat).argmin(axis=1)
+    def primal_of(self, choice):
         return (tuple((choice == 1).astype(int).tolist()),
                 tuple((choice == 2).astype(int).tolist()))
 
@@ -277,10 +401,10 @@ def solve_task_allocation(cfg: ScenarioConfig, state: SolutionState,
 
 
 class _SegmentAdapter:
-    """Primal: the chosen 0-based segment per GT.  ``minimize`` ranks each
-    GT's row of midpoint scores; rows of curves with fewer segments are
-    padded with +inf, and ``argmin`` keeps the first minimum, so ties
-    resolve to the shallowest segment."""
+    """Primal: the chosen 0-based segment per GT.  The tables ``obj`` and
+    ``lat`` hold each GT's row of midpoint scores; rows of curves with
+    fewer segments are padded with +inf, and ``argmin`` keeps the first
+    minimum, so ties resolve to the shallowest segment."""
 
     def __init__(self, cfg: ScenarioConfig, state: SolutionState,
                  pieces: _Pieces):
@@ -300,8 +424,8 @@ class _SegmentAdapter:
         # one-hot segment indicator; GTs with no compression anywhere have
         # all-zero scores and resolve to segment 0 by the tie-break.
         width = max(len(m) for m in self.mids)
-        self.score0 = np.full((cfg.num_gts, width), math.inf)
-        self.score_lat = np.zeros((cfg.num_gts, width))
+        self.obj = np.full((cfg.num_gts, width), math.inf)
+        self.lat = np.zeros((cfg.num_gts, width))
         for k in range(cfg.num_gts):
             curve = cfg.overhead_curves[k]
             a_s, a_u = al.task_sat[k], al.task_uav[k]
@@ -311,21 +435,20 @@ class _SegmentAdapter:
             for d in range(curve.num_segments):
                 mid = self.mids[k][d]
                 o_mid = curve.evaluate_on(mid, d)
-                self.score0[k, d] = (
+                self.obj[k, d] = (
                     kappa * tau * cfg.sat_cpu ** 2 * a_s * o_mid
                     + cfg.sat_tx_power * cfg.data_bits[k] * a_s * mid / pieces.r_su
                     + kappa * tau * al.cpu[k] ** 2 * a_u * o_mid
                     + al.power[k] * cfg.data_bits[k] * mid * (a_s + a_u)
                     / pieces.rates[k])
-                self.score_lat[k, d] = (
+                self.lat[k, d] = (
                     kappa * a_s * o_mid / cfg.sat_cpu
                     + cfg.data_bits[k] * a_s * mid / pieces.r_su
                     + (kappa * a_u * o_mid / al.cpu[k] if a_u else 0.0)
                     + cfg.data_bits[k] * mid * (a_s + a_u) / pieces.rates[k])
 
-    def minimize(self, mult):
-        scores = self.score0 + mult[:, None] * self.score_lat
-        return tuple(scores.argmin(axis=1).tolist())
+    def primal_of(self, choice):
+        return tuple(choice.tolist())
 
     def _terms(self, chosen):
         """Midpoint-approximated shared and per-GT latency terms."""
@@ -355,7 +478,7 @@ class _SegmentAdapter:
         ])
 
     def objective(self, chosen):
-        return sum(self.score0[k, d] for k, d in enumerate(chosen))
+        return sum(self.obj[k, d] for k, d in enumerate(chosen))
 
 
 def select_segments(cfg: ScenarioConfig, state: SolutionState,

@@ -107,6 +107,27 @@ class TestSolve:
                                    "--opts", str(opts)])
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("text", [
+        '{"solver": {"dual_max_iters": 2.5}}',
+        '{"solver": {"location_grid_points": 10.5}}',
+        '{"max_outer_iters": true}',
+        '{"solver": {"dual_tolerance": NaN}, "outer_tolerance": Infinity}',
+        '"max_outer_iters"',
+    ])
+    def test_non_integer_or_non_finite_options_exit_one(
+            self, runner, scenario_path, tmp_path, text):
+        # JSON parses each of these; before validation they crashed a
+        # solve or the loader, capped a solve at one iteration, or made no
+        # dual iterate feasible.
+        opts = tmp_path / "opts.json"
+        opts.write_text(text, encoding="utf-8")
+        res = runner.invoke(main, ["solve", "--scenario", str(scenario_path),
+                                   "--opts", str(opts)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "bad options file" in res.output
+        assert "Traceback" not in res.output
+
 
 class TestSweep:
     def _run(self, runner, scenario_path, tmp_path, extra=()):

@@ -28,6 +28,7 @@ from saginpsc.subsolvers import (
     SolverOptions,
     _SegmentAdapter,
     _TaskAdapter,
+    _least_option,
     _pieces,
     _q,
     dual_subgradient,
@@ -50,58 +51,62 @@ def rel(a, b):
     return abs(a - b) / max(abs(b), 1e-30)
 
 
-class _StubAdapter:
-    """Scripted residuals for exercising the dual loop in isolation."""
+class _TableAdapter:
+    """A dual-loop adapter over given ``(K, options)`` tables, for
+    exercising the loop in isolation.  The primal is the tuple of chosen
+    options; ``residual_fn(primal)`` gives the K residuals and the
+    objective is the summed ``obj`` entries of the chosen options.  Counts
+    every call of the adapter contract."""
 
-    def __init__(self, residual_fn):
-        self.num_multipliers = 1
+    def __init__(self, obj, lat, residual_fn):
+        self.obj = np.array(obj, dtype=float)
+        self.lat = np.array(lat, dtype=float)
+        self.num_multipliers = self.obj.shape[0]
         self._fn = residual_fn
-        self.calls = 0
+        self.calls = {"primal_of": 0, "residuals": 0, "objective": 0}
 
-    def minimize(self, mult):
-        self.calls += 1
-        return float(mult[0])
-
-    def residuals(self, primal):
-        return np.array([self._fn(primal)])
-
-    def objective(self, primal):
-        return primal
-
-
-class _FixedPrimalAdapter:
-    """Always the same feasible primal whose residuals keep the projected
-    subgradient above the tolerance, so the loop runs its full budget;
-    counts every call."""
-
-    num_multipliers = 16
-
-    def __init__(self):
-        self.calls = {"minimize": 0, "residuals": 0, "objective": 0}
-
-    def minimize(self, mult):
-        self.calls["minimize"] += 1
-        return ("fixed",)
+    def primal_of(self, choice):
+        self.calls["primal_of"] += 1
+        return tuple(choice.tolist())
 
     def residuals(self, primal):
         self.calls["residuals"] += 1
-        return np.full(self.num_multipliers, 0.5 * OPTS.dual_tolerance)
+        return np.array(self._fn(primal), dtype=float)
 
     def objective(self, primal):
         self.calls["objective"] += 1
-        return 1.0
+        return float(sum(self.obj[k, c] for k, c in enumerate(primal)))
 
 
-def reference_dual_subgradient(adapter, opts):
-    """The dual loop with every iterate scored afresh (the sequential
-    reference for ``dual_subgradient``)."""
+def _stub_adapter(residual_fn):
+    """One GT, two options: option 0 while the multiplier is at most 0.5,
+    option 1 above (``obj + m * lat`` is ``m`` against ``0.5``)."""
+    return _TableAdapter([[0.0, 0.5]], [[1.0, 0.0]],
+                         lambda p: [residual_fn(p[0])])
+
+
+def _fixed_primal_adapter():
+    """Always the same feasible primal (one option per GT) whose residuals
+    keep the projected subgradient above the tolerance, so the loop runs
+    its full budget."""
+    return _TableAdapter(np.ones((16, 1)), np.ones((16, 1)),
+                         lambda p: np.full(16, 0.5 * OPTS.dual_tolerance))
+
+
+def reference_dual_subgradient(adapter, opts, history=None):
+    """The dual loop one step at a time, with every iterate scored afresh
+    (the sequential reference for ``dual_subgradient``).  Each step's
+    ``(t, primal, multipliers)`` is appended to ``history`` when given."""
     mult = np.zeros(adapter.num_multipliers)
     best_primal = None
     best_obj = math.inf
     primal = None
     t = 0
     for t in range(1, opts.dual_max_iters + 1):
-        primal = adapter.minimize(mult)
+        choice = (adapter.obj + mult[:, None] * adapter.lat).argmin(axis=1)
+        primal = adapter.primal_of(choice)
+        if history is not None:
+            history.append((t, primal, mult))
         res = np.asarray(adapter.residuals(primal), dtype=float)
         if np.all(res <= opts.dual_tolerance):
             obj = adapter.objective(primal)
@@ -116,6 +121,14 @@ def reference_dual_subgradient(adapter, opts):
     if best_primal is not None:
         return best_primal, mult, t, True
     return primal, mult, t, False
+
+
+def assert_matches_reference(adapter, opts):
+    got = dual_subgradient(adapter, opts)
+    ref = reference_dual_subgradient(adapter, opts)
+    assert repr((got[0], got[2], got[3])) == repr((ref[0], ref[2], ref[3]))
+    assert np.array_equal(got[1], ref[1])
+    return ref
 
 
 def _assignment_rule(a_sat_coef, a_uav_coef):
@@ -148,7 +161,7 @@ def reference_segment_minimize(adapter, mult):
     """Per-GT scan of the unpadded score row, shallowest segment on ties."""
     chosen = []
     for k, mids in enumerate(adapter.mids):
-        scores = [adapter.score0[k, d] + mult[k] * adapter.score_lat[k, d]
+        scores = [adapter.obj[k, d] + mult[k] * adapter.lat[k, d]
                   for d in range(len(mids))]
         chosen.append(min(range(len(scores)), key=lambda d: (scores[d], d)))
     return tuple(chosen)
@@ -186,14 +199,14 @@ def _segment_instances():
 
 class TestDualSubgradient:
     def test_zero_residual_returns_immediately(self):
-        adapter = _StubAdapter(lambda p: 0.0)
+        adapter = _stub_adapter(lambda p: 0.0)
         primal, mult, steps, feasible = dual_subgradient(adapter, OPTS)
         assert feasible
         assert steps == 1
         assert mult[0] == 0.0
 
     def test_constant_violation_exhausts_budget_with_flag(self):
-        adapter = _StubAdapter(lambda p: 1.0)
+        adapter = _TableAdapter([[0.0]], [[1.0]], lambda p: [1.0])
         primal, mult, steps, feasible = dual_subgradient(adapter, OPTS)
         assert not feasible
         assert steps == OPTS.dual_max_iters
@@ -206,35 +219,48 @@ class TestDualSubgradient:
     def test_best_feasible_iterate_is_kept(self):
         # Residual flips sign as the multiplier grows; the loop must
         # return the lowest-objective iterate among the feasible ones.
-        adapter = _StubAdapter(lambda p: 1.0 if p < 0.5 else -1.0)
+        adapter = _stub_adapter(lambda p: 1.0 if p == 0 else -1.0)
         primal, mult, steps, feasible = dual_subgradient(adapter, OPTS)
         assert feasible
-        assert primal >= 0.5
+        assert primal == (1,)
 
     def test_repeated_primal_is_scored_once(self):
-        adapter = _FixedPrimalAdapter()
+        adapter = _fixed_primal_adapter()
         primal, mult, steps, feasible = dual_subgradient(adapter, OPTS)
         assert steps == OPTS.dual_max_iters
-        assert adapter.calls == {"minimize": OPTS.dual_max_iters,
-                                 "residuals": 1, "objective": 1}
-        ref = reference_dual_subgradient(_FixedPrimalAdapter(), OPTS)
+        assert adapter.calls == {"primal_of": 1, "residuals": 1,
+                                 "objective": 1}
+        ref = reference_dual_subgradient(_fixed_primal_adapter(), OPTS)
         assert (primal, steps, feasible) == (ref[0], ref[2], ref[3])
         assert np.array_equal(mult, ref[1])
 
     def test_matches_sequential_reference_on_block_adapters(self):
-        adapters = [_StubAdapter(lambda p: 1.0),
-                    _StubAdapter(lambda p: 1.0 if p < 0.5 else -1.0)]
+        adapters = [_TableAdapter([[0.0]], [[1.0]], lambda p: [1.0]),
+                    _stub_adapter(lambda p: 1.0 if p == 0 else -1.0)]
         for cfg, state in feasible_instances(6, start_seed=0, num_gts=3):
             adapters.append(_TaskAdapter(cfg, state, _pieces(cfg, state)))
         adapters += _segment_instances()
         for adapter in adapters:
-            got = dual_subgradient(adapter, OPTS)
-            ref = reference_dual_subgradient(adapter, OPTS)
-            assert (got[0], got[2], got[3]) == (ref[0], ref[2], ref[3])
-            assert np.array_equal(got[1], ref[1])
+            assert_matches_reference(adapter, OPTS)
 
 
 class TestTableMinimize:
+    @staticmethod
+    def _mults(rng, k):
+        return [np.zeros(k)] + [rng.exponential(s, size=k)
+                                for s in (1e-6, 1e-3, 1.0, 1e3)
+                                for _ in range(10)]
+
+    @staticmethod
+    def _check(adapter, mults, reference):
+        batch = _least_option(adapter.obj, adapter.lat, np.array(mults))
+        for mult, row in zip(mults, batch):
+            expected = reference(adapter, mult)
+            assert adapter.primal_of(
+                _least_option(adapter.obj, adapter.lat, mult)) == expected
+            # a batch of multiplier vectors ranks each row alike
+            assert adapter.primal_of(row) == expected
+
     def test_task_matches_scalar_reference(self):
         rng = np.random.default_rng(5)
         adapters = [_TaskAdapter(cfg, state, _pieces(cfg, state))
@@ -246,22 +272,153 @@ class TestTableMinimize:
             [(-1.0, 0.5), (0.0, 0.0), (-2.0, 1.0), (3.0, -1.0)],
             [(-1.0, 0.5), None, (-2.0, 1.0), None]))
         for adapter in adapters:
-            k = adapter.obj.shape[0]
-            for mult in [np.zeros(k)] + [rng.exponential(s, size=k)
-                                         for s in (1e-6, 1e-3, 1.0, 1e3)
-                                         for _ in range(10)]:
-                assert adapter.minimize(mult) == reference_task_minimize(
-                    adapter, mult)
+            self._check(adapter, self._mults(rng, adapter.obj.shape[0]),
+                        reference_task_minimize)
 
     def test_segment_matches_scalar_reference(self):
         rng = np.random.default_rng(6)
         for adapter in _segment_instances():
-            k = len(adapter.mids)
-            for mult in [np.zeros(k)] + [rng.exponential(s, size=k)
-                                         for s in (1e-6, 1e-3, 1.0, 1e3)
-                                         for _ in range(10)]:
-                assert adapter.minimize(mult) == reference_segment_minimize(
-                    adapter, mult)
+            self._check(adapter, self._mults(rng, len(adapter.mids)),
+                        reference_segment_minimize)
+
+
+def _switch_adapter(threshold):
+    """One GT, unit residual on both options: option 0 while the
+    multiplier is at most ``threshold``, option 1 above."""
+    return _TableAdapter([[0.0, threshold]], [[1.0, 0.0]], lambda p: [1.0])
+
+
+def _decay_adapter(res_after):
+    """GT 0 leaves option 0 once its multiplier passes 3 (at step 6); GT 1
+    has one option.  Both residuals are +1 before the move and
+    ``res_after`` after it, so GT 1's multiplier climbs and then decays."""
+    return _TableAdapter([[0.0, 3.0], [0.0, math.inf]],
+                         [[1.0, 0.0], [0.0, 0.0]],
+                         lambda p: [1.0, 1.0] if p[0] == 0 else res_after)
+
+
+def _alternating_adapter(halves=(0.5,)):
+    """Option 1 (residual -1) above the multiplier ``half`` of each GT,
+    option 0 (residual +1) below it, so every primal flips back."""
+    return _TableAdapter([[0.0, 2.0 * h] for h in halves],
+                         [[1.0, -1.0] for _ in halves],
+                         lambda p: [1.0 if c == 0 else -1.0 for c in p])
+
+
+def _runs(history):
+    """Steps at which the primal differs from the step before."""
+    return [t for (t, p, _), (_, q, _) in zip(history[1:], history) if p != q]
+
+
+def _hand_tables():
+    """Tables whose dual runs hit each event of the run replay: a
+    multiplier clamped to 0 and a stop in the middle of a run, a primal
+    change at the second and at the last step, alternating primals."""
+    last = OPTS.dual_max_iters
+    entering = 0.0  # the multiplier entering step last - 1
+    for t in range(1, last - 1):
+        entering = max(0.0, entering + OPTS.dual_step_scale / math.sqrt(t))
+    return [_decay_adapter([1.0, -0.2]), _decay_adapter([0.0, -0.2]),
+            _switch_adapter(0.5), _switch_adapter(entering),
+            _alternating_adapter(), _alternating_adapter((0.5, 0.3, 2.0, 0.1))]
+
+
+def _option_grid():
+    return [SolverOptions(dual_max_iters=n, dual_step_scale=a,
+                          dual_tolerance=e)
+            for n in (1, 2, 7, 500, 2000) for a in (1e-3, 1.0, 1e3)
+            for e in (1e-12, 1e-6, 1e-2)]
+
+
+def _record_dual_calls(monkeypatch):
+    calls = []
+    inner = subsolvers.dual_subgradient
+
+    def record(adapter, opts):
+        calls.append((adapter, opts))
+        return inner(adapter, opts)
+
+    monkeypatch.setattr(subsolvers, "dual_subgradient", record)
+    return calls
+
+
+class TestDualReplay:
+    """``dual_subgradient`` advances over whole runs of one primal; each
+    result must equal the step-by-step reference bit for bit."""
+
+    def test_hand_tables_hit_every_replay_event(self):
+        clamp, stop, second, final, flip, flips = _hand_tables()
+        history = []
+        reference_dual_subgradient(clamp, OPTS, history)
+        zeroed = [t for (t, p, m), (_, q, n) in zip(history[1:], history)
+                  if m[1] == 0.0 < n[1]]
+        assert len(zeroed) == 1 and zeroed[0] not in _runs(history)
+        assert zeroed[0] + 1 not in _runs(history) and zeroed[0] > 20
+        history = []
+        ref = reference_dual_subgradient(stop, OPTS, history)
+        assert ref[3] and 20 < ref[2] < OPTS.dual_max_iters
+        assert ref[2] not in _runs(history)
+        history = []
+        reference_dual_subgradient(second, OPTS, history)
+        assert _runs(history) == [2]
+        history = []
+        reference_dual_subgradient(final, OPTS, history)
+        assert _runs(history) == [OPTS.dual_max_iters]
+        for alternating in (flip, flips):
+            history = []
+            reference_dual_subgradient(alternating, OPTS, history)
+            assert len(_runs(history)) > 0.6 * OPTS.dual_max_iters
+
+    def test_hand_tables_across_options(self):
+        for opts in _option_grid():
+            for adapter in _hand_tables():
+                assert_matches_reference(adapter, opts)
+
+    def test_runs_longer_than_the_window_cap(self):
+        opts = SolverOptions(dual_max_iters=3 * subsolvers._MAX_WINDOW)
+        for adapter in _hand_tables():
+            assert_matches_reference(adapter, opts)
+
+    def test_block_adapters_across_options(self, monkeypatch):
+        # The first task and segment calls of a shipped solve run the
+        # whole default budget; a feasible instance's stop at step 1.
+        calls = _record_dual_calls(monkeypatch)
+        run_scheme(load_scenario(SCENARIOS / "default.json"), "sagin_psc")
+        adapters = [adapter for adapter, _ in calls[:2]]
+        assert [type(a) for a in adapters] == [_TaskAdapter, _SegmentAdapter]
+        cfg, state = feasible_instances(1, start_seed=0, num_gts=3)[0]
+        pieces = _pieces(cfg, state)
+        adapters += [_TaskAdapter(cfg, state, pieces),
+                     _SegmentAdapter(cfg, state, pieces)]
+        for opts in _option_grid():
+            for adapter in adapters:
+                assert_matches_reference(adapter, opts)
+
+    @pytest.mark.parametrize("num_gts", [1, 3, 8])
+    def test_feasible_instances(self, num_gts, monkeypatch):
+        calls = _record_dual_calls(monkeypatch)
+        for cfg, state in feasible_instances(4, start_seed=0,
+                                             num_gts=num_gts):
+            solve_task_allocation(cfg, state, OPTS)
+            select_segments(cfg, state, OPTS)
+        assert len(calls) == 8
+        for adapter, opts in calls:
+            assert_matches_reference(adapter, opts)
+
+    def test_shipped_scenarios_and_data_bits_sweep(self, monkeypatch):
+        calls = _record_dual_calls(monkeypatch)
+        for name in ("default.json", "heatmap_unequal.json"):
+            cfg = load_scenario(SCENARIOS / name)
+            for scheme in algorithm.SchemeId:
+                run_scheme(cfg, scheme)
+        cfg = load_scenario(SCENARIOS / "default.json")
+        for kib in (16, 32, 64, 128):
+            row = replace(cfg, data_bits=(kib * 8192.0,) * cfg.num_gts)
+            for scheme in algorithm.SchemeId:
+                run_scheme(row, scheme)
+        assert len(calls) > 50
+        for adapter, opts in calls:
+            assert_matches_reference(adapter, opts)
 
 
 class TestTaskAllocation:
@@ -278,7 +435,8 @@ class TestTaskAllocation:
             assert _assignment_rule(a_s, a_u) == expected
             adapter = _task_table_adapter(
                 [(a_s, 0.0)], [None if a_u is None else (a_u, 0.0)])
-            task_sat, task_uav = adapter.minimize(np.zeros(1))
+            task_sat, task_uav = adapter.primal_of(
+                _least_option(adapter.obj, adapter.lat, np.zeros(1)))
             assert (task_sat[0], task_uav[0]) == expected
 
     def test_output_is_binary_and_exclusive(self):
