@@ -150,6 +150,12 @@ def _downlink_slacks(cfg: ScenarioConfig, pieces: _Pieces) -> list[float]:
     return [base - tu for tu in pieces.t_uav]
 
 
+# The power/bandwidth block leaves each GT's downlink latency exactly
+# tight, so the later blocks admit a latency (or the matching disk radius)
+# up to this factor past its limit, to absorb roundoff.
+_TIGHT_BOUNDARY = 1.0 + 1e-9
+
+
 # ---------------------------------------------------------------------------
 # Generic projected dual subgradient loop
 
@@ -646,6 +652,9 @@ _MU_RATIO_TOL = 1e-14  # the bisection stops once mu_hi / mu_lo < 1 + this
 _NEWTON_MARGIN = 0.25 * _MU_RATIO_TOL
 _NEWTON_CONVERGED = 1e-9
 _MAX_LOG_STEP = 700.0  # math.exp overflows just above 709
+# A minimum-power split this far (relative) over the power budget proves
+# the budget unreachable; it is far past the split's roundoff.
+_UNREACHABLE_MARGIN = 1e-9
 
 
 def _q(u: float, b: float) -> float:
@@ -889,8 +898,11 @@ def solve_power_bandwidth(cfg: ScenarioConfig, state: SolutionState,
     def allocation_for(nu: float) -> tuple[list[float], float]:
         """Bandwidths at power multiplier nu with the bandwidth budget made
         tight by bisection on its own multiplier; returns (b, sum_power)."""
-        weights = [w[k] + nu / v[k] for k in range(n)]
+        return split([w[k] + nu / v[k] for k in range(n)])
 
+    def split(weights: list[float]) -> tuple[list[float], float]:
+        """Bandwidths minimizing the ``weights``-weighted powers with the
+        bandwidth budget tight; returns (b, sum_power)."""
         record = _MonotoneRecord(
             lambda mu: _capped_total(_bandwidths(u, weights, mu), 10.0 * b_total),
             b_total)
@@ -918,15 +930,24 @@ def solve_power_bandwidth(cfg: ScenarioConfig, state: SolutionState,
         sum_p = sum(_q(u[k], b[k]) / v[k] for k in range(n))
         return b, sum_p
 
+    def unreachable() -> InfeasibleBlockError:
+        return InfeasibleBlockError(
+            "solve_power_bandwidth",
+            "power budget unreachable even at the minimum-power split")
+
     b, sum_p = allocation_for(0.0)
     if sum_p > cfg.uav_power_budget * (1.0 + opts.kkt_tolerance):
+        # The power falls toward the minimum-power split (weights 1/v, the
+        # nu -> inf limit) as nu grows, so a split over the budget by more
+        # than roundoff decides the walk below before it starts.
+        min_power = split([1.0 / v[k] for k in range(n)])[1]
+        if min_power > cfg.uav_power_budget * (1.0 + _UNREACHABLE_MARGIN):
+            raise unreachable()
         nu_lo, nu_hi = 0.0, max(w) * max(v)
         while allocation_for(nu_hi)[1] > cfg.uav_power_budget:
             nu_hi *= 10.0
             if nu_hi > 1e80:
-                raise InfeasibleBlockError(
-                    "solve_power_bandwidth",
-                    "power budget unreachable even at the minimum-power split")
+                raise unreachable()
         for _ in range(200):
             nu_mid = 0.5 * (nu_lo + nu_hi)
             b, sum_p = allocation_for(nu_mid)
@@ -960,12 +981,47 @@ def _downlink_objective(cfg: ScenarioConfig, al, eff, positions, uav_xy,
                / (theta * theta * al.bandwidth[k] * cfg.noise_psd))
         r_k = al.bandwidth[k] * math.log2(1.0 + snr)
         bits = cfg.data_bits[k] * eff[k]
-        # The power/bandwidth block leaves this constraint exactly tight,
-        # so admit the boundary up to roundoff.
-        if r_k <= 0.0 or bits / r_k > slacks[k] * (1.0 + 1e-9):
+        if r_k <= 0.0 or bits / r_k > slacks[k] * _TIGHT_BOUNDARY:
             return math.inf, False
         total += al.power[k] * bits / r_k
     return total, True
+
+
+# numpy's tan and log2 may round differently from math's in the last bits,
+# which moves the pre-test's rate a few ulps from ``_downlink_objective``'s.
+# The relative margin covers that; the absolute one (in bits per Hz)
+# covers the rounding of 1 + snr, whose gap is absolute when snr is tiny.
+_PRETEST_MARGIN = 1e-9
+_PRETEST_LOG2_SLACK = 1e-12
+
+
+def _latency_survivors(cfg: ScenarioConfig, al, eff, positions, uav_xy,
+                       altitudes, thetas, slacks) -> np.ndarray:
+    """Indices, in order, of the trial (altitude, beamwidth) pairs that may
+    pass ``_downlink_objective``'s latency test; every dropped pair fails
+    it.
+
+    The pairs are tested against one GT at a time over the shrinking set
+    that passed every GT so far, and the walk stops once that set is
+    empty.  A pair is dropped only when its rate, raised by the pre-test
+    margins, still misses the latency slack; a NaN rate drops nothing.
+    """
+    keep = np.arange(thetas.size)
+    for k in range(cfg.num_gts):
+        dx = uav_xy[0] - positions[k][0]
+        dy = uav_xy[1] - positions[k][1]
+        h = altitudes[keep]
+        theta = thetas[keep]
+        d2 = dx * dx + dy * dy + h * h
+        snr = (cfg.antenna_gain_const * (cfg.ref_channel_gain / d2)
+               * al.power[k] / (theta * theta * al.bandwidth[k] * cfg.noise_psd))
+        r = al.bandwidth[k] * (np.log2(1.0 + snr) + _PRETEST_LOG2_SLACK)
+        bits = cfg.data_bits[k] * eff[k]
+        limit = slacks[k] * _TIGHT_BOUNDARY * (1.0 + _PRETEST_MARGIN)
+        keep = keep[~(bits > limit * r)]
+        if keep.size == 0:
+            break
+    return keep
 
 
 def solve_altitude_beamwidth(cfg: ScenarioConfig, state: SolutionState,
@@ -977,6 +1033,16 @@ def solve_altitude_beamwidth(cfg: ScenarioConfig, state: SolutionState,
     altitude case (beamwidth as small as coverage allows, accepted when a
     closed-form latency test passes) and a one-dimensional beamwidth
     sweep along the coverage-tight curve.  Returns ``(altitude, theta)``.
+
+    The sweep is filter-first (``_latency_survivors``): one numpy pass per
+    GT drops the beamwidths whose latency test must fail, and only the
+    rest are scored by the unchanged scalar ``_downlink_objective``.  The
+    pre-test's numpy ``tan``/``log2`` can differ from ``math``'s in the
+    last bits, so it drops a beamwidth only when the rate raised by a
+    1e-9 relative margin (plus 1e-12 bit/s/Hz for the rounding of
+    ``1 + snr``) still misses the slack, far past any such gap; a
+    dropped beamwidth is one the scalar test rejects, so the candidates,
+    their order and the first-minimum tie-break are unchanged.
     """
     al = state.allocation
     p = _pieces(cfg, state)
@@ -1035,7 +1101,10 @@ def solve_altitude_beamwidth(cfg: ScenarioConfig, state: SolutionState,
     # Coverage-tight sweep: altitude rides L_max / tan(theta).
     if l_max > 0.0:
         steps = max(2, int(math.ceil((th_hi - th_lo) / opts.grid_step_theta)) + 1)
-        for theta in np.linspace(th_lo, th_hi, steps):
+        thetas = np.linspace(th_lo, th_hi, steps)
+        survivors = _latency_survivors(cfg, al, p.eff, positions, uav_xy,
+                                       l_max / np.tan(thetas), thetas, slacks)
+        for theta in thetas[survivors]:
             theta = float(theta)
             h = l_max / math.tan(theta)
             if h < h_min or h > h_max:
@@ -1139,7 +1208,7 @@ def solve_location(cfg: ScenarioConfig, state: SolutionState,
     gain = cfg.antenna_gain_const * cfg.ref_channel_gain / (theta * theta
                                                             * cfg.noise_psd)
 
-    limit = (rr ** 2) * (1.0 + 1e-9)
+    limit = (rr ** 2) * _TIGHT_BOUNDARY
 
     def downlink(d2: np.ndarray) -> np.ndarray:
         """Downlink energy per row of squared horizontal distances."""

@@ -3,12 +3,18 @@
 ``tests/golden/`` holds the ``solve`` JSON of every scheme on both shipped
 scenarios and a ``sweep`` CSV over ``data_bits`` on ``default.json``, as
 the solver wrote them before its power/bandwidth bisection replayed
-comparisons from a record.  A change that keeps every result must keep
-these bytes.  They pin the floating-point rounding of the numpy build and
-CPU that wrote them, so they may be regenerated (``python
-tests/test_golden.py``) only by a change that states a behaviour change.
+comparisons from a record, and the exit code and SHA-256 digest of the
+101x101 ``heatmap`` CSV of both shipped scenarios (about 536 kB each),
+as the solver wrote them before its beamwidth sweep pre-tested latency.
+The sweep must write the same bytes on one thread and on two.  A change
+that keeps every result must keep these bytes.  They pin the
+floating-point rounding of the numpy build and CPU that wrote them, so
+they may be regenerated (``python tests/test_golden.py``) only by a
+change that states a behaviour change.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -24,12 +30,24 @@ SCHEMES = {"sagin_psc": 0, "non_semantic": 2, "random_comp": 2,
            "fixed_location": 0}
 SWEEP_ARGS = ["sweep", "--scenario", str(ROOT / "scenarios" / "default.json"),
               "--param", "data_bits",
-              "--values", "131072,262144,524288,1048576", "--jobs", "1"]
+              "--values", "131072,262144,524288,1048576"]
+HEATMAP_DIGESTS = GOLDEN / "heatmap_101_sha256.json"
 
 
 def _solve_args(scenario, scheme):
     return ["solve", "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"),
             "--scheme", scheme]
+
+
+def _heatmap_args(scenario):
+    return ["heatmap", "--scenario",
+            str(ROOT / "scenarios" / f"{scenario}.json"), "--grid-points", "101"]
+
+
+def _heatmap_digest(scenario, out: Path) -> dict:
+    code = _run(_heatmap_args(scenario), out)
+    return {"exit_code": code,
+            "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
 
 
 def _run(args, out: Path) -> int:
@@ -47,9 +65,22 @@ def test_solve_json_is_unchanged(scenario, scheme, tmp_path):
 
 def test_sweep_csv_is_unchanged(tmp_path):
     out = tmp_path / "sweep.csv"
-    assert _run(SWEEP_ARGS, out) == 0
+    assert _run(SWEEP_ARGS + ["--jobs", "1"], out) == 0
     golden = GOLDEN / "sweep_default_data_bits.csv"
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_sweep_csv_is_unchanged_on_two_threads(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert _run(SWEEP_ARGS + ["--jobs", "2"], out) == 0
+    golden = GOLDEN / "sweep_default_data_bits.csv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_heatmap_csv_digest_is_unchanged(scenario, tmp_path):
+    golden = json.loads(HEATMAP_DIGESTS.read_text())
+    assert _heatmap_digest(scenario, tmp_path / "heatmap.csv") == golden[scenario]
 
 
 def regenerate():
@@ -57,7 +88,12 @@ def regenerate():
         for scheme in SCHEMES:
             _run(_solve_args(scenario, scheme),
                  GOLDEN / f"solve_{scenario}_{scheme}.json")
-    _run(SWEEP_ARGS, GOLDEN / "sweep_default_data_bits.csv")
+    _run(SWEEP_ARGS + ["--jobs", "1"], GOLDEN / "sweep_default_data_bits.csv")
+    scratch = GOLDEN / "heatmap.csv.tmp"
+    digests = {scenario: _heatmap_digest(scenario, scratch)
+               for scenario in SCENARIOS}
+    scratch.unlink()
+    HEATMAP_DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
 
 
 if __name__ == "__main__":

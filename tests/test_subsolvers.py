@@ -26,6 +26,7 @@ from saginpsc.scenario import (
 from saginpsc.subsolvers import (
     InfeasibleBlockError,
     SolverOptions,
+    _EXP_CAP,
     _SegmentAdapter,
     _TaskAdapter,
     _least_option,
@@ -696,9 +697,9 @@ def _outcome(solver, cfg, state):
         return f"InfeasibleBlockError: {exc}"
 
 
-def _block_calls(cfg, block):
+def _block_calls(cfg, block, scheme="sagin_psc"):
     """The ``(cfg, state)`` of every call of the block solver named
-    ``block`` in one ``sagin_psc`` solve."""
+    ``block`` in one solve of ``scheme``."""
     calls = []
     solver = getattr(subsolvers, block)
 
@@ -708,7 +709,7 @@ def _block_calls(cfg, block):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(algorithm, block, record)
-        run_scheme(cfg, "sagin_psc")
+        run_scheme(cfg, scheme)
     return calls
 
 
@@ -772,6 +773,206 @@ class TestFilteredLocationSearch:
             assert got.tobytes() == want.tobytes()
             counts.append(int(np.isfinite(got).sum()))
         assert 0 in counts and max(counts) > 0
+
+
+def reference_solve_altitude_beamwidth(cfg, state, opts):
+    """``solve_altitude_beamwidth`` before the latency pre-test: every
+    in-range sweep beamwidth is scored by ``_downlink_objective`` (called
+    through the module, so a test can count the calls)."""
+    al = state.allocation
+    p = _pieces(cfg, state)
+    slacks = subsolvers._downlink_slacks(cfg, p)
+    if min(slacks) <= 0.0:
+        raise InfeasibleBlockError(
+            "solve_altitude_beamwidth", "no latency left for the downlink")
+    positions = cfg.gt_positions
+    uav_xy = state.placement.uav_xy
+    l_max = max(state.placement.horizontal_distance(pos) for pos in positions)
+    th_lo, th_hi = cfg.beam_range_clamped
+    h_min, h_max = cfg.altitude_range
+
+    def pinned_altitude(theta: float) -> float:
+        return max(h_min, l_max / math.tan(theta))
+
+    candidates: list[tuple[float, float, float]] = []  # (objective, H, theta)
+
+    # Current placement, when still admissible, guards block monotonicity.
+    cur_theta = state.placement.half_beamwidth
+    if th_lo <= cur_theta <= th_hi:
+        cur_h = pinned_altitude(cur_theta)
+        if cur_h <= h_max:
+            obj, ok = subsolvers._downlink_objective(
+                cfg, al, p.eff, positions, uav_xy, cur_h, cur_theta, slacks)
+            if ok:
+                candidates.append((obj, cur_h, cur_theta))
+
+    # Minimum-altitude case: smallest beamwidth covering every GT.
+    theta1 = max(th_lo, math.atan(l_max / h_min))
+    if theta1 <= th_hi:
+        limit = th_hi
+        feasible1 = True
+        for k in range(cfg.num_gts):
+            if al.power[k] <= 0.0:
+                feasible1 = False
+                break
+            i_k = (state.placement.horizontal_distance(positions[k]) ** 2
+                   + h_min * h_min)
+            j_k = cfg.data_bits[k] * p.eff[k] / (al.bandwidth[k] * slacks[k])
+            if j_k > _EXP_CAP:
+                feasible1 = False
+                break
+            cap = math.sqrt(cfg.antenna_gain_const * cfg.ref_channel_gain
+                            * al.power[k]
+                            / (i_k * al.bandwidth[k] * cfg.noise_psd
+                               * (2.0 ** j_k - 1.0)))
+            limit = min(limit, cap)
+        if feasible1 and theta1 <= limit:
+            h1 = pinned_altitude(theta1)
+            obj, ok = subsolvers._downlink_objective(
+                cfg, al, p.eff, positions, uav_xy, h1, theta1, slacks)
+            if ok:
+                candidates.append((obj, h1, theta1))
+
+    # Coverage-tight sweep: altitude rides L_max / tan(theta).
+    if l_max > 0.0:
+        steps = max(2, int(math.ceil((th_hi - th_lo) / opts.grid_step_theta)) + 1)
+        for theta in np.linspace(th_lo, th_hi, steps):
+            theta = float(theta)
+            h = l_max / math.tan(theta)
+            if h < h_min or h > h_max:
+                continue
+            h = pinned_altitude(theta)
+            obj, ok = subsolvers._downlink_objective(
+                cfg, al, p.eff, positions, uav_xy, h, theta, slacks)
+            if ok:
+                candidates.append((obj, h, theta))
+
+    if not candidates:
+        raise InfeasibleBlockError(
+            "solve_altitude_beamwidth",
+            "no (altitude, beamwidth) pair meets coverage and latency")
+    best = min(candidates, key=lambda c: c[0])
+    return best[1], best[2]
+
+
+def _beamwidth_cases():
+    """Random instances, the states every scheme's solve of both shipped
+    scenarios hands to the beamwidth block, a K=256 solve's states, and
+    default-document solves at K = 1, 3, 8 and 16."""
+    cases = list(feasible_instances(100, start_seed=0))
+    for name in ("default.json", "heatmap_unequal.json"):
+        for scheme in algorithm.SchemeId:
+            cases += _block_calls(load_scenario(SCENARIOS / name),
+                                  "solve_altitude_beamwidth", scheme)
+    cases += _block_calls(_scale_config(), "solve_altitude_beamwidth")
+    for num_gts in (1, 3, 8, 16):
+        cases += _block_calls(loads_scenario(default_document(num_gts=num_gts)),
+                              "solve_altitude_beamwidth")
+    return cases
+
+
+def _nudge(x, ulps):
+    """``x`` moved ``ulps`` floating-point steps up (or down, if negative)."""
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.inf if ulps > 0 else 0.0))
+    return x
+
+
+def _scalar_ratio(cfg, al, eff, uav_xy, altitude, theta, k):
+    """GT ``k``'s ``bits / r_k`` as ``_downlink_objective`` computes it."""
+    dx = uav_xy[0] - cfg.gt_positions[k][0]
+    dy = uav_xy[1] - cfg.gt_positions[k][1]
+    d2 = dx * dx + dy * dy + altitude * altitude
+    g_k = cfg.ref_channel_gain / d2
+    snr = (cfg.antenna_gain_const * g_k * al.power[k]
+           / (theta * theta * al.bandwidth[k] * cfg.noise_psd))
+    r_k = al.bandwidth[k] * math.log2(1.0 + snr)
+    return cfg.data_bits[k] * eff[k] / r_k
+
+
+class TestBeamwidthPrefilter:
+    def test_matches_full_sweep_bit_for_bit(self):
+        cases = _beamwidth_cases()
+        assert len(cases) > 130
+        outcomes = []
+        for cfg, state in cases:
+            got = _outcome(solve_altitude_beamwidth, cfg, state)
+            assert got == _outcome(reference_solve_altitude_beamwidth, cfg, state)
+            outcomes.append(got.startswith("Infeasible"))
+        assert False in outcomes
+
+    def test_scores_only_admitted_sweep_beamwidths(self, monkeypatch):
+        # At most the incumbent and the minimum-altitude candidate, plus
+        # the sweep beamwidths the scalar latency test admits.
+        log = []
+        sweep_start = []
+        objective = subsolvers._downlink_objective
+        survivors = subsolvers._latency_survivors
+
+        def scored(*args):
+            out = objective(*args)
+            log.append(out[1])
+            return out
+
+        def pretest(*args):
+            sweep_start.append(len(log))
+            return survivors(*args)
+
+        monkeypatch.setattr(subsolvers, "_downlink_objective", scored)
+        monkeypatch.setattr(subsolvers, "_latency_survivors", pretest)
+        filtered = full = 0
+        for cfg, state in _beamwidth_cases():
+            log.clear()
+            sweep_start.clear()
+            _outcome(solve_altitude_beamwidth, cfg, state)
+            calls = len(log)
+            if not sweep_start:  # raised before the sweep, or no sweep
+                continue
+            start = sweep_start[0]
+            log.clear()
+            _outcome(reference_solve_altitude_beamwidth, cfg, state)
+            admitted = sum(log[start:])
+            assert start <= 2
+            assert calls <= 2 + admitted
+            filtered += calls
+            full += len(log)
+        assert 0 < filtered < full
+
+    def test_no_admitted_beamwidth_is_dropped_at_the_boundary(self):
+        # Slacks put each GT's scalar ratio bits / r within 4 ulps of
+        # slack * (1 + 1e-9) at chosen beamwidths, so the scalar test
+        # admits some and rejects others by a last-bit margin.
+        cases = list(feasible_instances(6, start_seed=0, num_gts=3))
+        cases += _block_calls(load_scenario(SCENARIOS / "default.json"),
+                              "solve_altitude_beamwidth")[:2]
+        verdicts = set()
+        for cfg, state in cases:
+            al = state.allocation
+            eff = _pieces(cfg, state).eff
+            positions = cfg.gt_positions
+            uav_xy = state.placement.uav_xy
+            l_max = max(state.placement.horizontal_distance(pos)
+                        for pos in positions)
+            thetas = np.linspace(*cfg.beam_range_clamped, 7)[1:-1]
+            altitudes = l_max / np.tan(thetas)
+            for theta in thetas.tolist():
+                h = l_max / math.tan(theta)
+                ratios = [_scalar_ratio(cfg, al, eff, uav_xy, h, theta, k)
+                          for k in range(cfg.num_gts)]
+                for ulps in range(-4, 5):
+                    slacks = [_nudge(ratio / subsolvers._TIGHT_BOUNDARY, ulps)
+                              for ratio in ratios]
+                    kept = set(subsolvers._latency_survivors(
+                        cfg, al, eff, positions, uav_xy, altitudes, thetas,
+                        slacks).tolist())
+                    for i, t in enumerate(thetas.tolist()):
+                        ok = subsolvers._downlink_objective(
+                            cfg, al, eff, positions, uav_xy,
+                            l_max / math.tan(t), t, slacks)[1]
+                        assert not ok or i in kept
+                        if t == theta:
+                            verdicts.add(ok)
+        assert verdicts == {True, False}
 
 
 def reference_q_prime(u, b):
@@ -957,6 +1158,18 @@ class TestPowerBandwidthReplay:
             got = _outcome(solve_power_bandwidth, cfg, state)
             assert match in got
             assert got == _outcome(reference_solve_power_bandwidth, cfg, state)
+
+    def test_unreachable_budget_is_decided_by_the_minimum_power_split(
+            self, monkeypatch):
+        # allocation_for(0) and the minimum-power split, not a walk of
+        # the power multiplier up to 1e80.
+        monkeypatch.setattr(subsolvers, "_MonotoneRecord", _CountingRecord)
+        for cfg, state in feasible_instances(10, start_seed=0):
+            _CountingRecord.built = 0
+            with pytest.raises(InfeasibleBlockError, match="unreachable"):
+                solve_power_bandwidth(replace(cfg, uav_power_budget=1e-30),
+                                      state, OPTS)
+            assert _CountingRecord.built <= 3
 
     def test_stationary_bandwidth_matches_reference(self):
         # Inlining q' into the bisection keeps every operation: random
