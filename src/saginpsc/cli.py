@@ -13,7 +13,6 @@ comma separator, ``.`` decimals, a header row, and LF line endings.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
 import os
@@ -175,9 +174,8 @@ def _sweep_row(cfg, name, value, scheme, options, seed):
               type=str, help="Comma-separated scheme names.")
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--jobs", default=1, type=int, show_default=True,
-              help="Rows run on this many threads, which share the "
-                   "interpreter lock, so more jobs need not be faster; "
-                   "output order stays deterministic.")
+              help="Accepted for compatibility and ignored: rows always "
+                   "run in order on one thread.")
 @click.option("--out", default=None, type=str)
 @click.option("--opts", default=None, type=str)
 def sweep(scenario, param_name, values, schemes, seed, jobs, out, opts) -> None:
@@ -195,17 +193,10 @@ def sweep(scenario, param_name, values, schemes, seed, jobs, out, opts) -> None:
         if s not in _SCHEME_CHOICES:
             raise click.ClickException(f"unknown scheme: {s}")
     for v in value_list:
-        _apply_parameter(cfg, param_name, v)  # validate before spawning work
+        _apply_parameter(cfg, param_name, v)  # validate before solving any row
 
-    tasks = sorted((s, v) for s in scheme_list for v in value_list)
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(
-                lambda sv: _sweep_row(cfg, param_name, sv[1], sv[0],
-                                      options, seed), tasks))
-    else:
-        rows = [_sweep_row(cfg, param_name, v, s, options, seed)
-                for s, v in tasks]
+    rows = [_sweep_row(cfg, param_name, v, s, options, seed)
+            for s, v in sorted((s, v) for s in scheme_list for v in value_list)]
 
     lines = ["scheme,param,value,e_S,e_SU,e_U,e_UG,total,iters,feasible"]
     for row in rows:

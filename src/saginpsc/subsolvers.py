@@ -641,17 +641,17 @@ def solve_cpu_allocation(cfg: ScenarioConfig, state: SolutionState):
 
 _EXP_CAP = 500.0  # cap on U/b in bits to avoid overflow in 2**x
 _LN2 = math.log(2.0)
-# Newton probes that close the record around the bandwidth multiplier's
-# root before the bisection replays its comparisons; accuracy, never the
-# result, depends on it.
-_NEWTON_PROBES = 12
-_MU_RATIO_TOL = 1e-14  # the bisection stops once mu_hi / mu_lo < 1 + this
-# Each Newton probe aims this far (in log mu) past its estimate of the
-# root, twice as far after every probe that stayed on the same side, so
-# that the probes come to lie on both sides of it.
-_NEWTON_MARGIN = 0.25 * _MU_RATIO_TOL
-_NEWTON_CONVERGED = 1e-9
-_MAX_LOG_STEP = 700.0  # math.exp overflows just above 709
+# The stationary t = x ln2 stays at or below this, where exp(t) is still
+# finite; it lies past _EXP_CAP * ln2, so _q reads a demand whose root is
+# beyond it as unreachable.
+_T_CAP = 700.0
+# (n - 1) / n! for n = 17 down to 2: the Taylor coefficients of f in
+# Horner order.
+_F_TAYLOR = tuple((n - 1) / math.factorial(n) for n in range(17, 1, -1))
+_MU_STEP_TOL = 1e-14  # the multiplier search stops at a smaller log-step
+_MU_STEPS = 200  # bound on the multiplier search's evaluations
+_LOG_MU_EXPAND = math.log(1e3)
+_LOG_MU_CAP = 700.0  # math.exp overflows just above 709
 # A minimum-power split this far (relative) over the power budget proves
 # the budget unreachable; it is far past the split's roundoff.
 _UNREACHABLE_MARGIN = 1e-9
@@ -666,174 +666,94 @@ def _q(u: float, b: float) -> float:
     return b * (2.0 ** x - 1.0)
 
 
-def _q_prime(u: float, b: float) -> float:
-    x = u / b
-    if x > _EXP_CAP:
-        return -math.inf
-    e = 2.0 ** x
-    return e - 1.0 - x * _LN2 * e
+def _f_over_t(t: float) -> float:
+    """f(t) / t, where f(t) = 1 + (t - 1) e**t is -q'(b) at t = u ln2 / b;
+    below t = 0.5 from the Taylor series sum((n - 1) t**n / n!, n >= 2),
+    which has no cancellation."""
+    if t < 0.5:
+        s = 0.0
+        for a in _F_TAYLOR:
+            s = s * t + a
+        return s * t
+    return (1.0 + (t - 1.0) * math.exp(t)) / t
 
 
-def _solve_b_stationary(u: float, weight: float, mu: float) -> float:
-    """Bandwidth where weight * q'(b) + mu = 0; q' is increasing in b from
-    -inf to 0, so the root is unique.  Safeguarded bisection; the
-    bisection loop evaluates ``_q_prime`` inline, with the same operations
-    in the same order."""
-    target = -mu / weight
-    if target >= 0.0:
-        return math.inf
-    b_hi = u
-    while _q_prime(u, b_hi) < target:
-        b_hi *= 2.0
-    b_lo = b_hi / 2.0 if b_hi > u else u
-    if b_hi == u:
-        b_lo = u
-        while _q_prime(u, b_lo) > target:
-            b_lo /= 2.0
-            if b_lo < 1e-300:
-                return b_lo
-    for _ in range(200):
-        b_mid = 0.5 * (b_lo + b_hi)
-        x = u / b_mid
-        if x > _EXP_CAP:
-            q_mid = -math.inf
+def _stationary_t(c: float) -> float:
+    """The root t > 0 of f(t) = c: 0.0 where c rounds to 0, ``_T_CAP``
+    where the root lies past it.
+
+    f is increasing and convex, f(t) >= t**2 / 2 and f(1 + log1p(c)) > c,
+    so Newton's method from the smallest of sqrt(2c), 1 + log1p(c) and
+    ``_T_CAP`` falls monotonically onto the root; it stops at the first
+    iterate that does not decrease.  The step (f(t) - c) / f'(t), with
+    f'(t) = t e**t, is taken as (f(t) / t - c / t) / e**t, which keeps
+    every term normal for subnormal c.
+    """
+    if c <= 0.0:
+        return 0.0
+    t = min(math.sqrt(2.0 * c), 1.0 + math.log1p(c), _T_CAP)
+    while True:
+        nxt = t - (_f_over_t(t) - c / t) / math.exp(t)
+        if not nxt < t:
+            return t
+        t = nxt
+
+
+def _bandwidths(u, weights, mu: float):
+    """Each GT's stationary bandwidth at multiplier ``mu``, where
+    ``weight * q'(b) + mu = 0``, and its ``t = u ln2 / b``."""
+    ts = [_stationary_t(mu / w_k) for w_k in weights]
+    bs = [u_k * _LN2 / t if t > 0.0 else math.inf for u_k, t in zip(u, ts)]
+    return bs, ts
+
+
+def _split(u, v, weights, b_total: float) -> tuple[list[float], float]:
+    """Bandwidths minimizing ``sum(weight * q(u, b))`` with the bandwidth
+    budget tight; returns (b, sum_power), the power being ``q(u, b) / v``.
+
+    Newton's method on ``log sum(b)`` against ``log mu`` from the
+    small-``x`` asymptote ``f(t) ~ t**2 / 2``, which gives
+    ``mu0 = (ln2 * sum(u * sqrt(weight)) / b_total)**2 / 2``;
+    differentiating ``f(t) = mu / weight`` gives
+    ``db/dmu = -b / (t**2 e**t weight)``.  A step that leaves the
+    bracket goes to its geometric midpoint, or 1e3 times farther out
+    while the bracket is open on that side.  The search stops at a
+    log-step under ``_MU_STEP_TOL``, or where the next point would be a
+    bracket end already evaluated (near a large ``log mu`` one ulp of it
+    exceeds the tolerance), and rescales the last bandwidths to the exact
+    budget."""
+    log_b_total = math.log(b_total)
+    lo, hi = -math.inf, math.inf  # log mu with sum(b) > b_total, <= b_total
+    s = 2.0 * math.log(_LN2 * sum(u_k * math.sqrt(w_k)
+                                  for u_k, w_k in zip(u, weights))
+                       / b_total) - _LN2
+    for _ in range(_MU_STEPS):
+        mu = math.exp(s)
+        b, ts = _bandwidths(u, weights, mu)
+        total = sum(b)
+        if total > b_total:
+            lo = s
         else:
-            e = 2.0 ** x
-            q_mid = e - 1.0 - x * _LN2 * e
-        if q_mid < target:
-            b_lo = b_mid
-        else:
-            b_hi = b_mid
-        if b_hi - b_lo <= 1e-15 * b_hi:
-            break
-    return 0.5 * (b_lo + b_hi)
-
-
-def _bandwidths(u, weights, mu: float) -> list[float]:
-    """Each GT's stationary bandwidth at multiplier ``mu``."""
-    return [_solve_b_stationary(u_k, w_k, mu) for u_k, w_k in zip(u, weights)]
-
-
-def _capped_total(bandwidths, cap: float) -> float:
-    """``sum(min(b, cap))`` in GT order: the quantity the bandwidth
-    multiplier's bisection compares with the budget."""
-    return sum(min(b, cap) for b in bandwidths)
-
-
-class _MonotoneRecord:
-    """Evaluated points ``(mu, total)`` of a non-increasing function of
-    ``mu``, and the comparisons with ``level`` that they imply.
-
-    ``total(m) > level`` follows from any point at or above ``m`` whose
-    total exceeds ``level``, and ``total(m) <= level`` from any point at
-    or below ``m`` whose total does not; likewise for ``<``.  So the
-    points are kept as the four extremes that decide those comparisons,
-    and a query evaluates ``total`` only when none of them does.
-    """
-
-    def __init__(self, total, level: float):
-        self.total = total
-        self.level = level
-        self.above = 0.0          # largest mu with total > level
-        self.at_least = 0.0       # largest mu with total >= level
-        self.at_most = math.inf   # smallest mu with total <= level
-        self.below = math.inf     # smallest mu with total < level
-
-    def add(self, mu: float, total: float) -> None:
-        if total > self.level:
-            self.above = max(self.above, mu)
-        if total >= self.level:
-            self.at_least = max(self.at_least, mu)
-        if total <= self.level:
-            self.at_most = min(self.at_most, mu)
-        if total < self.level:
-            self.below = min(self.below, mu)
-
-    def _evaluate(self, mu: float) -> float:
-        total = self.total(mu)
-        self.add(mu, total)
-        return total
-
-    def exceeds(self, mu: float) -> bool:
-        """``total(mu) > level``."""
-        if mu <= self.above:
-            return True
-        if mu >= self.at_most:
-            return False
-        return self._evaluate(mu) > self.level
-
-    def falls_short(self, mu: float) -> bool:
-        """``total(mu) < level``."""
-        if mu >= self.below:
-            return True
-        if mu <= self.at_least:
-            return False
-        return self._evaluate(mu) < self.level
-
-
-def _newton_probe(u, weights, mu: float, b_total: float):
-    """Bandwidths at ``mu``: their capped total (exactly what the
-    bisection compares) and Newton's step in ``log mu`` toward
-    ``sum(b) = b_total``, or None where the uncapped sum is infinite, its
-    slope vanishes or the step would overflow ``exp``.
-
-    Differentiating ``weight * q'(b) + mu = 0`` with ``x = u / b`` gives
-    ``db/dmu = -(u / x**2) / (weight * x * ln2**2 * 2**x)``.
-    """
-    bs = _bandwidths(u, weights, mu)
-    total = _capped_total(bs, 10.0 * b_total)
-    s = sum(bs)
-    if not math.isfinite(s):
-        return total, None
-    slope = 0.0
-    for u_k, w_k, b in zip(u, weights, bs):
-        x = u_k / b
-        if x <= _EXP_CAP:
-            slope -= (u_k / (x * x)) / (w_k * x * _LN2 * _LN2 * 2.0 ** x)
-    slope *= mu / s  # d log(sum b) / d log(mu)
-    if not slope < 0.0:
-        return total, None
-    step = (math.log(b_total) - math.log(s)) / slope
-    return total, step if abs(step) < _MAX_LOG_STEP else None
-
-
-def _tighten(record: _MonotoneRecord, u, weights, b_total: float) -> None:
-    """Probe ``total_b`` where Newton's method on ``log sum(b)`` against
-    ``log mu`` points, entering each probe into ``record``, until the
-    record brackets the root within the bisection's tolerance.
-
-    The first probe is the small-``x`` asymptote, where ``-q'(b) ~ (x ln2)**2 / 2``
-    gives ``mu0 = (ln2 * sum(u * sqrt(weight)) / b_total)**2 / 2``.  A step
-    that leaves the bracket, or that Newton cannot take, goes to the
-    bracket's geometric midpoint instead.
-    """
-    mu = 0.5 * (_LN2 * sum(u_k * math.sqrt(w_k) for u_k, w_k in zip(u, weights))
-                / b_total) ** 2
-    margin = _NEWTON_MARGIN
-    side = None
-    last_step = math.inf
-    for _ in range(_NEWTON_PROBES):
-        if not 0.0 < mu < math.inf:
-            return
-        total, step = _newton_probe(u, weights, mu, b_total)
-        record.add(mu, total)
-        lo, hi = record.above, record.at_most
-        if hi <= lo * (1.0 + _MU_RATIO_TOL):
-            return
-        up = total > b_total
-        # Stuck on one side of the root although Newton has converged: the
-        # computed total is flat there and jumps, so aim farther past it.
-        stuck = up == side and abs(last_step) < _NEWTON_CONVERGED
-        margin = 2.0 * margin if stuck else _NEWTON_MARGIN
-        side = up
-        nxt = (math.inf if step is None
-               else mu * math.exp(step + (margin if up else -margin)))
-        if not lo < nxt < hi:
-            if lo == 0.0 or hi == math.inf:
-                return
-            nxt = math.sqrt(lo * hi)
-        last_step = math.log(nxt / mu)
-        mu = nxt
+            hi = s
+        rate = sum(b_k * (mu / w_k) / t / t / math.exp(t)
+                   for b_k, w_k, t in zip(b, weights, ts)
+                   if 0.0 < t < _T_CAP) / total  # -d log sum(b) / d log mu
+        nxt = (s + (math.log(total) - log_b_total) / rate
+               if rate > 0.0 else math.nan)
+        if not lo <= nxt <= hi:
+            if -math.inf < lo and hi < math.inf:
+                nxt = 0.5 * (lo + hi)
+            else:
+                nxt = s + (_LOG_MU_EXPAND if hi == math.inf
+                           else -_LOG_MU_EXPAND)
+        nxt = min(nxt, _LOG_MU_CAP)
+        if abs(nxt - s) < _MU_STEP_TOL or nxt in (lo, hi):
+            break  # converged, or the bracket has closed to adjacent floats
+        s = nxt
+    scale = b_total / total
+    b = [x * scale for x in b]  # exact budget despite the root's residue
+    sum_p = sum(_q(u_k, b_k) / v_k for u_k, b_k, v_k in zip(u, b, v))
+    return b, sum_p
 
 
 def solve_power_bandwidth(cfg: ScenarioConfig, state: SolutionState,
@@ -846,36 +766,12 @@ def solve_power_bandwidth(cfg: ScenarioConfig, state: SolutionState,
     always tight; the power budget multiplier activates only when the
     resulting powers overshoot.  Returns ``(bandwidth, power)``.
 
-    The bandwidth multiplier ``mu`` is found by a geometric bisection that
-    reads only the sign of ``total_b(mu) - b_total``, where ``total_b`` is
-    the capped per-GT bandwidth sum.  Each ``allocation_for`` call keeps a
-    record of the ``(mu, total_b(mu))`` it has evaluated
-    (``_MonotoneRecord``), first tightened by a few Newton probes
-    (``_tighten``), and the expansion and bisection loops take every
-    comparison that an evaluated point implies from the record; they
-    evaluate ``total_b`` only otherwise.  ``mu_mid``, the stopping rule,
-    the final bandwidths and the rescale are unchanged, so the result is
-    bit-identical to evaluating every comparison, because the computed
-    ``total_b`` is non-increasing in ``mu``, rounding included:
-
-    * ``target = -mu / weight`` is non-increasing in ``mu``;
-    * for a lower target, ``_solve_b_stationary`` stops doubling no later
-      and halving no earlier, whatever the computed ``q'`` values are;
-      brackets from different doubling counts do not overlap, and from the
-      same bracket the bisection takes the same steps until the first
-      midpoint the two targets disagree on, after which the lower target's
-      bracket lies below it and the higher one's above it;
-    * ``min(., 10 * b_total)`` and a sum in fixed GT order are monotone.
-
-    Two multipliers whose halving counts differ start their bisections
-    from brackets of different widths, which this argument does not
-    order; a rise there needs both roots within one final bisection cell
-    (1e-15 relative) of ``u / 2**h``, and a wrong replay also needs both
-    totals that close to ``b_total``.  None has been seen: the tests sweep
-    ``mu`` across these points and require the record to reproduce the
-    full bisection exactly.
+    With ``t = u ln2 / b``, a GT's stationarity ``weight * q'(b) + mu = 0``
+    reads ``f(t) = mu / weight`` (``_stationary_t``; in closed form
+    ``t = 1 + W0((mu / weight - 1) / e)`` with Lambert's W0).  The
+    bandwidth multiplier ``mu`` that makes the bandwidth budget tight is
+    one safeguarded Newton root in ``log mu`` (``_split``).
     """
-    al = state.allocation
     p = _pieces(cfg, state)
     n = cfg.num_gts
     slacks = _downlink_slacks(cfg, p)
@@ -896,39 +792,9 @@ def solve_power_bandwidth(cfg: ScenarioConfig, state: SolutionState,
     b_total = cfg.uav_bandwidth_total
 
     def allocation_for(nu: float) -> tuple[list[float], float]:
-        """Bandwidths at power multiplier nu with the bandwidth budget made
-        tight by bisection on its own multiplier; returns (b, sum_power)."""
-        return split([w[k] + nu / v[k] for k in range(n)])
-
-    def split(weights: list[float]) -> tuple[list[float], float]:
-        """Bandwidths minimizing the ``weights``-weighted powers with the
-        bandwidth budget tight; returns (b, sum_power)."""
-        record = _MonotoneRecord(
-            lambda mu: _capped_total(_bandwidths(u, weights, mu), 10.0 * b_total),
-            b_total)
-        _tighten(record, u, weights, b_total)
-
-        mu_lo, mu_hi = 1e-30, 1.0
-        while record.exceeds(mu_hi):
-            mu_hi *= 10.0
-            if mu_hi > 1e60:
-                break
-        while mu_lo > 1e-200 and record.falls_short(mu_lo):
-            mu_lo /= 10.0
-        for _ in range(200):
-            mu_mid = math.sqrt(mu_lo * mu_hi)
-            if record.exceeds(mu_mid):
-                mu_lo = mu_mid
-            else:
-                mu_hi = mu_mid
-            if mu_hi / mu_lo < 1.0 + _MU_RATIO_TOL:
-                break
-        mu = math.sqrt(mu_lo * mu_hi)
-        b = _bandwidths(u, weights, mu)
-        scale = b_total / sum(b)
-        b = [x * scale for x in b]  # exact budget despite bisection residue
-        sum_p = sum(_q(u[k], b[k]) / v[k] for k in range(n))
-        return b, sum_p
+        """Bandwidths at power multiplier nu with the bandwidth budget
+        tight; returns (b, sum_power)."""
+        return _split(u, v, [w[k] + nu / v[k] for k in range(n)], b_total)
 
     def unreachable() -> InfeasibleBlockError:
         return InfeasibleBlockError(
@@ -940,7 +806,7 @@ def solve_power_bandwidth(cfg: ScenarioConfig, state: SolutionState,
         # The power falls toward the minimum-power split (weights 1/v, the
         # nu -> inf limit) as nu grows, so a split over the budget by more
         # than roundoff decides the walk below before it starts.
-        min_power = split([1.0 / v[k] for k in range(n)])[1]
+        min_power = _split(u, v, [1.0 / v[k] for k in range(n)], b_total)[1]
         if min_power > cfg.uav_power_budget * (1.0 + _UNREACHABLE_MARGIN):
             raise unreachable()
         nu_lo, nu_hi = 0.0, max(w) * max(v)

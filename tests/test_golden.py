@@ -1,16 +1,21 @@
 """Byte-for-byte CLI outputs on the shipped scenarios.
 
 ``tests/golden/`` holds the ``solve`` JSON of every scheme on both shipped
-scenarios and a ``sweep`` CSV over ``data_bits`` on ``default.json``, as
-the solver wrote them before its power/bandwidth bisection replayed
-comparisons from a record, and the exit code and SHA-256 digest of the
-101x101 ``heatmap`` CSV of both shipped scenarios (about 536 kB each),
-as the solver wrote them before its beamwidth sweep pre-tested latency.
-The sweep must write the same bytes on one thread and on two.  A change
-that keeps every result must keep these bytes.  They pin the
-floating-point rounding of the numpy build and CPU that wrote them, so
-they may be regenerated (``python tests/test_golden.py``) only by a
-change that states a behaviour change.
+scenarios, a ``sweep`` CSV over ``data_bits`` on ``default.json``, and the
+exit code and SHA-256 digest of the 101x101 ``heatmap`` CSV of both
+shipped scenarios (about 536 kB each).  They were last regenerated when
+the power/bandwidth block moved from a nested bisection to the closed-form
+stationary bandwidth: that moved the bandwidths and powers of the
+``sagin_psc`` and ``fixed_location`` solves, and the downlink times and
+energy that follow from them, in their last digits only (at most 1.5e-15
+relative), and 5 of the 10,201 ``default`` heatmap cells (at most
+4.7e-12 relative, no feasibility flag); the objectives, flags, iteration
+counts, traces and the sweep CSV kept their bytes.  The sweep must write
+the same bytes on one thread and on two.  A change that keeps every
+result must keep these bytes.  They pin the floating-point rounding of
+the numpy build and CPU that wrote them, so they may be regenerated
+(``python tests/test_golden.py``, which prints each file whose bytes
+changed) only by a change that states a behaviour change.
 """
 
 import hashlib
@@ -84,6 +89,9 @@ def test_heatmap_csv_digest_is_unchanged(scenario, tmp_path):
 
 
 def regenerate():
+    """Rewrite every golden file and print the name of each whose bytes
+    changed."""
+    before = {path.name: path.read_bytes() for path in GOLDEN.iterdir()}
     for scenario in SCENARIOS:
         for scheme in SCHEMES:
             _run(_solve_args(scenario, scheme),
@@ -94,6 +102,9 @@ def regenerate():
                for scenario in SCENARIOS}
     scratch.unlink()
     HEATMAP_DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
+    for path in sorted(GOLDEN.iterdir()):
+        if before.get(path.name) != path.read_bytes():
+            print(f"changed: {path.relative_to(ROOT)}")
 
 
 if __name__ == "__main__":

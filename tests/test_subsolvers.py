@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -689,12 +690,18 @@ def dense_score_inside_disks(score, px, py, xs, ys, limit):
     return obj
 
 
-def _outcome(solver, cfg, state):
-    """``repr`` of a block solver's return, or of the error it raised."""
+def _result(solver, cfg, state):
+    """A block solver's return, or the text of the error it raised."""
     try:
-        return repr(solver(cfg, state, OPTS))
+        return solver(cfg, state, OPTS)
     except InfeasibleBlockError as exc:
         return f"InfeasibleBlockError: {exc}"
+
+
+def _outcome(solver, cfg, state):
+    """``repr`` of a block solver's return, or of the error it raised."""
+    got = _result(solver, cfg, state)
+    return got if isinstance(got, str) else repr(got)
 
 
 def _block_calls(cfg, block, scheme="sagin_psc"):
@@ -984,7 +991,7 @@ def reference_q_prime(u, b):
 
 
 def reference_solve_b_stationary(u, weight, mu):
-    """``_solve_b_stationary`` before its bisection loop inlined q'."""
+    """The stationary bandwidth by bisection on q'(b) = -mu / weight."""
     target = -mu / weight
     if target >= 0.0:
         return math.inf
@@ -1009,16 +1016,15 @@ def reference_solve_b_stationary(u, weight, mu):
     return 0.5 * (b_lo + b_hi)
 
 
-def reference_solve_power_bandwidth(cfg, state, opts):
-    """``solve_power_bandwidth`` before the record: every comparison of
-    the bandwidth multiplier's bisection evaluates ``total_b``."""
+def _downlink_terms(cfg, state):
+    """Each GT's rate demand ``u``, gain-to-noise ``v`` and weight
+    ``w = slack / v``, as the power/bandwidth block builds them."""
     p = _pieces(cfg, state)
-    n = cfg.num_gts
     slacks = subsolvers._downlink_slacks(cfg, p)
     u = []
     v = []
     w = []
-    for k in range(n):
+    for k in range(cfg.num_gts):
         if slacks[k] <= 0.0:
             raise InfeasibleBlockError(
                 "solve_power_bandwidth",
@@ -1028,7 +1034,15 @@ def reference_solve_power_bandwidth(cfg, state, opts):
         u.append(cfg.data_bits[k] * p.eff[k] / slacks[k])
         v.append(cfg.antenna_gain_const * g_k / (theta * theta * cfg.noise_psd))
         w.append(slacks[k] / v[k])
+    return u, v, w
 
+
+def reference_solve_power_bandwidth(cfg, state, opts):
+    """``solve_power_bandwidth`` as a nested bisection: each GT's
+    bandwidth bisected on q', the bandwidth multiplier bisected on the
+    capped bandwidth sum, and the power multiplier walked and bisected."""
+    u, v, w = _downlink_terms(cfg, state)
+    n = cfg.num_gts
     b_total = cfg.uav_bandwidth_total
 
     def allocation_for(nu):
@@ -1086,16 +1100,6 @@ def reference_solve_power_bandwidth(cfg, state, opts):
     return tuple(b), tuple(power)
 
 
-class _CountingRecord(subsolvers._MonotoneRecord):
-    """The record, counting how many ``allocation_for`` calls build one."""
-
-    built = 0
-
-    def __init__(self, total, level):
-        super().__init__(total, level)
-        type(self).built += 1
-
-
 def _budget_cases(count=15):
     """Feasible instances with the UAV power budget cut to 0.999999, 0.9999
     and 0.99 of the power the unconstrained split spends."""
@@ -1108,44 +1112,107 @@ def _budget_cases(count=15):
     return cases
 
 
+def _block_states():
+    """Random instances, the states both shipped solves hand to the
+    power/bandwidth block, and a K=256 solve's states."""
+    cases = list(feasible_instances(100, start_seed=0))
+    for name in ("default.json", "heatmap_unequal.json"):
+        cases += _block_calls(load_scenario(SCENARIOS / name),
+                              "solve_power_bandwidth")
+    cases += _block_calls(_scale_config(), "solve_power_bandwidth")
+    return cases
+
+
+def _terahertz_cases():
+    return [(replace(cfg, uav_bandwidth_total=1e12), state)
+            for cfg, state in feasible_instances(4, start_seed=500)]
+
+
+def _check_against_reference(cfg, state):
+    """The block raises exactly the nested bisection's error, or meets its
+    total energy within 1e-12 with the bandwidth budget tight, the power
+    budget tight wherever the reference's is, and every latency at the
+    budget.  Returns whether it raised."""
+    got = _result(solve_power_bandwidth, cfg, state)
+    want = _result(reference_solve_power_bandwidth, cfg, state)
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return True
+
+    def spend(bandwidth, power):
+        return replace(state, allocation=replace(
+            state.allocation, bandwidth=bandwidth, power=power))
+
+    (bw, pw), (ref_bw, ref_pw) = got, want
+    cand = spend(bw, pw)
+    assert rel(total_energy(cfg, cand),
+               total_energy(cfg, spend(ref_bw, ref_pw))) < 1e-12
+    assert rel(sum(bw), cfg.uav_bandwidth_total) < 1e-12
+    assert sum(pw) <= cfg.uav_power_budget * (1 + 1e-9)
+    if sum(ref_pw) >= cfg.uav_power_budget * (1 - 1e-9):
+        assert sum(pw) >= cfg.uav_power_budget * (1 - 1e-9)
+    for t in latency_breakdown(cfg, cand).total:
+        assert rel(t, cfg.latency_budget) < 1e-9
+    return False
+
+
+def _counting(monkeypatch, name):
+    """Wrap ``subsolvers.<name>`` so that it counts its calls in the
+    returned one-item list."""
+    calls = [0]
+    inner = getattr(subsolvers, name)
+
+    def wrapper(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(subsolvers, name, wrapper)
+    return calls
+
+
+def mp_stationary_t(c):
+    """The root of 1 + (t - 1) e**t = c, as 1 + W0((c - 1) / e) with enough
+    digits to resolve a tiny c next to W0's branch point."""
+    with mpmath.workdps(40 + max(0, int(-math.log10(c)))):
+        return float(1 + mpmath.lambertw((mpmath.mpf(c) - 1) / mpmath.e).real)
+
+
 class TestPowerBandwidthReplay:
-    def test_matches_full_bisection_bit_for_bit(self):
-        # Random instances, the states both shipped solves hand to the
-        # block, and a K=256 solve's states.
-        cases = list(feasible_instances(100, start_seed=0))
-        for name in ("default.json", "heatmap_unequal.json"):
-            cases += _block_calls(load_scenario(SCENARIOS / name),
-                                  "solve_power_bandwidth")
-        cases += _block_calls(_scale_config(), "solve_power_bandwidth")
+    def test_matches_full_bisection(self):
+        cases = _block_states()
         assert len(cases) > 110
         for cfg, state in cases:
-            assert (_outcome(solve_power_bandwidth, cfg, state)
-                    == _outcome(reference_solve_power_bandwidth, cfg, state))
+            _check_against_reference(cfg, state)
 
     def test_power_budget_bisection_matches(self, monkeypatch):
-        # Each allocation_for call builds its own record, so more than
-        # one record per call means the power multiplier was bisected.
-        monkeypatch.setattr(subsolvers, "_MonotoneRecord", _CountingRecord)
+        # A call that splits the bandwidth more than twice (no power
+        # multiplier, then the minimum-power split) bisected the power
+        # multiplier.
+        cases = _budget_cases()
+        splits = _counting(monkeypatch, "_split")
         bisected = 0
-        for cfg, state in _budget_cases():
-            _CountingRecord.built = 0
-            got = _outcome(solve_power_bandwidth, cfg, state)
-            assert got == _outcome(reference_solve_power_bandwidth, cfg, state)
-            if _CountingRecord.built > 1 and not got.startswith("Infeasible"):
+        for cfg, state in cases:
+            splits[0] = 0
+            raised = _check_against_reference(cfg, state)
+            if splits[0] > 2 and not raised:
                 bisected += 1
         assert bisected >= 3
 
-    def test_extreme_bandwidth_budgets_match(self):
+    def test_extreme_bandwidth_budgets_match(self, monkeypatch):
         # Budgets from 1 kHz (spectral efficiencies past the 2**x cap, or
         # no way to meet the power budget) to 1 THz (tiny x everywhere).
+        # At 1 kHz a root sits near log mu = 204, where one ulp of log mu
+        # exceeds the step tolerance: the multiplier search must stop
+        # where its bracket closes, not alternate between its ends.
+        splits = _counting(monkeypatch, "_split")
+        evaluations = _counting(monkeypatch, "_bandwidths")
         outcomes = set()
         for cfg, state in feasible_instances(4, start_seed=500):
             for b_total in (1e3, 1e4, 1e12):
                 wide = replace(cfg, uav_bandwidth_total=b_total)
-                got = _outcome(solve_power_bandwidth, wide, state)
-                assert got == _outcome(reference_solve_power_bandwidth,
-                                       wide, state)
-                outcomes.add(got.startswith("Infeasible"))
+                splits[0] = evaluations[0] = 0
+                outcomes.add(_check_against_reference(wide, state))
+                assert 0 < evaluations[0] <= 16 * splits[0]
         assert outcomes == {True, False}
 
     def test_raises_the_same_errors(self):
@@ -1155,128 +1222,79 @@ class TestPowerBandwidthReplay:
         for cfg, state, match in ((starved, state, "unreachable"),
                                   (no_slack, initialize(no_slack),
                                    "no latency left")):
-            got = _outcome(solve_power_bandwidth, cfg, state)
-            assert match in got
-            assert got == _outcome(reference_solve_power_bandwidth, cfg, state)
+            assert _check_against_reference(cfg, state)
+            assert match in _result(solve_power_bandwidth, cfg, state)
 
     def test_unreachable_budget_is_decided_by_the_minimum_power_split(
             self, monkeypatch):
         # allocation_for(0) and the minimum-power split, not a walk of
         # the power multiplier up to 1e80.
-        monkeypatch.setattr(subsolvers, "_MonotoneRecord", _CountingRecord)
+        splits = _counting(monkeypatch, "_split")
         for cfg, state in feasible_instances(10, start_seed=0):
-            _CountingRecord.built = 0
+            splits[0] = 0
             with pytest.raises(InfeasibleBlockError, match="unreachable"):
                 solve_power_bandwidth(replace(cfg, uav_power_budget=1e-30),
                                       state, OPTS)
-            assert _CountingRecord.built <= 3
+            assert splits[0] <= 3
 
     def test_stationary_bandwidth_matches_reference(self):
-        # Inlining q' into the bisection keeps every operation: random
-        # demands, weights and multipliers, including x past the 2**x cap
-        # (tiny b) and a target that rounds to zero (b = inf).
+        # The root of f(t) = c against 1 + W0((c - 1) / e) at extended
+        # precision, for random demands, weights and multipliers.
         rng = np.random.default_rng(3)
         for _ in range(2000):
             u = float(10 ** rng.uniform(2, 8))
             weight = float(10 ** rng.uniform(-25, -5))
             mu = float(10 ** rng.uniform(-320, 10))
-            assert (repr(subsolvers._solve_b_stationary(u, weight, mu))
-                    == repr(reference_solve_b_stationary(u, weight, mu)))
+            t = subsolvers._stationary_t(mu / weight)
+            assert rel(t, mp_stationary_t(mu / weight)) <= 1e-14
+            assert subsolvers._bandwidths([u], [weight], mu)[0] == [
+                u * subsolvers._LN2 / t]
+        # A multiplier that rounds to 0 against its weight: b = inf.
+        assert 5e-324 / 1e10 == 0.0
+        assert subsolvers._bandwidths([1e6], [1e10], 5e-324)[0] == [math.inf]
+        # Roots past the 2**x cap, up to and past the largest finite
+        # exp(t): _q reads each bandwidth as an unreachable demand.
+        t_cap = subsolvers._T_CAP
+        for c in (1e155, 1e200, 1e300, 1e306, 1e307, 1e308, math.inf):
+            t = subsolvers._stationary_t(c)
+            if c < 1.0 + (t_cap - 1.0) * math.exp(t_cap):
+                assert rel(t, mp_stationary_t(c)) <= 1e-14
+            else:
+                assert t == t_cap
+            assert _q(1e6, 1e6 * subsolvers._LN2 / t) == math.inf
 
-    def test_capped_total_is_non_increasing_in_mu(self, monkeypatch):
-        # The record replays comparisons only because the computed total
-        # never rises with mu.  Sweep mu log-spaced over 12 decades around
-        # each root, plus 100 floating-point neighbours on either side of
-        # the root and of each GT's halving points u / 2**h.
-        seen = []
-        tighten = subsolvers._tighten
-
-        def keep(record, u, weights, b_total):
-            seen.append((record, u, weights, b_total))
-            tighten(record, u, weights, b_total)
-
-        monkeypatch.setattr(subsolvers, "_tighten", keep)
-        for cfg, state in feasible_instances(6, start_seed=0):
-            solve_power_bandwidth(cfg, state, OPTS)
-        solve_power_bandwidth(*_budget_cases(1)[0], OPTS)
-        assert len(seen) > 7
-
-        def neighbours(mu, count=100):
-            out = [mu]
-            for direction in (0.0, math.inf):
-                m = mu
-                for _ in range(count):
-                    m = math.nextafter(m, direction)
-                    out.append(m)
-            return out
-
-        for record, u, weights, b_total in seen:
-            root = record.at_most
-            mus = list(root * np.logspace(-6, 6, 400)) + neighbours(root)
-            for u_k, w_k in zip(u, weights):
-                for h in (1, 2, 3):
-                    edge = -w_k * subsolvers._q_prime(u_k, u_k / 2 ** h)
-                    mus += neighbours(edge)
-            mus.sort()
-            totals = [subsolvers._capped_total(
-                subsolvers._bandwidths(u, weights, mu), 10.0 * b_total)
-                for mu in mus]
-            assert all(b <= a for a, b in zip(totals, totals[1:]))
-            assert totals[0] > b_total >= totals[-1]
+    def test_stationarity_holds_to_roundoff(self):
+        # Every GT's bandwidth is stationary for one multiplier: at 50
+        # digits, weight * f(u ln2 / b) spreads over the GTs by roundoff
+        # only.  Calls where the power budget binds are skipped, because
+        # the power multiplier moves the weights.
+        checked = 0
+        for cfg, state in _block_states() + _terahertz_cases():
+            got = _result(solve_power_bandwidth, cfg, state)
+            if isinstance(got, str):
+                continue
+            bw, pw = got
+            if sum(pw) >= cfg.uav_power_budget * (1 - 1e-9):
+                continue
+            u, _, w = _downlink_terms(cfg, state)
+            with mpmath.workdps(50):
+                mus = []
+                for u_k, w_k, b_k in zip(u, w, bw):
+                    t = mpmath.mpf(u_k) * mpmath.log(2) / mpmath.mpf(b_k)
+                    mus.append(mpmath.mpf(w_k) * (1 + (t - 1) * mpmath.exp(t)))
+                assert (max(mus) - min(mus)) / max(mus) <= 1e-13
+            checked += 1
+        assert checked > 110
 
     def test_block_call_evaluates_few_totals(self, monkeypatch):
-        # At K=256 the record leaves a handful of total_b evaluations per
-        # allocation_for call instead of about 55.
+        # At K=256 each bandwidth split evaluates a handful of multipliers.
         states = _block_calls(_scale_config(), "solve_power_bandwidth")
-        calls = 0
-        solve_b = subsolvers._solve_b_stationary
-
-        def count(u, weight, mu):
-            nonlocal calls
-            calls += 1
-            return solve_b(u, weight, mu)
-
-        monkeypatch.setattr(subsolvers, "_solve_b_stationary", count)
+        splits = _counting(monkeypatch, "_split")
+        evaluations = _counting(monkeypatch, "_bandwidths")
         for cfg, state in states:
-            calls = 0
+            splits[0] = evaluations[0] = 0
             solve_power_bandwidth(cfg, state, OPTS)
-            assert 0 < calls <= 16 * cfg.num_gts
-
-    def test_record_decides_only_what_a_point_implies(self):
-        evaluated = []
-
-        def total(mu):
-            evaluated.append(mu)
-            return 5.0
-
-        record = subsolvers._MonotoneRecord(total, 5.0)
-        record.add(1.0, 5.0)  # exactly at the level
-        # total(m) > 5 for m < 1, and total(m) < 5 for m > 1, are open.
-        assert not record.exceeds(0.5)
-        assert not record.falls_short(2.0)
-        assert evaluated == [0.5, 2.0]
-        # total(m) <= 5 for m >= 1 and total(m) >= 5 for m <= 1 are not.
-        assert not record.exceeds(3.0)
-        assert not record.falls_short(0.25)
-        assert evaluated == [0.5, 2.0]
-        record.add(0.1, 6.0)
-        record.add(10.0, 4.0)
-        assert record.exceeds(0.1) and record.exceeds(0.05)
-        assert record.falls_short(10.0) and record.falls_short(20.0)
-        assert evaluated == [0.5, 2.0]
-
-    def test_probe_enters_the_capped_total(self):
-        # Far below the root some bandwidths exceed the 10 * b_total cap;
-        # the probe must record the total the bisection would compare.
-        u = [2e6, 5e5, 1e6]
-        weights = [1e-16, 4e-16, 2e-16]
-        b_total = 1e6
-        mu = 1e-40
-        bs = subsolvers._bandwidths(u, weights, mu)
-        assert max(bs) > 10.0 * b_total
-        total, _ = subsolvers._newton_probe(u, weights, mu, b_total)
-        assert total == sum(min(b, 10.0 * b_total) for b in bs)
-        assert total < sum(bs)
+            assert 0 < evaluations[0] <= 8 * splits[0]
 
 
 @given(st.floats(min_value=1e3, max_value=1e7),
