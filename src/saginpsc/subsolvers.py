@@ -1017,17 +1017,58 @@ def _score_inside_disks(score, px, py, xs, ys, limit):
     return out
 
 
+# The row pre-test's relative margin, far larger than the few roundings
+# by which the disk test's squared distances differ from exact ones, and
+# an absolute one for squares that underflow (below 1e-154 m).
+_ROW_MARGIN = 1e-9
+_ROW_PAD = 1e-150
+
+
+def _grid_candidates(gx, gy, xs, ys, limit) -> np.ndarray:
+    """Row-major flat indices, in order, of the points of the grid
+    ``gx x gy`` (``gy`` sorted) that may lie inside every disk; every
+    point left out fails ``_score_inside_disks``'s disk test.
+
+    Along row ``gx[i]``, disk ``k`` admits only the ``y`` with
+    ``(y - ys[k])**2 <= limit[k] - a``, ``a = (gx[i] - xs[k])**2`` rounded
+    as the disk test rounds it: the test's sum is at least ``a`` and its
+    rounding is monotone, so an admitted ``y`` lies within the half-chord
+    ``sqrt(limit[k] - a)`` of ``ys[k]``.  Raising ``limit`` and the
+    half-chord by the relative margin ``m``, and widening the centre by
+    ``m * |ys[k]|``, bounds each disk's interval past the rounding of
+    ``ys[k] -+ half``; the row's interval is the intersection over the
+    disks, and a binary search on ``gy`` turns it into a run of columns.
+    A NaN centre, limit or row coordinate, which the disk test rejects,
+    empties the row.  The work is O(rows x K), whatever the grid's size.
+    """
+    m = _ROW_MARGIN
+    room = (limit * (1.0 + m))[None, :] - (gx[:, None] - xs[None, :]) ** 2
+    half = np.sqrt(np.maximum(room, 0.0)) * (1.0 + 2.0 * m)
+    widen = m * np.abs(ys) + _ROW_PAD
+    lo = np.searchsorted(gy, np.max((ys - widen)[None, :] - half, axis=1), "left")
+    hi = np.searchsorted(gy, np.min((ys + widen)[None, :] + half, axis=1), "right")
+    count = np.maximum(hi - lo, 0)
+    first = np.arange(gx.size) * gy.size + lo
+    skip = np.cumsum(count) - count
+    return np.repeat(first - skip, count) + np.arange(int(count.sum()))
+
+
 def solve_location(cfg: ScenarioConfig, state: SolutionState,
                    opts: SolverOptions):
     """Place the UAV inside the intersection of the per-GT admissible
     disks (coverage radius capped by the latency-derived radius) by
-    exhaustive grid search with one refinement pass per level.
+    grid search over the disks' bounding box, with one 9 x 9 refinement
+    window around the best point per level.
 
-    The search is filter-first (``_score_inside_disks``): candidates are
-    tested one disk at a time, and only the points inside every disk go
-    through the rate and energy terms; the rest score +inf.  The
-    incumbent is scored first and kept unless a grid point beats it;
-    ties go to the first minimum in grid order.
+    Each grid is searched filter-first.  ``_grid_candidates`` finds, row
+    by row, the run of columns that may lie inside every disk, in
+    O(rows x K) work; only those candidates go through the exact disk
+    test and the rate and energy terms (``_score_inside_disks``), in grid
+    order.  Every point left out fails the disk test, and a point's score
+    does not depend on which others were scored, so the result is that of
+    scoring the whole grid.  The incumbent is scored first and kept
+    unless a grid point beats it; ties go to the first minimum in grid
+    order, and a grid whose first minimum is NaN moves nothing.
 
     Returns ``(uav_xy, objective)``.
     """
@@ -1086,6 +1127,17 @@ def solve_location(cfg: ScenarioConfig, state: SolutionState,
         """Objective over flat point arrays, +inf outside any disk."""
         return _score_inside_disks(downlink, px, py, xs, ys, limit)
 
+    def grid_best(gx: np.ndarray, gy: np.ndarray):
+        """``(objective, xy)`` of the first minimum of the grid
+        ``gx x gy`` in row-major order; +inf when no point is admitted."""
+        rows, cols = np.divmod(_grid_candidates(gx, gy, xs, ys, limit), gy.size)
+        if rows.size == 0:
+            return math.inf, None
+        px, py = gx[rows], gy[cols]
+        obj = evaluate(px, py)
+        idx = int(np.argmin(obj))
+        return float(obj[idx]), (float(px[idx]), float(py[idx]))
+
     # The incumbent location is evaluated first: when the admissible
     # intersection is thinner than the grid pitch (latency constraints
     # tight), the current point is still a valid answer.
@@ -1098,13 +1150,9 @@ def solve_location(cfg: ScenarioConfig, state: SolutionState,
     gy = np.linspace(y_lo, y_hi, n) if y_hi > y_lo else np.array([y_lo])
     cell = (gx[1] - gx[0] if gx.size > 1 else 0.0,
             gy[1] - gy[0] if gy.size > 1 else 0.0)
-    mx, my = np.meshgrid(gx, gy, indexing="ij")
-    flat_x, flat_y = mx.ravel(), my.ravel()
-    obj = evaluate(flat_x, flat_y)
-    idx = int(np.argmin(obj))
-    if float(obj[idx]) < best_obj:
-        best_obj = float(obj[idx])
-        best_xy = (float(flat_x[idx]), float(flat_y[idx]))
+    obj, xy = grid_best(gx, gy)
+    if obj < best_obj:
+        best_obj, best_xy = obj, xy
     if not math.isfinite(best_obj):
         raise InfeasibleBlockError("solve_location",
                                    "no admissible point inside every disk")
@@ -1112,15 +1160,11 @@ def solve_location(cfg: ScenarioConfig, state: SolutionState,
     for _ in range(opts.refinement_levels):
         if cell == (0.0, 0.0):
             break
-        rx = np.linspace(best_xy[0] - cell[0], best_xy[0] + cell[0], 9)
-        ry = np.linspace(best_xy[1] - cell[1], best_xy[1] + cell[1], 9)
-        mx, my = np.meshgrid(rx, ry, indexing="ij")
-        flat_x, flat_y = mx.ravel(), my.ravel()
-        obj = evaluate(flat_x, flat_y)
-        idx = int(np.argmin(obj))
-        if float(obj[idx]) < best_obj:
-            best_obj = float(obj[idx])
-            best_xy = (float(flat_x[idx]), float(flat_y[idx]))
+        obj, xy = grid_best(
+            np.linspace(best_xy[0] - cell[0], best_xy[0] + cell[0], 9),
+            np.linspace(best_xy[1] - cell[1], best_xy[1] + cell[1], 9))
+        if obj < best_obj:
+            best_obj, best_xy = obj, xy
         cell = (cell[0] / 2.0, cell[1] / 2.0)
 
     return best_xy, best_obj

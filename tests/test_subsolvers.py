@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -690,17 +691,17 @@ def dense_score_inside_disks(score, px, py, xs, ys, limit):
     return obj
 
 
-def _result(solver, cfg, state):
+def _result(solver, cfg, state, opts=OPTS):
     """A block solver's return, or the text of the error it raised."""
     try:
-        return solver(cfg, state, OPTS)
+        return solver(cfg, state, opts)
     except InfeasibleBlockError as exc:
         return f"InfeasibleBlockError: {exc}"
 
 
-def _outcome(solver, cfg, state):
+def _outcome(solver, cfg, state, opts=OPTS):
     """``repr`` of a block solver's return, or of the error it raised."""
-    got = _result(solver, cfg, state)
+    got = _result(solver, cfg, state, opts)
     return got if isinstance(got, str) else repr(got)
 
 
@@ -733,33 +734,242 @@ def _scale_config(num_gts=256):
     return loads_scenario(doc)
 
 
+def reference_solve_location(cfg, state, opts, grids):
+    """``solve_location`` before the row pre-test: every point of the full
+    grid and of each refinement window is scored by
+    ``dense_score_inside_disks``.  Appends each grid's count of finite
+    scores to ``grids``."""
+    al = state.allocation
+    pl = state.placement
+    p = _pieces(cfg, state)
+    slacks = subsolvers._downlink_slacks(cfg, p)
+    if min(slacks) <= 0.0:
+        raise InfeasibleBlockError("solve_location",
+                                   "no latency left for the downlink")
+    theta = pl.half_beamwidth
+    h = pl.altitude
+    cover = h * math.tan(theta)
+
+    radii = []
+    for k in range(cfg.num_gts):
+        if al.power[k] <= 0.0:
+            raise InfeasibleBlockError(
+                "solve_location", f"GT {k}: zero power, admissible disk empty")
+        j_k = cfg.data_bits[k] * p.eff[k] / (al.bandwidth[k] * slacks[k])
+        if j_k > _EXP_CAP:
+            raise InfeasibleBlockError(
+                "solve_location", f"GT {k}: rate demand overflows, disk empty")
+        q2 = (cfg.antenna_gain_const * cfg.ref_channel_gain * al.power[k]
+              / (theta * theta * al.bandwidth[k] * cfg.noise_psd
+                 * (2.0 ** j_k - 1.0))) - h * h
+        if q2 < 0.0:
+            raise InfeasibleBlockError(
+                "solve_location", f"GT {k}: latency disk has imaginary radius")
+        radii.append(min(cover, math.sqrt(q2)))
+
+    xs = np.array([pos[0] for pos in cfg.gt_positions])
+    ys = np.array([pos[1] for pos in cfg.gt_positions])
+    rr = np.array(radii)
+    x_lo, x_hi = float(np.max(xs - rr)), float(np.min(xs + rr))
+    y_lo, y_hi = float(np.max(ys - rr)), float(np.min(ys + rr))
+    if x_lo > x_hi or y_lo > y_hi:
+        raise InfeasibleBlockError("solve_location",
+                                   "admissible disks have empty intersection")
+
+    pw = np.array(al.power)
+    bw = np.array(al.bandwidth)
+    bits = np.array(cfg.data_bits) * np.array(p.eff)
+    gain = cfg.antenna_gain_const * cfg.ref_channel_gain / (theta * theta
+                                                            * cfg.noise_psd)
+    limit = (rr ** 2) * subsolvers._TIGHT_BOUNDARY
+
+    def downlink(d2):
+        snr = gain * pw[None, :] / ((d2 + h * h) * bw[None, :])
+        r = bw[None, :] * np.log2(1.0 + snr)
+        return np.sum(pw[None, :] * bits[None, :] / r, axis=1)
+
+    def evaluate(px, py):
+        return dense_score_inside_disks(downlink, px, py, xs, ys, limit)
+
+    def mesh_best(gx, gy):
+        mx, my = np.meshgrid(gx, gy, indexing="ij")
+        flat_x, flat_y = mx.ravel(), my.ravel()
+        obj = evaluate(flat_x, flat_y)
+        grids.append(int(np.isfinite(obj).sum()))
+        idx = int(np.argmin(obj))
+        return float(obj[idx]), (float(flat_x[idx]), float(flat_y[idx]))
+
+    cur = np.array([pl.uav_xy[0]]), np.array([pl.uav_xy[1]])
+    best_obj = float(evaluate(*cur)[0])
+    best_xy = pl.uav_xy
+
+    n = opts.location_grid_points
+    gx = np.linspace(x_lo, x_hi, n) if x_hi > x_lo else np.array([x_lo])
+    gy = np.linspace(y_lo, y_hi, n) if y_hi > y_lo else np.array([y_lo])
+    cell = (gx[1] - gx[0] if gx.size > 1 else 0.0,
+            gy[1] - gy[0] if gy.size > 1 else 0.0)
+    obj, xy = mesh_best(gx, gy)
+    if obj < best_obj:
+        best_obj, best_xy = obj, xy
+    if not math.isfinite(best_obj):
+        raise InfeasibleBlockError("solve_location",
+                                   "no admissible point inside every disk")
+
+    for _ in range(opts.refinement_levels):
+        if cell == (0.0, 0.0):
+            break
+        obj, xy = mesh_best(
+            np.linspace(best_xy[0] - cell[0], best_xy[0] + cell[0], 9),
+            np.linspace(best_xy[1] - cell[1], best_xy[1] + cell[1], 9))
+        if obj < best_obj:
+            best_obj, best_xy = obj, xy
+        cell = (cell[0] / 2.0, cell[1] / 2.0)
+
+    return best_xy, best_obj
+
+
+# The ``data_bits`` values of the benchmark's ``default.json`` sweep
+# (16, 32, 64 and 128 KiB).
+SWEEP_DATA_BITS = (131072.0, 262144.0, 524288.0, 1048576.0)
+
+
+def _sweep_location_calls():
+    """The states every scheme's solve of the ``default.json`` sweep rows
+    hands to the location block."""
+    cfg = load_scenario(SCENARIOS / "default.json")
+    calls = []
+    for bits in SWEEP_DATA_BITS:
+        row = replace(cfg, data_bits=(bits,) * cfg.num_gts)
+        for scheme in algorithm.SchemeId:
+            calls += _block_calls(row, "solve_location", scheme)
+    return calls
+
+
+def _dense_admitted(gx, gy, xs, ys, limit):
+    """Row-major flat indices of the grid points inside every disk, by the
+    disk test's own expression."""
+    mx, my = np.meshgrid(gx, gy, indexing="ij")
+    obj = dense_score_inside_disks(lambda d2: np.zeros(len(d2)), mx.ravel(),
+                                   my.ravel(), xs, ys, limit)
+    return np.flatnonzero(np.isfinite(obj))
+
+
+def _random_disk_grids(rng):
+    """Random grids and disks: plain draws, an offset of 1e6 m, single-point
+    axes, K = 1 and K = 256, and disks whose limit is within 3 ulps of a
+    grid point's squared distance."""
+    for draw in range(120):
+        k = (1, 2, 5, 256)[draw % 4]
+        offset = 1e6 if draw % 3 == 2 else 0.0
+        xs, ys = rng.uniform(-200, 200, size=(2, k)) + offset
+        limit = rng.uniform(50, 400, size=k) ** 2
+        x_lo, y_lo = rng.uniform(-300, 100, size=2) + offset
+        x_hi = x_lo if draw % 5 == 0 else x_lo + rng.uniform(1, 300)
+        y_hi = y_lo if draw % 7 == 0 else y_lo + rng.uniform(1, 300)
+        nx, ny = int(rng.integers(2, 80)), int(rng.integers(2, 80))
+        gx = np.linspace(x_lo, x_hi, nx) if x_hi > x_lo else np.array([x_lo])
+        gy = np.linspace(y_lo, y_hi, ny) if y_hi > y_lo else np.array([y_lo])
+        yield gx, gy, xs, ys, limit
+        # Put grid points on the boundary of disk 0 alone, to the last bit.
+        for _ in range(8):
+            i, j = int(rng.integers(gx.size)), int(rng.integers(gy.size))
+            d2 = (gx[i] - xs[0]) ** 2 + (gy[j] - ys[0]) ** 2
+            for ulps in (-3, 0, 1, 3):
+                yield gx, gy, xs[:1], ys[:1], np.array([_nudge(float(d2), ulps)])
+
+
 class TestFilteredLocationSearch:
-    def test_matches_dense_reference_bit_for_bit(self, monkeypatch):
+    def test_matches_dense_reference_bit_for_bit(self):
         # Random instances (widened beams leave interior points), the
-        # states both shipped solves hand to the block, and a K=256
-        # solve's states, where the tight latency disks leave no grid
-        # point inside all of them.
+        # states both shipped solves and the ``default.json`` sweep rows
+        # hand to the block, and a K=256 solve's states, where the tight
+        # latency disks leave no grid point inside all of them.
         cases = list(feasible_instances(100, start_seed=0))
         for name in ("default.json", "heatmap_unequal.json"):
             cases += _block_calls(load_scenario(SCENARIOS / name),
                                   "solve_location")
+        cases += _sweep_location_calls()
         cases += _block_calls(_scale_config(), "solve_location")
-        assert len(cases) > 100
+        assert len(cases) > 130
 
-        filtered = [_outcome(solve_location, cfg, state) for cfg, state in cases]
         grids = []
 
-        def reference(score, px, py, xs, ys, limit):
-            obj = dense_score_inside_disks(score, px, py, xs, ys, limit)
-            if px.size > 1:
-                grids.append(int(np.isfinite(obj).sum()))
-            return obj
+        def reference(cfg, state, opts):
+            return reference_solve_location(cfg, state, opts, grids)
 
-        monkeypatch.setattr(subsolvers, "_score_inside_disks", reference)
-        dense = [_outcome(solve_location, cfg, state) for cfg, state in cases]
-        assert filtered == dense
+        for opts in (OPTS, SolverOptions(location_grid_points=57,
+                                         refinement_levels=3)):
+            for cfg, state in cases:
+                assert (_outcome(solve_location, cfg, state, opts)
+                        == _outcome(reference, cfg, state, opts))
         assert any(n > 0 for n in grids)
         assert any(n == 0 for n in grids)
+
+    def test_candidates_cover_every_admitted_grid_point(self):
+        rng = np.random.default_rng(9)
+        verdicts = set()
+        extra = total = 0
+        for gx, gy, xs, ys, limit in _random_disk_grids(rng):
+            got = subsolvers._grid_candidates(gx, gy, xs, ys, limit)
+            want = _dense_admitted(gx, gy, xs, ys, limit)
+            assert np.all(np.diff(got) > 0)
+            assert got.size == 0 or 0 <= got[0] and got[-1] < gx.size * gy.size
+            assert np.isin(want, got).all()
+            verdicts.add(want.size > 0)
+            extra += got.size - want.size
+            total += gx.size * gy.size
+        assert verdicts == {True, False}
+        # The pre-test is close to the disk test itself.
+        assert extra < 0.001 * total
+
+    def test_full_grid_scores_no_point_on_the_sweep_states(self, monkeypatch):
+        # The benchmark's sweep leaves every downlink latency tight, so the
+        # disks meet only near the incumbent: no point of the full grid is
+        # handed to the scorer, only the incumbent and window points.
+        scored, grids = [], []
+        score = subsolvers._score_inside_disks
+        candidates = subsolvers._grid_candidates
+
+        def counting_score(fn, px, *args):
+            scored.append(px.size)
+            return score(fn, px, *args)
+
+        def counting_candidates(gx, gy, *args):
+            out = candidates(gx, gy, *args)
+            grids.append((gx.size * gy.size, out.size))
+            return out
+
+        monkeypatch.setattr(subsolvers, "_score_inside_disks", counting_score)
+        monkeypatch.setattr(subsolvers, "_grid_candidates", counting_candidates)
+        calls = _sweep_location_calls()
+        assert len(calls) >= 16
+        n = OPTS.location_grid_points
+        solved = 0
+        for cfg, state in calls:
+            scored.clear()
+            grids.clear()
+            try:
+                solve_location(cfg, state, OPTS)
+            except InfeasibleBlockError:
+                continue
+            solved += 1
+            assert grids[0] == (n * n, 0)
+            assert all(size == 81 for size, _ in grids[1:])
+            assert sum(scored) == 1 + sum(kept for _, kept in grids)
+        assert solved >= 16
+
+    def test_fine_grid_allocates_per_row_not_per_point(self):
+        # At 20,001 points a side, the full mesh would be 4e8 points (3.2 GB
+        # per float64 array); the row pre-test needs a few (rows, K) arrays.
+        cfg, state = _sweep_location_calls()[0]
+        opts = SolverOptions(location_grid_points=20001)
+        tracemalloc.start()
+        try:
+            solve_location(cfg, state, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * opts.location_grid_points * cfg.num_gts * 8
 
     def test_filter_matches_dense_scores_on_random_points(self):
         # Disks of radius 150..500 around centres within 200 of the
