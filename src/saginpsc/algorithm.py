@@ -240,7 +240,7 @@ def run_blocks(cfg: ScenarioConfig, state: SolutionState,
         scheme=scheme,
         state=state,
         objective=obj,
-        feasible=check_feasibility(cfg, state).feasible,
+        feasible=trace[-1].feasible,  # the final state's entry
         converged=converged,
         iterations=iterations,
         trace=tuple(trace),

@@ -22,6 +22,7 @@ __all__ = [
     "Allocation",
     "SolutionState",
     "LatencyBreakdown",
+    "LatencyTerms",
     "EnergyBreakdown",
     "ConstraintViolation",
     "FeasibilityReport",
@@ -29,6 +30,7 @@ __all__ = [
     "channel_gain_ug",
     "rate_uav_gt",
     "effective_fraction",
+    "latency_terms",
     "latency_breakdown",
     "energy_breakdown",
     "total_energy",
@@ -94,6 +96,32 @@ class LatencyBreakdown:
     uav_compute: tuple[float, ...]
     uav_gt_tx: tuple[float, ...]
     total: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class LatencyTerms:
+    """Every latency term of one state, with the rates and data volumes
+    they come from.
+
+    ``r_su``, ``t_sat``, ``t_tx`` and ``t_prop`` are shared by all GTs;
+    the tuples hold one entry per GT.  ``overhead`` is the GT's overhead at
+    its ratio (0.0 where it is uncompressed), ``bits`` the data the UAV
+    delivers to it, ``rate`` its UAV-to-GT rate, ``total`` its end-to-end
+    latency and ``hop_slack`` the latency budget left for its UAV-to-GT
+    hop, ``T - t_sat - t_tx - t_prop - t_uav``.
+    """
+
+    r_su: float
+    t_sat: float
+    t_tx: float
+    t_prop: float
+    overhead: tuple[float, ...]
+    bits: tuple[float, ...]
+    t_uav: tuple[float, ...]
+    rate: tuple[float, ...]
+    t_ug: tuple[float, ...]
+    total: tuple[float, ...]
+    hop_slack: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -172,57 +200,72 @@ def effective_fraction(a_sat: int, a_uav: int, rho: float) -> float:
     return a * rho + (1 - a)
 
 
-def latency_breakdown(cfg: ScenarioConfig, state: SolutionState) -> LatencyBreakdown:
+def latency_terms(cfg: ScenarioConfig, state: SolutionState) -> LatencyTerms:
+    """Derive every latency term of ``state``; the only derivation outside
+    the grid oracles.  An overhead is evaluated only where its GT is
+    compressed.  Raises :class:`ModelError` when a UAV-compressed GT has
+    no CPU share, or a GT with data to receive has no rate."""
     al = state.allocation
     kappa = cfg.cycles_per_overhead
     r_su = rate_sat_uav(cfg)
+    overhead = tuple(
+        cfg.overhead_curves[k].evaluate(al.ratio[k]) if a_s or a_u else 0.0
+        for k, (a_s, a_u) in enumerate(zip(al.task_sat, al.task_uav)))
 
     t_sat = kappa * sum(
-        a * cfg.overhead_curves[k].evaluate(al.ratio[k])
-        for k, a in enumerate(al.task_sat) if a
+        a * overhead[k] for k, a in enumerate(al.task_sat) if a
     ) / cfg.sat_cpu
     t_tx = sum(
         (a * al.ratio[k] + (1 - a)) * cfg.data_bits[k]
         for k, a in enumerate(al.task_sat)
     ) / r_su
     t_prop = cfg.sat_uav_distance / cfg.lightspeed
+    before_uav = cfg.latency_budget - t_sat - t_tx - t_prop
 
-    t_uav = []
-    t_ug = []
-    totals = []
+    bits, t_uav, rates, t_ug, totals, hop_slack = [], [], [], [], [], []
     for k in range(cfg.num_gts):
         if al.task_uav[k]:
             if al.cpu[k] <= 0.0:
                 raise ModelError(f"GT {k}: UAV compression assigned with zero CPU share")
-            tu = kappa * cfg.overhead_curves[k].evaluate(al.ratio[k]) / al.cpu[k]
+            tu = kappa * overhead[k] / al.cpu[k]
         else:
             tu = 0.0
-        bits = cfg.data_bits[k] * effective_fraction(al.task_sat[k], al.task_uav[k], al.ratio[k])
+        b_k = cfg.data_bits[k] * effective_fraction(al.task_sat[k], al.task_uav[k], al.ratio[k])
         r_k = rate_uav_gt(cfg, state.placement, al.bandwidth[k], al.power[k], k)
-        if r_k <= 0.0 and bits > 0.0:
+        if r_k <= 0.0 and b_k > 0.0:
             raise ModelError(f"GT {k}: zero UAV-GT rate with positive data")
-        tg = bits / r_k
+        tg = b_k / r_k
+        bits.append(b_k)
         t_uav.append(tu)
+        rates.append(r_k)
         t_ug.append(tg)
         totals.append(t_sat + t_tx + t_prop + tu + tg)
+        hop_slack.append(before_uav - tu)
+    return LatencyTerms(r_su, t_sat, t_tx, t_prop, overhead, tuple(bits),
+                        tuple(t_uav), tuple(rates), tuple(t_ug),
+                        tuple(totals), tuple(hop_slack))
+
+
+def latency_breakdown(cfg: ScenarioConfig, state: SolutionState) -> LatencyBreakdown:
+    terms = latency_terms(cfg, state)
     return LatencyBreakdown(
-        sat_compute=t_sat,
-        sat_uav_tx=t_tx,
-        sat_uav_prop=t_prop,
-        uav_compute=tuple(t_uav),
-        uav_gt_tx=tuple(t_ug),
-        total=tuple(totals),
+        sat_compute=terms.t_sat,
+        sat_uav_tx=terms.t_tx,
+        sat_uav_prop=terms.t_prop,
+        uav_compute=terms.t_uav,
+        uav_gt_tx=terms.t_ug,
+        total=terms.total,
     )
 
 
 def energy_breakdown(cfg: ScenarioConfig, state: SolutionState) -> EnergyBreakdown:
-    lat = latency_breakdown(cfg, state)
+    terms = latency_terms(cfg, state)
     al = state.allocation
     tau = cfg.comp_energy_coeff
-    e_sat = tau * lat.sat_compute * cfg.sat_cpu ** 3
-    e_su = lat.sat_uav_tx * cfg.sat_tx_power
-    e_uav = tau * sum(t * f ** 3 for t, f in zip(lat.uav_compute, al.cpu))
-    e_ug = sum(t * p for t, p in zip(lat.uav_gt_tx, al.power))
+    e_sat = tau * terms.t_sat * cfg.sat_cpu ** 3
+    e_su = terms.t_tx * cfg.sat_tx_power
+    e_uav = tau * sum(t * f ** 3 for t, f in zip(terms.t_uav, al.cpu))
+    e_ug = sum(t * p for t, p in zip(terms.t_ug, al.power))
     return EnergyBreakdown(
         sat_compute=e_sat,
         sat_uav_comm=e_su,
@@ -285,12 +328,12 @@ def check_feasibility(cfg: ScenarioConfig, state: SolutionState,
     check(th_hi - pl.half_beamwidth, "beamwidth")
 
     try:
-        lat = latency_breakdown(cfg, state)
+        terms = latency_terms(cfg, state)
     except ModelError:
         for k in range(cfg.num_gts):
             out.append(ConstraintViolation("latency", k, -math.inf))
     else:
-        for k, t in enumerate(lat.total):
+        for k, t in enumerate(terms.total):
             check(cfg.latency_budget - t, "latency", k, scale=cfg.latency_budget)
 
     return FeasibilityReport(violations=tuple(out))
@@ -309,14 +352,14 @@ def downlink_energy_grid(cfg: ScenarioConfig, state: SolutionState,
     UAV-to-GT hop are evaluated per cell.  Raises :class:`ModelError` where
     ``energy_breakdown`` would.
     """
-    lat = latency_breakdown(cfg, state)
+    terms = latency_terms(cfg, state)
     static_ok = all(v.code in ("coverage", "latency")
                     for v in check_feasibility(cfg, state).violations)
     al = state.allocation
     pl = state.placement
     cover = pl.coverage_radius
     theta = pl.half_beamwidth
-    shared = lat.sat_compute + lat.sat_uav_tx + lat.sat_uav_prop
+    shared = terms.t_sat + terms.t_tx + terms.t_prop
     px = np.asarray(xs, dtype=float)[:, None]
     py = np.asarray(ys, dtype=float)[None, :]
     energy = np.zeros((px.shape[0], py.shape[1]))
@@ -325,7 +368,7 @@ def downlink_energy_grid(cfg: ScenarioConfig, state: SolutionState,
         gx, gy = cfg.gt_positions[k]
         horizontal = np.hypot(px - gx, py - gy)
         feasible &= ~_violated(cover - horizontal, cover)
-        # latency_breakdown above raised unless power and bandwidth are
+        # latency_terms above raised unless power and bandwidth are
         # positive, so only a vanishing per-cell rate is left to reject.
         d = np.hypot(horizontal, pl.altitude)
         g_k = cfg.ref_channel_gain / (d * d)
@@ -334,10 +377,8 @@ def downlink_energy_grid(cfg: ScenarioConfig, state: SolutionState,
         r_k = al.bandwidth[k] * np.log2(1.0 + snr)
         if np.any(r_k <= 0.0):
             raise ModelError(f"GT {k}: zero UAV-GT rate with positive data")
-        bits = cfg.data_bits[k] * effective_fraction(
-            al.task_sat[k], al.task_uav[k], al.ratio[k])
-        t_ug = bits / r_k
+        t_ug = terms.bits[k] / r_k
         energy += t_ug * al.power[k]
-        total = shared + lat.uav_compute[k] + t_ug
+        total = shared + terms.t_uav[k] + t_ug
         feasible &= ~_violated(cfg.latency_budget - total, cfg.latency_budget)
     return energy, feasible

@@ -17,12 +17,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .physics import (
-    Placement,
+    LatencyTerms,
+    ModelError,
     SolutionState,
     channel_gain_ug,
     effective_fraction,
-    rate_sat_uav,
-    rate_uav_gt,
+    latency_terms,
     total_energy,
 )
 from .scenario import ScenarioConfig
@@ -106,48 +106,17 @@ class SegmentChoice:
 
 
 # ---------------------------------------------------------------------------
-# Shared latency pieces
+# The state's latency terms, as the blocks read them
 
 
-@dataclass(frozen=True)
-class _Pieces:
-    """Latency/rate components of the current state, reused by the blocks."""
-
-    r_su: float
-    t_sat: float
-    t_tx: float
-    t_prop: float
-    t_uav: tuple[float, ...]
-    rates: tuple[float, ...]
-    overhead: tuple[float, ...]
-    eff: tuple[float, ...]
-
-
-def _pieces(cfg: ScenarioConfig, state: SolutionState) -> _Pieces:
-    al = state.allocation
-    kappa = cfg.cycles_per_overhead
-    r_su = rate_sat_uav(cfg)
-    overhead = tuple(cfg.overhead_curves[k].evaluate(al.ratio[k])
-                     for k in range(cfg.num_gts))
-    t_sat = kappa * sum(a * o for a, o in zip(al.task_sat, overhead)) / cfg.sat_cpu
-    t_tx = sum((a * al.ratio[k] + (1 - a)) * cfg.data_bits[k]
-               for k, a in enumerate(al.task_sat)) / r_su
-    t_prop = cfg.sat_uav_distance / cfg.lightspeed
-    t_uav = tuple(
-        (kappa * overhead[k] / al.cpu[k]) if al.task_uav[k] else 0.0
-        for k in range(cfg.num_gts)
-    )
-    rates = tuple(rate_uav_gt(cfg, state.placement, al.bandwidth[k], al.power[k], k)
-                  for k in range(cfg.num_gts))
-    eff = tuple(effective_fraction(al.task_sat[k], al.task_uav[k], al.ratio[k])
-                for k in range(cfg.num_gts))
-    return _Pieces(r_su, t_sat, t_tx, t_prop, t_uav, rates, overhead, eff)
-
-
-def _downlink_slacks(cfg: ScenarioConfig, pieces: _Pieces) -> list[float]:
-    """Per-GT latency left for the UAV-to-GT hop: T - tS - tT - tP - tU."""
-    base = cfg.latency_budget - pieces.t_sat - pieces.t_tx - pieces.t_prop
-    return [base - tu for tu in pieces.t_uav]
+def _block_terms(cfg: ScenarioConfig, state: SolutionState,
+                 block: str) -> LatencyTerms:
+    """``latency_terms`` of ``state``; a state that leaves a term undefined
+    gives ``block`` no feasible point."""
+    try:
+        return latency_terms(cfg, state)
+    except ModelError as exc:
+        raise InfeasibleBlockError(block, str(exc)) from exc
 
 
 # The power/bandwidth block leaves each GT's downlink latency exactly
@@ -335,7 +304,7 @@ class _TaskAdapter:
     at +inf."""
 
     def __init__(self, cfg: ScenarioConfig, state: SolutionState,
-                 pieces: _Pieces):
+                 terms: LatencyTerms):
         self.cfg = cfg
         self.state = state
         self.num_multipliers = cfg.num_gts
@@ -345,14 +314,16 @@ class _TaskAdapter:
         obj = np.zeros((cfg.num_gts, 3))
         lat = np.zeros((cfg.num_gts, 3))
         for k in range(cfg.num_gts):
-            o = pieces.overhead[k]
+            # every option needs the overhead; the terms hold only the
+            # compressed GTs'
+            o = cfg.overhead_curves[k].evaluate(al.ratio[k])
             save = cfg.data_bits[k] * (1.0 - al.ratio[k])
-            r_k = pieces.rates[k]
+            r_k = terms.rate[k]
             obj[k, 1] = (kappa * tau * o * cfg.sat_cpu ** 2
-                         - save * (cfg.sat_tx_power / pieces.r_su
+                         - save * (cfg.sat_tx_power / terms.r_su
                                    + al.power[k] / r_k))
             lat[k, 1] = (kappa * o / cfg.sat_cpu
-                         - save * (1.0 / pieces.r_su + 1.0 / r_k))
+                         - save * (1.0 / terms.r_su + 1.0 / r_k))
             if al.cpu[k] > 0.0:
                 obj[k, 2] = (kappa * tau * o * al.cpu[k] ** 2
                              - save * al.power[k] / r_k)
@@ -373,14 +344,9 @@ class _TaskAdapter:
         return replace(self.state, allocation=al)
 
     def residuals(self, primal):
-        cand = self._with_assignment(primal)
-        pieces = _pieces(self.cfg, cand)
+        terms = latency_terms(self.cfg, self._with_assignment(primal))
         t = self.cfg.latency_budget
-        return np.array([
-            (pieces.t_sat + pieces.t_tx + pieces.t_prop + pieces.t_uav[k]
-             + self.cfg.data_bits[k] * pieces.eff[k] / pieces.rates[k] - t) / t
-            for k in range(self.cfg.num_gts)
-        ])
+        return (np.array(terms.total) - t) / t
 
     def objective(self, primal):
         return total_energy(self.cfg, self._with_assignment(primal))
@@ -394,7 +360,8 @@ def solve_task_allocation(cfg: ScenarioConfig, state: SolutionState,
     positive UAV CPU share can only be assigned to the satellite or left
     uncompressed.
     """
-    adapter = _TaskAdapter(cfg, state, _pieces(cfg, state))
+    adapter = _TaskAdapter(
+        cfg, state, _block_terms(cfg, state, "solve_task_allocation"))
     primal, _, _, feasible = dual_subgradient(adapter, opts)
     incumbent = (state.allocation.task_sat, state.allocation.task_uav)
     (task_sat, task_uav), feasible = _keep_incumbent(
@@ -413,10 +380,10 @@ class _SegmentAdapter:
     minimum, so ties resolve to the shallowest segment."""
 
     def __init__(self, cfg: ScenarioConfig, state: SolutionState,
-                 pieces: _Pieces):
+                 terms: LatencyTerms):
         self.cfg = cfg
         self.state = state
-        self.p = pieces
+        self.p = terms
         self.num_multipliers = cfg.num_gts
         self.mids = [
             [cfg.overhead_curves[k].midpoint(d)
@@ -435,23 +402,20 @@ class _SegmentAdapter:
         for k in range(cfg.num_gts):
             curve = cfg.overhead_curves[k]
             a_s, a_u = al.task_sat[k], al.task_uav[k]
-            if a_u and al.cpu[k] <= 0.0:
-                raise InfeasibleBlockError(
-                    "select_segments", f"GT {k}: UAV-assigned with zero CPU share")
             for d in range(curve.num_segments):
                 mid = self.mids[k][d]
                 o_mid = curve.evaluate_on(mid, d)
                 self.obj[k, d] = (
                     kappa * tau * cfg.sat_cpu ** 2 * a_s * o_mid
-                    + cfg.sat_tx_power * cfg.data_bits[k] * a_s * mid / pieces.r_su
+                    + cfg.sat_tx_power * cfg.data_bits[k] * a_s * mid / terms.r_su
                     + kappa * tau * al.cpu[k] ** 2 * a_u * o_mid
                     + al.power[k] * cfg.data_bits[k] * mid * (a_s + a_u)
-                    / pieces.rates[k])
+                    / terms.rate[k])
                 self.lat[k, d] = (
                     kappa * a_s * o_mid / cfg.sat_cpu
-                    + cfg.data_bits[k] * a_s * mid / pieces.r_su
+                    + cfg.data_bits[k] * a_s * mid / terms.r_su
                     + (kappa * a_u * o_mid / al.cpu[k] if a_u else 0.0)
-                    + cfg.data_bits[k] * mid * (a_s + a_u) / pieces.rates[k])
+                    + cfg.data_bits[k] * mid * (a_s + a_u) / terms.rate[k])
 
     def primal_of(self, choice):
         return tuple(choice.tolist())
@@ -471,7 +435,7 @@ class _SegmentAdapter:
             t_sat += kappa * a_s * o_mid / cfg.sat_cpu
             t_tx += cfg.data_bits[k] * (a_s * mid + (1 - a_s)) / p.r_su
             t_u = kappa * a_u * o_mid / al.cpu[k] if a_u else 0.0
-            t_ug = cfg.data_bits[k] * effective_fraction(a_s, a_u, mid) / p.rates[k]
+            t_ug = cfg.data_bits[k] * effective_fraction(a_s, a_u, mid) / p.rate[k]
             per_gt.append((t_u, t_ug))
         return t_sat, t_tx, per_gt
 
@@ -492,7 +456,8 @@ def select_segments(cfg: ScenarioConfig, state: SolutionState,
     """Pick one overhead segment per GT by ranking the midpoint scores
     under the dual multipliers.  Returns ``(SegmentChoice, feasible)``;
     ties resolve to the shallowest segment."""
-    adapter = _SegmentAdapter(cfg, state, _pieces(cfg, state))
+    adapter = _SegmentAdapter(
+        cfg, state, _block_terms(cfg, state, "select_segments"))
     chosen, _, _, feasible = dual_subgradient(adapter, opts)
     incumbent = tuple(
         cfg.overhead_curves[k].segment_of(state.allocation.ratio[k])
@@ -525,7 +490,7 @@ def solve_ratio_lp(cfg: ScenarioConfig, state: SolutionState,
     from .simplex import solve_bounded_lp
 
     al = state.allocation
-    p = _pieces(cfg, state)
+    p = _block_terms(cfg, state, "solve_ratio_lp")
     kappa = cfg.cycles_per_overhead
     tau = cfg.comp_energy_coeff
     n = cfg.num_gts
@@ -541,13 +506,10 @@ def solve_ratio_lp(cfg: ScenarioConfig, state: SolutionState,
         lo[k], hi[k] = curve.segment_bounds(d)
         slope[k], intercept[k] = curve.slopes[d], curve.intercepts[d]
         a_s, a_u = al.task_sat[k], al.task_uav[k]
-        if a_u and al.cpu[k] <= 0.0:
-            raise InfeasibleBlockError(
-                "solve_ratio_lp", f"GT {k}: UAV-assigned with zero CPU share")
         c[k] = (a_s * (kappa * tau * slope[k] * cfg.sat_cpu ** 2
                        + cfg.sat_tx_power * cfg.data_bits[k] / p.r_su)
                 + a_u * kappa * tau * slope[k] * al.cpu[k] ** 2
-                + (a_s + a_u) * al.power[k] * cfg.data_bits[k] / p.rates[k])
+                + (a_s + a_u) * al.power[k] * cfg.data_bits[k] / p.rate[k])
 
     # Latency rows: shared satellite terms couple every ratio; the UAV
     # compute/downlink terms are local to each GT.
@@ -572,8 +534,8 @@ def solve_ratio_lp(cfg: ScenarioConfig, state: SolutionState,
         if a_u:
             row[j] += kappa * slope[j] / al.cpu[j]
             const += kappa * intercept[j] / al.cpu[j]
-        row[j] += (a_s + a_u) * cfg.data_bits[j] / p.rates[j]
-        const += (1 - a_s - a_u) * cfg.data_bits[j] / p.rates[j]
+        row[j] += (a_s + a_u) * cfg.data_bits[j] / p.rate[j]
+        const += (1 - a_s - a_u) * cfg.data_bits[j] / p.rate[j]
         limit = cfg.latency_budget - const
         if np.max(np.abs(row)) == 0.0:
             if limit < 0.0:
@@ -613,7 +575,7 @@ def solve_cpu_allocation(cfg: ScenarioConfig, state: SolutionState):
     everyone else gets zero.  Raises when a slack is nonpositive or the
     shares exceed the UAV CPU budget."""
     al = state.allocation
-    p = _pieces(cfg, state)
+    p = _block_terms(cfg, state, "solve_cpu_allocation")
     kappa = cfg.cycles_per_overhead
     t = cfg.latency_budget
     cpu = []
@@ -621,8 +583,7 @@ def solve_cpu_allocation(cfg: ScenarioConfig, state: SolutionState):
         if not al.task_uav[k]:
             cpu.append(0.0)
             continue
-        t_ug = cfg.data_bits[k] * p.eff[k] / p.rates[k]
-        slack = t - p.t_sat - p.t_tx - p.t_prop - t_ug
+        slack = t - p.t_sat - p.t_tx - p.t_prop - p.t_ug[k]
         if slack <= 0.0:
             raise InfeasibleBlockError(
                 "solve_cpu_allocation",
@@ -772,9 +733,9 @@ def solve_power_bandwidth(cfg: ScenarioConfig, state: SolutionState,
     bandwidth multiplier ``mu`` that makes the bandwidth budget tight is
     one safeguarded Newton root in ``log mu`` (``_split``).
     """
-    p = _pieces(cfg, state)
+    p = _block_terms(cfg, state, "solve_power_bandwidth")
     n = cfg.num_gts
-    slacks = _downlink_slacks(cfg, p)
+    slacks = p.hop_slack
     u = []
     v = []
     w = []
@@ -785,7 +746,7 @@ def solve_power_bandwidth(cfg: ScenarioConfig, state: SolutionState,
                 f"GT {k}: no latency left for the downlink (slack {slacks[k]:.3e} s)")
         g_k = channel_gain_ug(cfg, state.placement, k)
         theta = state.placement.half_beamwidth
-        u.append(cfg.data_bits[k] * p.eff[k] / slacks[k])
+        u.append(p.bits[k] / slacks[k])
         v.append(cfg.antenna_gain_const * g_k / (theta * theta * cfg.noise_psd))
         w.append(slacks[k] / v[k])
 
@@ -833,7 +794,7 @@ def solve_power_bandwidth(cfg: ScenarioConfig, state: SolutionState,
 # Block 5: altitude and half-beamwidth
 
 
-def _downlink_objective(cfg: ScenarioConfig, al, eff, positions, uav_xy,
+def _downlink_objective(cfg: ScenarioConfig, al, bits, positions, uav_xy,
                         altitude, theta, slacks):
     """UAV-to-GT communication energy at a trial (altitude, beamwidth),
     or (inf, False) when some GT misses its latency slack."""
@@ -846,10 +807,9 @@ def _downlink_objective(cfg: ScenarioConfig, al, eff, positions, uav_xy,
         snr = (cfg.antenna_gain_const * g_k * al.power[k]
                / (theta * theta * al.bandwidth[k] * cfg.noise_psd))
         r_k = al.bandwidth[k] * math.log2(1.0 + snr)
-        bits = cfg.data_bits[k] * eff[k]
-        if r_k <= 0.0 or bits / r_k > slacks[k] * _TIGHT_BOUNDARY:
+        if r_k <= 0.0 or bits[k] / r_k > slacks[k] * _TIGHT_BOUNDARY:
             return math.inf, False
-        total += al.power[k] * bits / r_k
+        total += al.power[k] * bits[k] / r_k
     return total, True
 
 
@@ -861,7 +821,7 @@ _PRETEST_MARGIN = 1e-9
 _PRETEST_LOG2_SLACK = 1e-12
 
 
-def _latency_survivors(cfg: ScenarioConfig, al, eff, positions, uav_xy,
+def _latency_survivors(cfg: ScenarioConfig, al, bits, positions, uav_xy,
                        altitudes, thetas, slacks) -> np.ndarray:
     """Indices, in order, of the trial (altitude, beamwidth) pairs that may
     pass ``_downlink_objective``'s latency test; every dropped pair fails
@@ -882,9 +842,8 @@ def _latency_survivors(cfg: ScenarioConfig, al, eff, positions, uav_xy,
         snr = (cfg.antenna_gain_const * (cfg.ref_channel_gain / d2)
                * al.power[k] / (theta * theta * al.bandwidth[k] * cfg.noise_psd))
         r = al.bandwidth[k] * (np.log2(1.0 + snr) + _PRETEST_LOG2_SLACK)
-        bits = cfg.data_bits[k] * eff[k]
         limit = slacks[k] * _TIGHT_BOUNDARY * (1.0 + _PRETEST_MARGIN)
-        keep = keep[~(bits > limit * r)]
+        keep = keep[~(bits[k] > limit * r)]
         if keep.size == 0:
             break
     return keep
@@ -911,8 +870,8 @@ def solve_altitude_beamwidth(cfg: ScenarioConfig, state: SolutionState,
     their order and the first-minimum tie-break are unchanged.
     """
     al = state.allocation
-    p = _pieces(cfg, state)
-    slacks = _downlink_slacks(cfg, p)
+    p = _block_terms(cfg, state, "solve_altitude_beamwidth")
+    slacks = p.hop_slack
     if min(slacks) <= 0.0:
         raise InfeasibleBlockError(
             "solve_altitude_beamwidth", "no latency left for the downlink")
@@ -932,7 +891,7 @@ def solve_altitude_beamwidth(cfg: ScenarioConfig, state: SolutionState,
     if th_lo <= cur_theta <= th_hi:
         cur_h = pinned_altitude(cur_theta)
         if cur_h <= h_max:
-            obj, ok = _downlink_objective(cfg, al, p.eff, positions, uav_xy,
+            obj, ok = _downlink_objective(cfg, al, p.bits, positions, uav_xy,
                                           cur_h, cur_theta, slacks)
             if ok:
                 candidates.append((obj, cur_h, cur_theta))
@@ -948,7 +907,7 @@ def solve_altitude_beamwidth(cfg: ScenarioConfig, state: SolutionState,
                 break
             i_k = (state.placement.horizontal_distance(positions[k]) ** 2
                    + h_min * h_min)
-            j_k = cfg.data_bits[k] * p.eff[k] / (al.bandwidth[k] * slacks[k])
+            j_k = p.bits[k] / (al.bandwidth[k] * slacks[k])
             if j_k > _EXP_CAP:
                 feasible1 = False
                 break
@@ -959,7 +918,7 @@ def solve_altitude_beamwidth(cfg: ScenarioConfig, state: SolutionState,
             limit = min(limit, cap)
         if feasible1 and theta1 <= limit:
             h1 = pinned_altitude(theta1)
-            obj, ok = _downlink_objective(cfg, al, p.eff, positions, uav_xy,
+            obj, ok = _downlink_objective(cfg, al, p.bits, positions, uav_xy,
                                           h1, theta1, slacks)
             if ok:
                 candidates.append((obj, h1, theta1))
@@ -968,7 +927,7 @@ def solve_altitude_beamwidth(cfg: ScenarioConfig, state: SolutionState,
     if l_max > 0.0:
         steps = max(2, int(math.ceil((th_hi - th_lo) / opts.grid_step_theta)) + 1)
         thetas = np.linspace(th_lo, th_hi, steps)
-        survivors = _latency_survivors(cfg, al, p.eff, positions, uav_xy,
+        survivors = _latency_survivors(cfg, al, p.bits, positions, uav_xy,
                                        l_max / np.tan(thetas), thetas, slacks)
         for theta in thetas[survivors]:
             theta = float(theta)
@@ -976,7 +935,7 @@ def solve_altitude_beamwidth(cfg: ScenarioConfig, state: SolutionState,
             if h < h_min or h > h_max:
                 continue
             h = pinned_altitude(theta)
-            obj, ok = _downlink_objective(cfg, al, p.eff, positions, uav_xy,
+            obj, ok = _downlink_objective(cfg, al, p.bits, positions, uav_xy,
                                           h, theta, slacks)
             if ok:
                 candidates.append((obj, h, theta))
@@ -997,23 +956,16 @@ def _score_inside_disks(score, px, py, xs, ys, limit):
     """``score`` of the points inside every disk, +inf for the others.
 
     Disk ``k`` admits the points with squared horizontal distance to
-    ``(xs[k], ys[k])`` at most ``limit[k]``.  The points are tested
-    against one disk at a time over the shrinking set still inside every
-    disk so far, and the result is all-+inf as soon as that set is empty.
-    ``score`` maps the (M, K) squared horizontal distances of the M
-    survivors to their M objective values, row by row, so a survivor's
-    value does not depend on which other points survived.
+    ``(xs[k], ys[k])`` at most ``limit[k]``; one ``(M, K)`` pass tests
+    the M points against every disk.  ``score`` maps the ``(M', K)``
+    squared horizontal distances of the M' points inside all of them to
+    their objective values, row by row, so a point's value does not depend
+    on which other points are inside.
     """
+    d2 = (px[:, None] - xs[None, :]) ** 2 + (py[:, None] - ys[None, :]) ** 2
+    inside = np.all(d2 <= limit[None, :], axis=1)
     out = np.full(px.shape, np.inf)
-    keep = np.arange(px.size)
-    for k in range(xs.size):
-        d2k = (px[keep] - xs[k]) ** 2 + (py[keep] - ys[k]) ** 2
-        keep = keep[d2k <= limit[k]]
-        if keep.size == 0:
-            return out
-    d2 = ((px[keep, None] - xs[None, :]) ** 2
-          + (py[keep, None] - ys[None, :]) ** 2)
-    out[keep] = score(d2)
+    out[inside] = score(d2[inside])
     return out
 
 
@@ -1074,8 +1026,8 @@ def solve_location(cfg: ScenarioConfig, state: SolutionState,
     """
     al = state.allocation
     pl = state.placement
-    p = _pieces(cfg, state)
-    slacks = _downlink_slacks(cfg, p)
+    p = _block_terms(cfg, state, "solve_location")
+    slacks = p.hop_slack
     if min(slacks) <= 0.0:
         raise InfeasibleBlockError("solve_location",
                                    "no latency left for the downlink")
@@ -1088,7 +1040,7 @@ def solve_location(cfg: ScenarioConfig, state: SolutionState,
         if al.power[k] <= 0.0:
             raise InfeasibleBlockError(
                 "solve_location", f"GT {k}: zero power, admissible disk empty")
-        j_k = cfg.data_bits[k] * p.eff[k] / (al.bandwidth[k] * slacks[k])
+        j_k = p.bits[k] / (al.bandwidth[k] * slacks[k])
         if j_k > _EXP_CAP:
             raise InfeasibleBlockError(
                 "solve_location", f"GT {k}: rate demand overflows, disk empty")
@@ -1111,7 +1063,7 @@ def solve_location(cfg: ScenarioConfig, state: SolutionState,
 
     pw = np.array(al.power)
     bw = np.array(al.bandwidth)
-    bits = np.array(cfg.data_bits) * np.array(p.eff)
+    bits = np.array(p.bits)
     gain = cfg.antenna_gain_const * cfg.ref_channel_gain / (theta * theta
                                                             * cfg.noise_psd)
 

@@ -69,3 +69,16 @@ def feasible_instances(count: int, start_seed: int = 0, num_gts: int = 2):
         if seed - start_seed > 20 * count:
             raise RuntimeError("feasible-instance generator starved")
     return out
+
+
+def scale_document(num_gts: int) -> dict:
+    """Default document (seed 1) at ``num_gts`` terminals with the shared
+    resources scaled by K/4 and the satellite beam 10*log10(K/4) + 3 dB
+    stronger, so the solve stays feasible as it scales."""
+    doc = default_document(num_gts=num_gts, seed=1)
+    factor = num_gts / 4
+    doc["sat_beam_gain_db"] += 10.0 * math.log10(factor) + 3.0
+    for key in ("sat_cpu", "uav_cpu_total", "uav_bandwidth_total",
+                "uav_power_budget"):
+        doc[key] *= factor
+    return doc

@@ -1,31 +1,40 @@
-"""Byte-for-byte CLI outputs on the shipped scenarios.
+"""Byte-for-byte CLI outputs on the shipped and the scaled scenarios.
 
 ``tests/golden/`` holds the ``solve`` JSON of every scheme on both shipped
 scenarios, a ``sweep`` CSV over ``data_bits`` on ``default.json``, and the
 exit code and SHA-256 digest of the 101x101 ``heatmap`` CSV of both
-shipped scenarios (about 536 kB each).  They were last regenerated when
-the power/bandwidth block moved from a nested bisection to the closed-form
-stationary bandwidth: that moved the bandwidths and powers of the
-``sagin_psc`` and ``fixed_location`` solves, and the downlink times and
-energy that follow from them, in their last digits only (at most 1.5e-15
-relative), and 5 of the 10,201 ``default`` heatmap cells (at most
-4.7e-12 relative, no feasibility flag); the objectives, flags, iteration
-counts, traces and the sweep CSV kept their bytes.  The sweep must write
-the same bytes on one thread and on two.  A change that keeps every
-result must keep these bytes.  They pin the floating-point rounding of
-the numpy build and CPU that wrote them, so they may be regenerated
-(``python tests/test_golden.py``, which prints each file whose bytes
-changed) only by a change that states a behaviour change.
+shipped scenarios (about 536 kB each).  The shipped scenarios have four
+GTs, and below eight terms numpy's pairwise sum agrees with Python's
+``sum``, so ``solve_scale_sha256.json`` also holds the exit code and
+SHA-256 digest of the ``sagin_psc`` ``solve`` JSON on
+``conftest.scale_document`` at K = 16, 64 and 256, which pin the
+summation order at those sizes.  The shipped-scenario files were last
+regenerated when the power/bandwidth block moved from a nested
+bisection to the closed-form stationary bandwidth: that moved the
+bandwidths and powers of the ``sagin_psc`` and ``fixed_location``
+solves, and the downlink times and energy that follow from them, in
+their last digits only (at most 1.5e-15 relative), and 5 of the 10,201
+``default`` heatmap cells (at most 4.7e-12 relative, no feasibility
+flag); the objectives, flags, iteration counts, traces and the sweep CSV
+kept their bytes.  The sweep must write the same bytes on one thread and
+on two.  A change that keeps every result must keep these bytes.  They
+pin the floating-point rounding of the numpy build and CPU that wrote
+them, so they may be regenerated (``python tests/test_golden.py``, which
+prints each file whose bytes changed) only by a change that states a
+behaviour change.
 """
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from saginpsc.cli import main
+
+from conftest import scale_document
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -37,6 +46,8 @@ SWEEP_ARGS = ["sweep", "--scenario", str(ROOT / "scenarios" / "default.json"),
               "--param", "data_bits",
               "--values", "131072,262144,524288,1048576"]
 HEATMAP_DIGESTS = GOLDEN / "heatmap_101_sha256.json"
+SCALE_GTS = (16, 64, 256)
+SCALE_DIGESTS = GOLDEN / "solve_scale_sha256.json"
 
 
 def _solve_args(scenario, scheme):
@@ -51,6 +62,18 @@ def _heatmap_args(scenario):
 
 def _heatmap_digest(scenario, out: Path) -> dict:
     code = _run(_heatmap_args(scenario), out)
+    return {"exit_code": code,
+            "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
+
+
+def _scale_digest(num_gts, tmp: Path) -> dict:
+    """Exit code and SHA-256 digest of the ``sagin_psc`` ``solve`` JSON on
+    ``scale_document(num_gts)``, written under the directory ``tmp``."""
+    scenario = tmp / f"scale_{num_gts}.json"
+    scenario.write_text(json.dumps(scale_document(num_gts)))
+    out = tmp / "result.json"
+    code = _run(["solve", "--scenario", str(scenario),
+                 "--scheme", "sagin_psc"], out)
     return {"exit_code": code,
             "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
 
@@ -88,6 +111,12 @@ def test_heatmap_csv_digest_is_unchanged(scenario, tmp_path):
     assert _heatmap_digest(scenario, tmp_path / "heatmap.csv") == golden[scenario]
 
 
+@pytest.mark.parametrize("num_gts", SCALE_GTS)
+def test_scaled_solve_json_digest_is_unchanged(num_gts, tmp_path):
+    golden = json.loads(SCALE_DIGESTS.read_text())
+    assert _scale_digest(num_gts, tmp_path) == golden[str(num_gts)]
+
+
 def regenerate():
     """Rewrite every golden file and print the name of each whose bytes
     changed."""
@@ -102,6 +131,9 @@ def regenerate():
                for scenario in SCENARIOS}
     scratch.unlink()
     HEATMAP_DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {str(k): _scale_digest(k, Path(tmp)) for k in SCALE_GTS}
+    SCALE_DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
     for path in sorted(GOLDEN.iterdir()):
         if before.get(path.name) != path.read_bytes():
             print(f"changed: {path.relative_to(ROOT)}")

@@ -18,7 +18,12 @@ from saginpsc.oracle import (
     oracle_power_bandwidth,
     oracle_ratio,
 )
-from saginpsc.physics import channel_gain_ug, latency_breakdown, total_energy
+from saginpsc.physics import (
+    channel_gain_ug,
+    latency_breakdown,
+    latency_terms,
+    total_energy,
+)
 from saginpsc.scenario import (
     OverheadCurve,
     default_document,
@@ -27,12 +32,12 @@ from saginpsc.scenario import (
 )
 from saginpsc.subsolvers import (
     InfeasibleBlockError,
+    SegmentChoice,
     SolverOptions,
     _EXP_CAP,
     _SegmentAdapter,
     _TaskAdapter,
     _least_option,
-    _pieces,
     _q,
     dual_subgradient,
     select_segments,
@@ -44,7 +49,7 @@ from saginpsc.subsolvers import (
     solve_task_allocation,
 )
 
-from conftest import feasible_instances
+from conftest import feasible_instances, scale_document
 
 OPTS = SolverOptions()
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -184,7 +189,7 @@ def _task_table_adapter(sat, uav):
 def _segment_instances():
     """Real segment adapters: random compressed states, a state with no
     compression (all-zero rows), and curves of 1, 2 and 3 segments."""
-    out = [_SegmentAdapter(cfg, state, _pieces(cfg, state))
+    out = [_SegmentAdapter(cfg, state, latency_terms(cfg, state))
            for cfg, state in feasible_instances(4, start_seed=0, num_gts=3)]
     cfg, state = feasible_instances(1, start_seed=50, num_gts=3)[0]
     curves = (OverheadCurve(slopes=(-1.0e7,), intercepts=(2.2e7,),
@@ -193,10 +198,10 @@ def _segment_instances():
                             boundaries=(0.70, 0.25)),
               cfg.overhead_curves[2])
     uneven = replace(cfg, overhead_curves=curves)
-    out.append(_SegmentAdapter(uneven, state, _pieces(uneven, state)))
+    out.append(_SegmentAdapter(uneven, state, latency_terms(uneven, state)))
     bare = replace(state, allocation=replace(
         state.allocation, task_sat=(0, 0, 0), task_uav=(0, 0, 0)))
-    out.append(_SegmentAdapter(cfg, bare, _pieces(cfg, bare)))
+    out.append(_SegmentAdapter(cfg, bare, latency_terms(cfg, bare)))
     return out
 
 
@@ -241,7 +246,7 @@ class TestDualSubgradient:
         adapters = [_TableAdapter([[0.0]], [[1.0]], lambda p: [1.0]),
                     _stub_adapter(lambda p: 1.0 if p == 0 else -1.0)]
         for cfg, state in feasible_instances(6, start_seed=0, num_gts=3):
-            adapters.append(_TaskAdapter(cfg, state, _pieces(cfg, state)))
+            adapters.append(_TaskAdapter(cfg, state, latency_terms(cfg, state)))
         adapters += _segment_instances()
         for adapter in adapters:
             assert_matches_reference(adapter, OPTS)
@@ -266,7 +271,7 @@ class TestTableMinimize:
 
     def test_task_matches_scalar_reference(self):
         rng = np.random.default_rng(5)
-        adapters = [_TaskAdapter(cfg, state, _pieces(cfg, state))
+        adapters = [_TaskAdapter(cfg, state, latency_terms(cfg, state))
                     for cfg, state in feasible_instances(6, start_seed=0,
                                                          num_gts=4)]
         # Exact ties for every multiplier: satellite equal to UAV, and
@@ -390,9 +395,9 @@ class TestDualReplay:
         adapters = [adapter for adapter, _ in calls[:2]]
         assert [type(a) for a in adapters] == [_TaskAdapter, _SegmentAdapter]
         cfg, state = feasible_instances(1, start_seed=0, num_gts=3)[0]
-        pieces = _pieces(cfg, state)
-        adapters += [_TaskAdapter(cfg, state, pieces),
-                     _SegmentAdapter(cfg, state, pieces)]
+        terms = latency_terms(cfg, state)
+        adapters += [_TaskAdapter(cfg, state, terms),
+                     _SegmentAdapter(cfg, state, terms)]
         for opts in _option_grid():
             for adapter in adapters:
                 assert_matches_reference(adapter, opts)
@@ -679,6 +684,46 @@ class TestLocation:
             assert total_energy(cfg, cand) <= total_energy(cfg, state) * (1 + 1e-9)
 
 
+class TestZeroCpuShare:
+    """A UAV-assigned GT without a CPU share has no defined UAV compute
+    time; every block that reads the state's latency terms reports that
+    as an infeasible block, not as an arithmetic error."""
+
+    @staticmethod
+    def _calls(cfg, state):
+        choice = SegmentChoice(
+            chosen_segment=tuple(curve.segment_of(rho) for curve, rho
+                                 in zip(cfg.overhead_curves,
+                                        state.allocation.ratio)),
+            midpoints=tuple(tuple(curve.midpoint(d)
+                                  for d in range(curve.num_segments))
+                            for curve in cfg.overhead_curves))
+        return {
+            "solve_task_allocation":
+                lambda: solve_task_allocation(cfg, state, OPTS),
+            "select_segments": lambda: select_segments(cfg, state, OPTS),
+            "solve_ratio_lp":
+                lambda: solve_ratio_lp(cfg, state, choice, OPTS),
+            "solve_cpu_allocation": lambda: solve_cpu_allocation(cfg, state),
+            "solve_power_bandwidth":
+                lambda: solve_power_bandwidth(cfg, state, OPTS),
+            "solve_altitude_beamwidth":
+                lambda: solve_altitude_beamwidth(cfg, state, OPTS),
+            "solve_location": lambda: solve_location(cfg, state, OPTS),
+        }
+
+    def test_every_block_raises_infeasible(self):
+        cfg = load_scenario(SCENARIOS / "default.json")
+        state = initialize(cfg)
+        state = replace(state, allocation=replace(
+            state.allocation, task_uav=(0, 1, 0, 0), ratio=(1.0, 0.4, 1.0, 1.0)))
+        for block, call in self._calls(cfg, state).items():
+            with pytest.raises(InfeasibleBlockError,
+                               match="GT 1: .*zero CPU share") as info:
+                call()
+            assert info.value.block == block
+
+
 def dense_score_inside_disks(score, px, py, xs, ys, limit):
     """The location search's scoring before the disk filter came first:
     every (point, GT) pair is scored, then points outside a disk are
@@ -722,16 +767,8 @@ def _block_calls(cfg, block, scheme="sagin_psc"):
 
 
 def _scale_config(num_gts=256):
-    """Default scenario at ``num_gts`` terminals with the shared resources
-    scaled by K/4 and the satellite beam 10*log10(K/4) + 3 dB stronger,
-    so the solve stays feasible as it scales."""
-    doc = default_document(num_gts=num_gts, seed=1)
-    factor = num_gts / 4
-    doc["sat_beam_gain_db"] += 10.0 * math.log10(factor) + 3.0
-    for key in ("sat_cpu", "uav_cpu_total", "uav_bandwidth_total",
-                "uav_power_budget"):
-        doc[key] *= factor
-    return loads_scenario(doc)
+    """The scenario of ``scale_document(num_gts)``."""
+    return loads_scenario(scale_document(num_gts))
 
 
 def reference_solve_location(cfg, state, opts, grids):
@@ -741,8 +778,8 @@ def reference_solve_location(cfg, state, opts, grids):
     scores to ``grids``."""
     al = state.allocation
     pl = state.placement
-    p = _pieces(cfg, state)
-    slacks = subsolvers._downlink_slacks(cfg, p)
+    p = latency_terms(cfg, state)
+    slacks = p.hop_slack
     if min(slacks) <= 0.0:
         raise InfeasibleBlockError("solve_location",
                                    "no latency left for the downlink")
@@ -755,7 +792,7 @@ def reference_solve_location(cfg, state, opts, grids):
         if al.power[k] <= 0.0:
             raise InfeasibleBlockError(
                 "solve_location", f"GT {k}: zero power, admissible disk empty")
-        j_k = cfg.data_bits[k] * p.eff[k] / (al.bandwidth[k] * slacks[k])
+        j_k = p.bits[k] / (al.bandwidth[k] * slacks[k])
         if j_k > _EXP_CAP:
             raise InfeasibleBlockError(
                 "solve_location", f"GT {k}: rate demand overflows, disk empty")
@@ -778,7 +815,7 @@ def reference_solve_location(cfg, state, opts, grids):
 
     pw = np.array(al.power)
     bw = np.array(al.bandwidth)
-    bits = np.array(cfg.data_bits) * np.array(p.eff)
+    bits = np.array(p.bits)
     gain = cfg.antenna_gain_const * cfg.ref_channel_gain / (theta * theta
                                                             * cfg.noise_psd)
     limit = (rr ** 2) * subsolvers._TIGHT_BOUNDARY
@@ -997,8 +1034,8 @@ def reference_solve_altitude_beamwidth(cfg, state, opts):
     in-range sweep beamwidth is scored by ``_downlink_objective`` (called
     through the module, so a test can count the calls)."""
     al = state.allocation
-    p = _pieces(cfg, state)
-    slacks = subsolvers._downlink_slacks(cfg, p)
+    p = latency_terms(cfg, state)
+    slacks = p.hop_slack
     if min(slacks) <= 0.0:
         raise InfeasibleBlockError(
             "solve_altitude_beamwidth", "no latency left for the downlink")
@@ -1019,7 +1056,7 @@ def reference_solve_altitude_beamwidth(cfg, state, opts):
         cur_h = pinned_altitude(cur_theta)
         if cur_h <= h_max:
             obj, ok = subsolvers._downlink_objective(
-                cfg, al, p.eff, positions, uav_xy, cur_h, cur_theta, slacks)
+                cfg, al, p.bits, positions, uav_xy, cur_h, cur_theta, slacks)
             if ok:
                 candidates.append((obj, cur_h, cur_theta))
 
@@ -1034,7 +1071,7 @@ def reference_solve_altitude_beamwidth(cfg, state, opts):
                 break
             i_k = (state.placement.horizontal_distance(positions[k]) ** 2
                    + h_min * h_min)
-            j_k = cfg.data_bits[k] * p.eff[k] / (al.bandwidth[k] * slacks[k])
+            j_k = p.bits[k] / (al.bandwidth[k] * slacks[k])
             if j_k > _EXP_CAP:
                 feasible1 = False
                 break
@@ -1046,7 +1083,7 @@ def reference_solve_altitude_beamwidth(cfg, state, opts):
         if feasible1 and theta1 <= limit:
             h1 = pinned_altitude(theta1)
             obj, ok = subsolvers._downlink_objective(
-                cfg, al, p.eff, positions, uav_xy, h1, theta1, slacks)
+                cfg, al, p.bits, positions, uav_xy, h1, theta1, slacks)
             if ok:
                 candidates.append((obj, h1, theta1))
 
@@ -1060,7 +1097,7 @@ def reference_solve_altitude_beamwidth(cfg, state, opts):
                 continue
             h = pinned_altitude(theta)
             obj, ok = subsolvers._downlink_objective(
-                cfg, al, p.eff, positions, uav_xy, h, theta, slacks)
+                cfg, al, p.bits, positions, uav_xy, h, theta, slacks)
             if ok:
                 candidates.append((obj, h, theta))
 
@@ -1095,7 +1132,7 @@ def _nudge(x, ulps):
     return x
 
 
-def _scalar_ratio(cfg, al, eff, uav_xy, altitude, theta, k):
+def _scalar_ratio(cfg, al, bits, uav_xy, altitude, theta, k):
     """GT ``k``'s ``bits / r_k`` as ``_downlink_objective`` computes it."""
     dx = uav_xy[0] - cfg.gt_positions[k][0]
     dy = uav_xy[1] - cfg.gt_positions[k][1]
@@ -1104,7 +1141,7 @@ def _scalar_ratio(cfg, al, eff, uav_xy, altitude, theta, k):
     snr = (cfg.antenna_gain_const * g_k * al.power[k]
            / (theta * theta * al.bandwidth[k] * cfg.noise_psd))
     r_k = al.bandwidth[k] * math.log2(1.0 + snr)
-    return cfg.data_bits[k] * eff[k] / r_k
+    return bits[k] / r_k
 
 
 class TestBeamwidthPrefilter:
@@ -1165,7 +1202,7 @@ class TestBeamwidthPrefilter:
         verdicts = set()
         for cfg, state in cases:
             al = state.allocation
-            eff = _pieces(cfg, state).eff
+            bits = latency_terms(cfg, state).bits
             positions = cfg.gt_positions
             uav_xy = state.placement.uav_xy
             l_max = max(state.placement.horizontal_distance(pos)
@@ -1174,17 +1211,17 @@ class TestBeamwidthPrefilter:
             altitudes = l_max / np.tan(thetas)
             for theta in thetas.tolist():
                 h = l_max / math.tan(theta)
-                ratios = [_scalar_ratio(cfg, al, eff, uav_xy, h, theta, k)
+                ratios = [_scalar_ratio(cfg, al, bits, uav_xy, h, theta, k)
                           for k in range(cfg.num_gts)]
                 for ulps in range(-4, 5):
                     slacks = [_nudge(ratio / subsolvers._TIGHT_BOUNDARY, ulps)
                               for ratio in ratios]
                     kept = set(subsolvers._latency_survivors(
-                        cfg, al, eff, positions, uav_xy, altitudes, thetas,
+                        cfg, al, bits, positions, uav_xy, altitudes, thetas,
                         slacks).tolist())
                     for i, t in enumerate(thetas.tolist()):
                         ok = subsolvers._downlink_objective(
-                            cfg, al, eff, positions, uav_xy,
+                            cfg, al, bits, positions, uav_xy,
                             l_max / math.tan(t), t, slacks)[1]
                         assert not ok or i in kept
                         if t == theta:
@@ -1229,8 +1266,8 @@ def reference_solve_b_stationary(u, weight, mu):
 def _downlink_terms(cfg, state):
     """Each GT's rate demand ``u``, gain-to-noise ``v`` and weight
     ``w = slack / v``, as the power/bandwidth block builds them."""
-    p = _pieces(cfg, state)
-    slacks = subsolvers._downlink_slacks(cfg, p)
+    p = latency_terms(cfg, state)
+    slacks = p.hop_slack
     u = []
     v = []
     w = []
@@ -1241,7 +1278,7 @@ def _downlink_terms(cfg, state):
                 f"GT {k}: no latency left for the downlink (slack {slacks[k]:.3e} s)")
         g_k = channel_gain_ug(cfg, state.placement, k)
         theta = state.placement.half_beamwidth
-        u.append(cfg.data_bits[k] * p.eff[k] / slacks[k])
+        u.append(p.bits[k] / slacks[k])
         v.append(cfg.antenna_gain_const * g_k / (theta * theta * cfg.noise_psd))
         w.append(slacks[k] / v[k])
     return u, v, w
