@@ -7,13 +7,18 @@ with the library (not hidden in the tests) so any documented reference
 value can be regenerated.
 
 Exhaustive enumeration is capped at 3^12 combinations.  The grid search
-walks the grid in blocks of whole leading-axis rows and hands the score
-an open mesh of each block, one array per axis, so a per-block grid
-oracle computes a term of one axis once per axis value and only the
-cross-axis combination once per point, in the order a per-point
-evaluation uses; the score is the objective, +inf wherever a constraint
-fails.  Ties break toward the lowest grid index in row-major order.
-Sums over GTs (``_gt_sum``) round exactly as ``np.sum`` over a row does.
+walks the grid in blocks of whole leading-axis rows, about ``_CHUNK``
+points each, small enough that a block's float64 temporaries stay in a
+core's L2 cache, and hands the score an open mesh of each block, one
+array per axis, so a per-block grid oracle computes a term of one axis
+once per axis value and only the cross-axis combination once per point,
+in the order a per-point evaluation uses; the score is the objective,
++inf wherever a constraint fails.  An oracle whose constraints bound the
+second axis also hands the search a column window per block, and only
+the block's columns inside it are scored; every column it leaves out
+scores +inf, so the result is that of scoring the whole grid.  Ties
+break toward the lowest grid index in row-major order.  Sums over GTs
+(``_gt_sum``) round exactly as ``np.sum`` over a row does.
 """
 
 from __future__ import annotations
@@ -47,8 +52,15 @@ __all__ = [
 ]
 
 _ENUM_BUDGET = 3 ** 12
-_CHUNK = 1 << 19
+# Points per search block: 2^15 keeps each float64 temporary at 256 KiB,
+# inside a core's L2 cache; 2^19 made 4 MiB temporaries that streamed
+# through memory and were page-faulted afresh for every block.
+_CHUNK = 1 << 15
 _FEAS_TOL = 1e-12
+# A column window's relative margin and its pad in grid cells, both far
+# wider than the rounding of the constraint arithmetic it stands for.
+_WINDOW_MARGIN = 1e-9
+_WINDOW_PAD_CELLS = 2
 # NumPy sums a row shorter than this left to right from 0.0; from this
 # width on it sums pairwise, which column arithmetic does not reproduce.
 _SEQUENTIAL_SUM_WIDTH = 8
@@ -121,16 +133,27 @@ def _on_points(objective, feasible=None):
     return score
 
 
-def _grid_search(score, specs: Sequence[GridSpec]):
+def _grid_search(score, specs: Sequence[GridSpec], window=None):
     """Exact minimum of a mesh ``score`` over the cartesian grid of
     ``specs``.
 
     The grid is walked in blocks of whole leading-axis rows, about
-    ``_CHUNK`` points each.  ``score`` receives an open mesh of the block,
-    one array per axis shaped to broadcast over it (``np.ix_``), so a term
-    of one axis is computed once per axis value; its result is broadcast
-    to the block and read row-major.  NaN counts as +inf.  Ties break
-    toward the lowest row-major index."""
+    ``_CHUNK`` points each (at least one row): 2^15 points keep a block's
+    float64 temporaries at 256 KiB, inside a core's L2 cache.  ``score``
+    receives an open mesh of the block, one array per axis shaped to
+    broadcast over it (``np.ix_``), so a term of one axis is computed once
+    per axis value; its result is broadcast to the block and read
+    row-major.  NaN counts as +inf.  Ties break toward the lowest
+    row-major index.
+
+    ``window(rows, cols) -> (lo, hi)``, given a block's leading-axis
+    values and the second axis, bounds the columns that can score finite
+    in that block; the search scores only ``cols[lo:hi]`` of the block
+    (the same open mesh, second axis sliced) and skips a block whose
+    window is empty.  A window is sound when every column it leaves out
+    scores +inf or NaN on every row of the block; then the point, the
+    value, the tie-break and :class:`EmptyFeasibleError` are those of
+    the whole grid."""
     axes = [np.linspace(s.lower, s.upper, s.points) for s in specs]
     lead, *later = np.ix_(*axes)
     sizes = [a.size for a in axes]
@@ -138,9 +161,15 @@ def _grid_search(score, specs: Sequence[GridSpec]):
     best_val = math.inf
     best_point = None
     for r0 in range(0, sizes[0], step):
-        rows = lead[r0:r0 + step]
-        block = (rows.shape[0], *sizes[1:])
-        vals = np.broadcast_to(np.asarray(score(rows, *later), dtype=float),
+        mesh = [lead[r0:r0 + step], *later]
+        lo = 0
+        if window is not None:
+            lo, hi = window(axes[0][r0:r0 + step], axes[1])
+            if hi <= lo:
+                continue
+            mesh[1] = later[0][:, lo:hi]
+        block = np.broadcast_shapes(*(m.shape for m in mesh))
+        vals = np.broadcast_to(np.asarray(score(*mesh), dtype=float),
                                block).ravel()
         j = int(np.argmin(vals))
         if math.isnan(vals[j]):  # argmin stops at the first NaN
@@ -148,9 +177,9 @@ def _grid_search(score, specs: Sequence[GridSpec]):
             j = int(np.argmin(vals))
         if vals[j] < best_val:
             best_val = float(vals[j])
-            idx = np.unravel_index(j, block)
-            best_point = tuple(float(a[i]) for a, i
-                               in zip(axes, (r0 + idx[0], *idx[1:])))
+            corner = (r0, lo) + (0,) * (len(axes) - 2)
+            best_point = tuple(float(a[c + i]) for a, c, i in zip(
+                axes, corner, np.unravel_index(j, block)))
     if not math.isfinite(best_val):
         raise EmptyFeasibleError("no grid point passed the feasibility filter")
     return best_point, best_val
@@ -175,31 +204,32 @@ def refine_minimize(objective, specs: Sequence[GridSpec], feasible=None,
     """Grid search followed by ``passes`` zoom-ins around the incumbent,
     clipped to the original bounds.
 
-    A window only shrinks when the incumbent lands in its interior; an
-    incumbent pinned to the window edge keeps the window size so the
+    A zoom window only shrinks when the incumbent lands in its interior;
+    an incumbent pinned to the window edge keeps the window size so the
     search can crawl along an active constraint toward an off-grid
     vertex.  Returns (point, value, final cell sizes)."""
     return _refine(_on_points(objective, feasible), specs, passes)
 
 
-def _refine(score, specs: Sequence[GridSpec], passes: int):
-    """:func:`refine_minimize` of a mesh ``score`` (:func:`_grid_search`)."""
-    point, value = _grid_search(score, specs)
+def _refine(score, specs: Sequence[GridSpec], passes: int, window=None):
+    """:func:`refine_minimize` of a mesh ``score``, each search with the
+    column ``window`` (:func:`_grid_search`)."""
+    point, value = _grid_search(score, specs, window)
     width = [s.cell for s in specs]
     cells = list(width)
     for _ in range(passes):
-        window = []
+        zoom = []
         for d in range(len(specs)):
             lo = max(specs[d].lower, point[d] - width[d])
             hi = min(specs[d].upper, point[d] + width[d])
             if hi <= lo:
                 lo, hi = specs[d].lower, specs[d].upper
-            window.append(GridSpec(lo, hi, specs[d].points))
+            zoom.append(GridSpec(lo, hi, specs[d].points))
         try:
-            p2, v2 = _grid_search(score, window)
+            p2, v2 = _grid_search(score, zoom, window)
         except EmptyFeasibleError:
             break
-        for d, s in enumerate(window):
+        for d, s in enumerate(zoom):
             near_edge = min(p2[d] - s.lower, s.upper - p2[d]) < 2.0 * s.cell
             at_bound = (s.lower <= specs[d].lower + s.cell
                         or s.upper >= specs[d].upper - s.cell)
@@ -408,6 +438,14 @@ def eval_formula_extended(expr_id: str, cfg: ScenarioConfig, **params) -> float:
 # Per-block grid references
 
 
+def _columns(cols, lower, upper):
+    """Column window of the sorted axis ``cols`` over ``[lower, upper]``,
+    widened by ``_WINDOW_PAD_CELLS`` grid cells on each side."""
+    pad = _WINDOW_PAD_CELLS * (cols[-1] - cols[0]) / (cols.size - 1)
+    return (int(np.searchsorted(cols, lower - pad, "left")),
+            int(np.searchsorted(cols, upper + pad, "right")))
+
+
 def _ug_rate_vec(cfg: ScenarioConfig, d2, theta, b, p):
     snr = (cfg.antenna_gain_const * cfg.ref_channel_gain * p
            / (d2 * theta * theta * b * cfg.noise_psd))
@@ -575,6 +613,13 @@ def oracle_power_bandwidth(cfg: ScenarioConfig, state, points: int = 2000,
                 / (d2[k] * state.placement.half_beamwidth ** 2 * cfg.noise_psd))
     b_total = cfg.uav_bandwidth_total
     specs = [GridSpec(1e-5 * b_total, b_total, points) for _ in range(n)]
+    # The bandwidth a block of b_0 rows leaves b_1 under the total, every
+    # later GT at its least bandwidth.
+    room = (b_total * (1.0 + _FEAS_TOL) * (1.0 + _WINDOW_MARGIN)
+            - sum(s.lower for s in specs[2:]))
+
+    def window(rows, cols):
+        return _columns(cols, cols[0], room - rows.min())
 
     def powers(*b):
         return [x * (np.exp2(np.minimum(u / x, 600.0)) - 1.0) / g
@@ -592,17 +637,19 @@ def oracle_power_bandwidth(cfg: ScenarioConfig, state, points: int = 2000,
               & (_gt_sum(pw) <= cfg.uav_power_budget * (1.0 + _FEAS_TOL)))
         return np.where(ok, energy(pw), np.inf)
 
-    point, value, cell = _refine(score, specs, passes)
+    point, value, cell = _refine(score, specs, passes,
+                                 window=window if n > 1 else None)
     return OracleSolution(point, value, _evaluate_with(objective), cell)
 
 
-def _hop_search(hop, slack, bits, pw, specs, passes):
+def _hop_search(hop, slack, bits, pw, specs, passes, window):
     """Refined grid search of a placement oracle over two axes.
 
     ``hop(u, w)`` gives the per-GT UAV-GT rates on a mesh and whether
     each point covers every GT; a point is feasible when it covers them
     and every GT's downlink time fits its slack (see :func:`_hop_terms`
-    for the per-GT terms)."""
+    for the per-GT terms).  ``window`` bounds the ``w`` columns
+    (:func:`_grid_search`)."""
     load = pw * bits
     limit = slack * (1.0 + _FEAS_TOL)
 
@@ -618,7 +665,7 @@ def _hop_search(hop, slack, bits, pw, specs, passes):
         ok = reduce(np.logical_and, lat, covered)
         return np.where(ok, energy(rate), np.inf)
 
-    point, value, cell = _refine(score, specs, passes)
+    point, value, cell = _refine(score, specs, passes, window=window)
     return OracleSolution(point, value, _evaluate_with(objective), cell)
 
 
@@ -640,7 +687,14 @@ def oracle_altitude_beamwidth(cfg: ScenarioConfig, state, points: int = 600,
         # Every GT is covered iff the farthest one is.
         return rate, dists.max() <= h * np.tan(theta) * (1.0 + _FEAS_TOL)
 
-    return _hop_search(hop, slack, bits, pw, specs, passes)
+    def window(rows, cols):
+        # Coverage needs tan(theta) >= d_max / (h (1 + tol)), least at the
+        # block's highest altitude.
+        least = math.atan(dists.max() / (rows.max() * (1.0 + _FEAS_TOL))
+                          * (1.0 - _WINDOW_MARGIN)) * (1.0 - _WINDOW_MARGIN)
+        return _columns(cols, least, cols[-1])
+
+    return _hop_search(hop, slack, bits, pw, specs, passes, window)
 
 
 def oracle_location(cfg: ScenarioConfig, state, points: int = 2010,
@@ -659,14 +713,19 @@ def oracle_location(cfg: ScenarioConfig, state, points: int = 2010,
     theta = pl.half_beamwidth
     cover = h * math.tan(theta)
     radii = np.empty(n)
+    margin = np.empty(n)
     for k in range(n):
         j_k = bits[k] / (bw[k] * slack[k])
+        snr = 2.0 ** min(j_k, 600.0) - 1.0
         q2 = (cfg.antenna_gain_const * cfg.ref_channel_gain * pw[k]
-              / (theta * theta * bw[k] * cfg.noise_psd
-                 * (2.0 ** min(j_k, 600.0) - 1.0))) - h * h
+              / (theta * theta * bw[k] * cfg.noise_psd * snr)) - h * h
         if q2 < 0.0:
             raise EmptyFeasibleError(f"GT {k}: latency disk is empty")
         radii[k] = min(cover, math.sqrt(q2))
+        # The latency test's tolerance moves the disk's d + h^2 by a
+        # relative 4e-10 at most (j <= 600), log2(1 + snr)'s rounding by
+        # about 1e-16 / snr.
+        margin[k] = _WINDOW_MARGIN * (1.0 + 1.0 / snr)
     x_lo, x_hi = float(np.max(xs - radii)), float(np.min(xs + radii))
     y_lo, y_hi = float(np.max(ys - radii)), float(np.min(ys + radii))
     if x_lo >= x_hi or y_lo >= y_hi:
@@ -674,6 +733,10 @@ def oracle_location(cfg: ScenarioConfig, state, points: int = 2010,
     specs = [GridSpec(x_lo, x_hi, points), GridSpec(y_lo, y_hi, points)]
     gain = cfg.antenna_gain_const * cfg.ref_channel_gain * pw
     reach2 = cover * cover * (1.0 + _FEAS_TOL)
+    # A feasible point's squared offset from GT k stays under limit[k];
+    # radii <= cover, so the coverage test's reach2 does too.
+    limit = (radii * radii + h * h) * (1.0 + margin) - h * h
+    widen = _WINDOW_MARGIN * np.abs(ys)
 
     def hop(x, y):
         d2h = [(x - gx) ** 2 + (y - gy) ** 2 for gx, gy in zip(xs, ys)]
@@ -682,4 +745,13 @@ def oracle_location(cfg: ScenarioConfig, state, points: int = 2010,
                 for b, g, d in zip(bw, gain, d2h)]
         return rate, reduce(np.logical_and, [d <= reach2 for d in d2h])
 
-    return _hop_search(hop, slack, bits, pw, specs, passes)
+    def window(rows, cols):
+        # Each disk's widest half-chord over the block's rows, from the
+        # squared x offsets as the score rounds them; the y intervals meet.
+        near = np.min((rows[:, None] - xs) ** 2, axis=0)
+        half = (np.sqrt(np.maximum(limit - near, 0.0))
+                * (1.0 + 2.0 * _WINDOW_MARGIN))
+        return _columns(cols, np.max(ys - widen - half),
+                        np.min(ys + widen + half))
+
+    return _hop_search(hop, slack, bits, pw, specs, passes, window)

@@ -4,8 +4,9 @@ mesh versions in ``saginpsc.oracle`` are compared against bit for bit.
 
 Each score here receives (N, ndim) points built chunk by chunk and
 computes every per-GT term at every point; narrow row reductions use
-``_row_sum``/``_row_all``.  Only the names changed: ``reference_`` in
-front of the engine and the oracles.
+``_row_sum``/``_row_all``.  Only the names changed, ``reference_`` in
+front of the engine and the oracles, and the chunk size, which is the
+oracle's ``_CHUNK``: no result depends on it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from saginpsc.oracle import (
 )
 from saginpsc.scenario import ScenarioConfig
 
-_CHUNK = 1 << 19
+_CHUNK = 1 << 15
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:

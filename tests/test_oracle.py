@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -262,6 +263,100 @@ class TestMeshSearch:
             monkeypatch.setattr(oracle, "_CHUNK", chunk)
             results.add(repr(oracle._grid_search(score, specs)))
         assert results == {repr(((0.625, 0.0), 0.0))}
+
+
+def _result(search, *args):
+    """``repr`` of a search's result, or of the EmptyFeasibleError."""
+    try:
+        return repr(search(*args))
+    except EmptyFeasibleError as exc:
+        return repr(exc)
+
+
+class TestColumnWindow:
+    """A column window that leaves out only columns scoring +inf changes
+    no result of ``_grid_search`` or ``_refine``, at any block size."""
+
+    STRIPS = 6
+
+    @classmethod
+    def _problem(cls, rng, dims, kind):
+        """A mesh score on [0, 1]^dims, finite only where the second
+        coordinate lies in a random interval of the leading coordinate's
+        strip, and the exact window of a block's strips; plus a counter of
+        the points scored.  ``kind``: "random" values in four levels (long
+        runs of ties) with NaN inside the intervals, "flat" (every finite
+        point ties, so the first one in row-major order, at a window edge,
+        wins) or "empty" (no interval holds a point)."""
+        n = cls.STRIPS
+        bounds = np.sort(rng.random((n, 2)), axis=1)
+        bounds[rng.random(n) < 0.3] = 0.5  # some strips with no interval
+        if kind == "empty":
+            bounds[:] = 0.5
+        table = rng.integers(0, 4, size=(n,) * dims).astype(float)
+        if kind == "flat":
+            table[:] = 0.0
+        else:
+            table[rng.random(table.shape) < 0.1] = np.nan
+        scored = [0]
+
+        def strip(v):
+            return np.minimum((v * n).astype(int), n - 1)
+
+        def score(*m):
+            scored[0] += math.prod(np.broadcast_shapes(*(a.shape for a in m)))
+            i = strip(m[0])
+            inside = (bounds[i, 0] <= m[1]) & (m[1] < bounds[i, 1])
+            return np.where(inside, table[tuple(strip(a) for a in m)], np.inf)
+
+        def window(rows, cols):
+            lo, hi = bounds[np.unique(strip(rows))].T
+            some = lo < hi
+            # No interval in the block: lo past hi, an empty window.
+            return (int(np.searchsorted(cols, np.min(lo, where=some,
+                                                     initial=1.0))),
+                    int(np.searchsorted(cols, np.max(hi, where=some,
+                                                     initial=0.0))))
+
+        return score, window, scored
+
+    @pytest.mark.parametrize("kind", ["random", "flat", "empty"])
+    @pytest.mark.parametrize("sizes", [(9, 11), (6, 7, 5)])
+    def test_grid_search_same_result_at_every_chunk_size(self, sizes, kind,
+                                                          monkeypatch):
+        specs = [GridSpec(0.0, 1.0, n) for n in sizes]
+        for seed in range(8):
+            score, window, scored = self._problem(
+                np.random.default_rng(seed), len(sizes), kind)
+            skipped = 0
+            for chunk in range(1, math.prod(sizes) + 1):
+                monkeypatch.setattr(oracle, "_CHUNK", chunk)
+                scored[0] = 0
+                want = _result(oracle._grid_search, score, specs)
+                whole = scored[0]
+                scored[0] = 0
+                got = _result(oracle._grid_search, score, specs, window)
+                assert got == want, (seed, chunk)
+                skipped += whole - scored[0]
+                if kind == "empty":
+                    assert got.startswith("EmptyFeasibleError")
+                    assert scored[0] == 0
+            assert skipped > 0
+
+    @pytest.mark.parametrize("kind", ["random", "flat", "empty"])
+    def test_refine_same_result(self, kind, monkeypatch):
+        specs = [GridSpec(0.0, 1.0, 23), GridSpec(0.0, 1.0, 19),
+                 GridSpec(0.0, 1.0, 5)]
+        for seed in range(8):
+            for dims in (2, 3):
+                score, window, _ = self._problem(
+                    np.random.default_rng(seed), dims, kind)
+                for chunk in (1, 19, 64, 23 * 19 * 5):
+                    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+                    for passes in (0, 1, 3):
+                        args = (score, specs[:dims], passes)
+                        assert (_result(oracle._refine, *args, window)
+                                == _result(oracle._refine, *args))
 
 
 class TestGtSum:
@@ -548,6 +643,164 @@ class TestMeshOraclesMatchReference:
             want = old(unravel_chunk_points(axes, 0, math.prod(shape)))
             assert got.tobytes() == want.tobytes()
             assert np.isfinite(got).any()
+
+
+def _first_search(monkeypatch, solver, cfg, state, **kwargs):
+    """The score, grid and column window an oracle hands its first
+    refined search; the search itself does not run."""
+    def capture(score, specs, passes, window=None):
+        raise _FirstScore(score, specs, window)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_refine", capture)
+        with pytest.raises(_FirstScore) as caught:
+            getattr(oracle, solver)(cfg, state, **kwargs)
+    return caught.value.args
+
+
+def _assert_window_sound(score, specs, window):
+    """Every grid point that scores finite lies inside its block's column
+    window, for blocks of one leading row, of the search's own size and of
+    the whole grid.  Returns the share of the grid the search's own blocks
+    leave out."""
+    axes = [np.linspace(s.lower, s.upper, s.points) for s in specs]
+    lead, *later = np.ix_(*axes)
+    rows, cols, *rest = (a.size for a in axes)
+    step = max(1, oracle._CHUNK // (cols * math.prod(rest)))
+    # Whether any point of a (row, column) pair scores finite.
+    finite = np.concatenate([
+        np.isfinite(np.broadcast_to(score(lead[r:r + step], *later),
+                                    (lead[r:r + step].size, cols, *rest)))
+        .reshape(-1, cols, math.prod(rest)).any(axis=2)
+        for r in range(0, rows, step)])
+    assert finite.any()
+    left_out = 0
+    for block in (1, step, rows):
+        for r0 in range(0, rows, block):
+            lo, hi = window(axes[0][r0:r0 + block], axes[1])
+            live = np.flatnonzero(finite[r0:r0 + block].any(axis=0))
+            assert live.size == 0 or lo <= live[0] and live[-1] < hi, (
+                block, r0, lo, hi, live[0], live[-1])
+            if block == step:
+                left_out += (min(block, rows - r0)
+                             * (cols - max(hi - lo, 0)))
+    return left_out / (rows * cols)
+
+
+WINDOWED = ("oracle_power_bandwidth", "oracle_altitude_beamwidth",
+            "oracle_location")
+
+
+def _shifted(cfg, state, offset):
+    """The instance with the GTs and the UAV moved by ``offset`` m in x
+    and y."""
+    x, y = state.placement.uav_xy
+    cfg = replace(cfg, gt_positions=tuple((gx + offset, gy + offset)
+                                          for gx, gy in cfg.gt_positions))
+    return cfg, replace(state, placement=replace(
+        state.placement, uav_xy=(x + offset, y + offset)))
+
+
+class TestOracleWindowsSound:
+    """The column windows of the power/bandwidth, altitude/beamwidth and
+    location oracles leave out only columns that score +inf, on every
+    block of the grid the oracle's first search walks."""
+
+    @pytest.mark.parametrize("start_seed", [100, 200])
+    def test_benchmark_draws(self, start_seed, monkeypatch):
+        # The benchmark's oracle_instances(1) and (2), at default sizes;
+        # the windows leave out most of what scores +inf (about half of
+        # each power and location grid, a fifth of each altitude grid).
+        for cfg, state in feasible_instances(4, start_seed=start_seed):
+            left_out = {name: _assert_window_sound(*_first_search(
+                monkeypatch, name, cfg, state)) for name in WINDOWED}
+            assert left_out["oracle_power_bandwidth"] > 0.45
+            assert left_out["oracle_altitude_beamwidth"] > 0.15
+            assert left_out["oracle_location"] > 0.45
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_feasible_instances(self, offset, monkeypatch):
+        for cfg, state in feasible_instances(5):
+            cfg, state = _shifted(cfg, state, offset)
+            for name in WINDOWED:
+                _assert_window_sound(*_first_search(
+                    monkeypatch, name, cfg, state, points=1001))
+
+    @pytest.mark.parametrize("num_gts, points", [(3, 40), (9, 3)])
+    def test_power_grids_of_more_gts(self, num_gts, points, monkeypatch):
+        for cfg, state in feasible_instances(2, num_gts=num_gts):
+            ample = replace(cfg, uav_power_budget=1e300)
+            _assert_window_sound(*_first_search(
+                monkeypatch, "oracle_power_bandwidth", ample, state,
+                points=points))
+
+    def test_latency_disk_ulps_from_a_grid_point(self, monkeypatch):
+        # GT 1's latency disk cuts GT 0's, whose bounding box alone sets
+        # the grid.  GT 1's power is bisected down to adjacent doubles
+        # between which a grid point at its disk's edge turns feasible,
+        # where the latency tolerance, not the radius the grid is built
+        # from, decides.
+        cfg, state = feasible_instances(1)[0]
+        x0, y0 = cfg.gt_positions[0]
+        cfg = replace(cfg, gt_positions=((x0, y0), (x0 + 50.0, y0 + 50.0)))
+        h = state.placement.altitude
+        theta = math.atan(400.0 / h)  # both disks latency-bound
+        state = replace(state, placement=replace(state.placement,
+                                                 half_beamwidth=theta))
+        slack, bits, bw, _ = oracle._hop_terms(cfg, state)
+
+        def power(k, radius):
+            snr = 2.0 ** (bits[k] / (bw[k] * slack[k])) - 1.0
+            return ((radius ** 2 + h * h) * theta * theta * bw[k]
+                    * cfg.noise_psd * snr
+                    / (cfg.antenna_gain_const * cfg.ref_channel_gain))
+
+        def search(p1):
+            al = replace(state.allocation, power=(power(0, 100.0), p1))
+            return _first_search(monkeypatch, "oracle_location", cfg,
+                                 replace(state, allocation=al), points=201)
+
+        _, specs, _ = search(power(1, 160.0))
+        x, y = np.ix_(*(np.linspace(s.lower, s.upper, s.points)
+                        for s in specs))
+        to_gt1 = np.sqrt((x - x0 - 50.0) ** 2 + (y - y0 - 50.0) ** 2)
+        inside = (x - x0) ** 2 + (y - y0) ** 2 < 95.0 ** 2
+        i, j = np.unravel_index(np.argmin(np.where(
+            inside, np.abs(to_gt1 - 160.0), np.inf)), to_gt1.shape)
+
+        def feasible(p1):
+            score, grid, _ = search(p1)
+            assert grid == specs
+            return bool(np.isfinite(score(x[i:i + 1], y[:, j:j + 1])).all())
+
+        lo = power(1, to_gt1[i, j]) * (1.0 - 1e-9)
+        hi = power(1, to_gt1[i, j]) * (1.0 + 1e-9)
+        assert not feasible(lo) and feasible(hi)
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if feasible(mid) else (mid, hi)
+        for p1 in (lo, hi):
+            for _ in range(3):
+                _assert_window_sound(*search(p1))
+                p1 = np.nextafter(p1, 2.0 * p1 - 0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("name", ["oracle_ratio", "oracle_power_bandwidth",
+                                  "oracle_altitude_beamwidth",
+                                  "oracle_location"])
+def test_one_oracle_call_peaks_under_4_mb(name):
+    # The benchmark's four oracles at their default sizes on its first
+    # draw: blocks of _CHUNK points keep each temporary at 256 KiB, where
+    # blocks of 2^19 points peaked at 12.5-29.9 MB.
+    cfg, state = feasible_instances(1, start_seed=100)[0]
+    args = (_own_segments(cfg, state),) if name == "oracle_ratio" else ()
+    tracemalloc.start()
+    try:
+        getattr(oracle, name)(cfg, state, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 class TestRefineMinimize:
