@@ -16,7 +16,12 @@ in the order a per-point evaluation uses; the score is the objective,
 +inf wherever a constraint fails.  An oracle whose constraints bound the
 second axis also hands the search a column window per block, and only
 the block's columns inside it are scored; every column it leaves out
-scores +inf, so the result is that of scoring the whole grid.  Ties
+scores +inf.  The ratio, CPU and power/bandwidth energies are sums of
+per-GT terms of one axis each, so those oracles also hand the search a
+column bound: once a point has scored finite, a column whose bound lies
+above the running minimum is left out, and a bound is sound when it is
+at most every finite score of its column over the block.  With sound
+windows and bounds the result is that of scoring the whole grid.  Ties
 break toward the lowest grid index in row-major order.  Sums over GTs
 (``_gt_sum``) round exactly as ``np.sum`` over a row does.
 """
@@ -64,6 +69,19 @@ _WINDOW_PAD_CELLS = 2
 # NumPy sums a row shorter than this left to right from 0.0; from this
 # width on it sums pairwise, which column arithmetic does not reproduce.
 _SEQUENTIAL_SUM_WIDTH = 8
+# Relative margin of a separable score's column bound (_separable_bound).
+# The bound adds the score's own per-GT terms, each at its least over the
+# block, by the score's own operations; IEEE rounding is monotone, so the
+# bound cannot exceed the score when both round each term alike, and the
+# margin stands for any difference between the two.  Let M be the score's
+# sum of terms with every term by its absolute value.  A sum of n terms
+# rounds at most n - 1 times along any path (fewer when np.sum pairs them,
+# from _SEQUENTIAL_SUM_WIDTH terms on), and combining the sums and their
+# constant factors at most 9 more, each by a relative u = 2^-53, so the
+# score's rounding is at most (n + 8) u M.  A grid of n axes has at least
+# 2^n points, so a grid that can be searched has n < 64 and the rounding
+# is below 72 u M < 8e-15 M; 1e-12 M is over 100 times that.
+_BOUND_MARGIN = 1e-12
 
 
 class OracleSizeError(ValueError):
@@ -133,7 +151,7 @@ def _on_points(objective, feasible=None):
     return score
 
 
-def _grid_search(score, specs: Sequence[GridSpec], window=None):
+def _grid_search(score, specs: Sequence[GridSpec], window=None, lower=None):
     """Exact minimum of a mesh ``score`` over the cartesian grid of
     ``specs``.
 
@@ -151,9 +169,20 @@ def _grid_search(score, specs: Sequence[GridSpec], window=None):
     in that block; the search scores only ``cols[lo:hi]`` of the block
     (the same open mesh, second axis sliced) and skips a block whose
     window is empty.  A window is sound when every column it leaves out
-    scores +inf or NaN on every row of the block; then the point, the
-    value, the tie-break and :class:`EmptyFeasibleError` are those of
-    the whole grid."""
+    scores +inf or NaN on every row of the block.
+
+    ``lower(rows, cols, *later)``, given a block's leading-axis values,
+    some of the second axis's values and every later axis, returns one
+    value per column: a bound no greater than any score of that column
+    over the block.  Once a point has scored finite, the search scores
+    only the run of columns from the first to the last whose bound is not
+    above the running minimum ``best_val``, inside the window, and skips
+    a block with no such column.  A bound is sound when it is at most
+    every finite score of its column; a column left out then holds no
+    point that could beat or tie ``best_val``, and a NaN bound leaves its
+    column in.  With sound windows and bounds the point, the value, the
+    tie-break and :class:`EmptyFeasibleError` are those of the whole
+    grid."""
     axes = [np.linspace(s.lower, s.upper, s.points) for s in specs]
     lead, *later = np.ix_(*axes)
     sizes = [a.size for a in axes]
@@ -163,8 +192,15 @@ def _grid_search(score, specs: Sequence[GridSpec], window=None):
     for r0 in range(0, sizes[0], step):
         mesh = [lead[r0:r0 + step], *later]
         lo = 0
-        if window is not None:
-            lo, hi = window(axes[0][r0:r0 + step], axes[1])
+        if window is not None or lower is not None:
+            rows = axes[0][r0:r0 + step]
+            lo, hi = (0, sizes[1]) if window is None else window(rows, axes[1])
+            if lower is not None and best_val < math.inf and lo < hi:
+                live = np.flatnonzero(~(lower(rows, axes[1][lo:hi], *axes[2:])
+                                        > best_val))
+                if live.size == 0:
+                    continue
+                lo, hi = lo + int(live[0]), lo + int(live[-1]) + 1
             if hi <= lo:
                 continue
             mesh[1] = later[0][:, lo:hi]
@@ -211,10 +247,11 @@ def refine_minimize(objective, specs: Sequence[GridSpec], feasible=None,
     return _refine(_on_points(objective, feasible), specs, passes)
 
 
-def _refine(score, specs: Sequence[GridSpec], passes: int, window=None):
+def _refine(score, specs: Sequence[GridSpec], passes: int, window=None,
+            lower=None):
     """:func:`refine_minimize` of a mesh ``score``, each search with the
-    column ``window`` (:func:`_grid_search`)."""
-    point, value = _grid_search(score, specs, window)
+    column ``window`` and bound ``lower`` (:func:`_grid_search`)."""
+    point, value = _grid_search(score, specs, window, lower)
     width = [s.cell for s in specs]
     cells = list(width)
     for _ in range(passes):
@@ -226,7 +263,7 @@ def _refine(score, specs: Sequence[GridSpec], passes: int, window=None):
                 lo, hi = specs[d].lower, specs[d].upper
             zoom.append(GridSpec(lo, hi, specs[d].points))
         try:
-            p2, v2 = _grid_search(score, zoom, window)
+            p2, v2 = _grid_search(score, zoom, window, lower)
         except EmptyFeasibleError:
             break
         for d, s in enumerate(zoom):
@@ -446,6 +483,28 @@ def _columns(cols, lower, upper):
             int(np.searchsorted(cols, upper + pad, "right")))
 
 
+def _separable_bound(term, total):
+    """Column bound ``lower`` (:func:`_grid_search`) of a score that is
+    ``total(terms)`` where feasible: ``terms`` holds one array per GT, in
+    GT order, and ``term(k, x)`` gives GT k's terms at the values ``x`` of
+    its own axis (along the last axis) by the score's own arithmetic.
+
+    A column's bound totals the leading GT's least terms over the block's
+    rows, the column's own terms and every later GT's least terms over its
+    axis, less ``_BOUND_MARGIN`` times the total of their absolute values.
+    It is sound when ``total`` only adds terms and scales them by factors
+    of at least 0, so that it never falls when a term rises."""
+    def least(k, x):
+        return np.min(term(k, x), axis=-1, keepdims=True)
+
+    def lower(rows, cols, *later):
+        terms = [least(0, rows), term(1, cols),
+                 *(least(k, a) for k, a in enumerate(later, 2))]
+        return (total(terms)
+                - _BOUND_MARGIN * total([np.abs(t) for t in terms]))
+    return lower
+
+
 def _ug_rate_vec(cfg: ScenarioConfig, d2, theta, b, p):
     snr = (cfg.antenna_gain_const * cfg.ref_channel_gain * p
            / (d2 * theta * theta * b * cfg.noise_psd))
@@ -526,32 +585,59 @@ def oracle_ratio(cfg: ScenarioConfig, state, chosen_segments,
     sent, kept, forwarded = a_s + a_u, 1 - a_s - a_u, 1 - a_s
     f2, uav_time = f ** 2, kappa * a_u
 
-    def pieces(*rho):
-        """Overheads, satellite overhead sum, shared satellite transmit
-        time, per-GT downlink time and the total energy."""
-        over = [slope[k] * rho[k] + intercept[k] for k in gts]
-        t_ug = [data[k] * (sent[k] * rho[k] + kept[k]) / rate[k] for k in gts]
-        sat_over = _gt_sum([a_s[k] * over[k] for k in gts])
-        t_tx = _gt_sum([(a_s[k] * rho[k] + forwarded[k]) * data[k]
-                        for k in gts]) / r_su
+    def own(k, r):
+        """GT k's overhead and downlink time at its ratio ``r``."""
+        return (slope[k] * r + intercept[k],
+                data[k] * (sent[k] * r + kept[k]) / rate[k])
+
+    def share(i, k, r, over, t_ug):
+        """GT k's share, at its ratio, overhead and downlink time, of the
+        satellite overhead (i = 0), the satellite link's bits (1), the UAV
+        compute energy (2) or the downlink energy (3)."""
+        return (a_s[k] * over if i == 0
+                else (a_s[k] * r + forwarded[k]) * data[k] if i == 1
+                else a_u[k] * over * f2[k] if i == 2
+                else p[k] * t_ug)
+
+    def energy(share_of):
+        """Total energy, satellite overhead sum and shared satellite
+        transmit time of the shares ``share_of(i, k)``, one sum at a time
+        so that a block holds few temporaries at once."""
+        sat_over = _gt_sum([share_of(0, k) for k in gts])
+        t_tx = _gt_sum([share_of(1, k) for k in gts]) / r_su
         e_sat = tau * kappa * cfg.sat_cpu ** 2 * sat_over
         e_su = t_tx * cfg.sat_tx_power
-        e_uav = tau * kappa * _gt_sum([a_u[k] * over[k] * f2[k] for k in gts])
-        e_ug = _gt_sum([p[k] * t_ug[k] for k in gts])
-        return over, sat_over, t_tx, t_ug, e_sat + e_su + e_uav + e_ug
+        e_uav = tau * kappa * _gt_sum([share_of(2, k) for k in gts])
+        e_ug = _gt_sum([share_of(3, k) for k in gts])
+        return e_sat + e_su + e_uav + e_ug, sat_over, t_tx
+
+    def pieces(*rho):
+        """Each GT's ratio, overhead and downlink time, the total energy,
+        the satellite overhead sum and the shared transmit time."""
+        terms = [(r, *own(k, r)) for k, r in enumerate(rho)]
+        return (terms, *energy(lambda i, k: share(i, k, *terms[k])))
 
     def objective(*rho):
-        return pieces(*rho)[-1]
+        return pieces(*rho)[1]
 
     def score(*rho):
-        over, sat_over, t_tx, t_ug, energy = pieces(*rho)
+        terms, total, sat_over, t_tx = pieces(*rho)
         t_shared = kappa * sat_over / cfg.sat_cpu + t_tx + t_prop
         ok = reduce(np.logical_and, [
-            t_shared + uav_time[k] * over[k] / f_safe[k] + t_ug[k]
-            <= cfg.latency_budget * (1.0 + _FEAS_TOL) for k in gts])
-        return np.where(ok, energy, np.inf)
+            t_shared + uav_time[k] * over / f_safe[k] + t_ug
+            <= cfg.latency_budget * (1.0 + _FEAS_TOL)
+            for k, (_, over, t_ug) in enumerate(terms)])
+        return np.where(ok, total, np.inf)
 
-    point, value, cell = _refine(score, specs, passes)
+    def shares(k, r):
+        """GT k's four shares at the ratios ``r``, stacked."""
+        terms = (r, *own(k, r))
+        return np.stack([share(i, k, *terms) for i in range(4)])
+
+    lower = _separable_bound(
+        shares, lambda terms: energy(lambda i, k: terms[k][i])[0])
+    point, value, cell = _refine(score, specs, passes,
+                                 lower=lower if n > 1 else None)
     return OracleSolution(point, value, _evaluate_with(objective), cell)
 
 
@@ -576,8 +662,11 @@ def oracle_cpu(cfg: ScenarioConfig, state, points: int = 400,
              for _ in active]
     cycles, limit = kappa * ov, base * (1.0 + _FEAS_TOL)
 
+    def total(terms):
+        return tau * kappa * _gt_sum(terms)
+
     def objective(*f):
-        return tau * kappa * _gt_sum([o * x ** 2 for o, x in zip(ov, f)])
+        return total([o * x ** 2 for o, x in zip(ov, f)])
 
     def score(*f):
         ok = reduce(np.logical_and,
@@ -585,7 +674,9 @@ def oracle_cpu(cfg: ScenarioConfig, state, points: int = 400,
                     + [_gt_sum(f) <= cfg.uav_cpu_total * (1.0 + _FEAS_TOL)])
         return np.where(ok, objective(*f), np.inf)
 
-    point, value, cell = _refine(score, specs, passes)
+    lower = _separable_bound(lambda i, x: ov[i] * x ** 2, total)
+    point, value, cell = _refine(score, specs, passes,
+                                 lower=lower if len(active) > 1 else None)
     full = [0.0] * cfg.num_gts
     for i, k in enumerate(active):
         full[k] = point[i]
@@ -608,6 +699,9 @@ def oracle_power_bandwidth(cfg: ScenarioConfig, state, points: int = 2000,
     for k in range(n):
         t_u = (kappa * over[k] / al.cpu[k]) if al.task_uav[k] else 0.0
         slack[k] = cfg.latency_budget - t_sat - t_tx - t_prop - t_u
+        if not slack[k] > 0.0:
+            raise EmptyFeasibleError(f"GT {k}: no latency left for the "
+                                     "UAV-GT hop")
         demand[k] = cfg.data_bits[k] * eff[k] / slack[k]
         v[k] = (cfg.antenna_gain_const * cfg.ref_channel_gain
                 / (d2[k] * state.placement.half_beamwidth ** 2 * cfg.noise_psd))
@@ -621,24 +715,25 @@ def oracle_power_bandwidth(cfg: ScenarioConfig, state, points: int = 2000,
     def window(rows, cols):
         return _columns(cols, cols[0], room - rows.min())
 
-    def powers(*b):
-        return [x * (np.exp2(np.minimum(u / x, 600.0)) - 1.0) / g
-                for u, x, g in zip(demand, b, v)]
+    def power(k, x):
+        return x * (np.exp2(np.minimum(demand[k] / x, 600.0)) - 1.0) / v[k]
 
     def energy(pw):
         return _gt_sum([q * t for q, t in zip(pw, slack)])
 
     def objective(*b):
-        return energy(powers(*b))
+        return energy([power(k, x) for k, x in enumerate(b)])
 
     def score(*b):
-        pw = powers(*b)
+        pw = [power(k, x) for k, x in enumerate(b)]
         ok = ((_gt_sum(b) <= b_total * (1.0 + _FEAS_TOL))
               & (_gt_sum(pw) <= cfg.uav_power_budget * (1.0 + _FEAS_TOL)))
         return np.where(ok, energy(pw), np.inf)
 
+    lower = _separable_bound(lambda k, x: power(k, x) * slack[k], _gt_sum)
     point, value, cell = _refine(score, specs, passes,
-                                 window=window if n > 1 else None)
+                                 window=window if n > 1 else None,
+                                 lower=lower if n > 1 else None)
     return OracleSolution(point, value, _evaluate_with(objective), cell)
 
 

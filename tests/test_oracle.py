@@ -359,6 +359,88 @@ class TestColumnWindow:
                                 == _result(oracle._refine, *args))
 
 
+class TestColumnBound:
+    """A column bound no greater than any finite score of its column
+    changes no result of ``_grid_search`` or ``_refine``, at any block
+    size, with or without a column window."""
+
+    @staticmethod
+    def _problem(rng, dims, kind):
+        """``TestColumnWindow``'s problem and a column bound: the least
+        finite score of the column over the block and the later axes,
+        exact on some column strips, looser by a random amount on others
+        and NaN on a few.  In the "flat" kind about half the column strips
+        score 1 and the rest 0, so once a 0 is found the bound leaves out
+        the strips of 1, and every point it scores ties, the first of them
+        at an edge of the run of columns."""
+        score, window, scored = TestColumnWindow._problem(rng, dims, kind)
+        n = TestColumnWindow.STRIPS
+        loose = np.where(rng.random(n) < 0.5, 0.0, rng.random(n))
+        loose[rng.random(n) < 0.15] = np.nan
+        if kind == "flat":
+            high = (rng.random(n) < 0.5).astype(float)
+            inner = score
+
+            def score(*m):
+                return inner(*m) + high[np.minimum((m[1] * n).astype(int),
+                                                   n - 1)]
+
+        def lower(rows, cols, *later):
+            before = scored[0]
+            vals = np.broadcast_to(score(*np.ix_(rows, cols, *later)),
+                                   (rows.size, cols.size,
+                                    *(a.size for a in later)))
+            scored[0] = before
+            vals = np.where(np.isnan(vals), np.inf, vals)
+            least = np.moveaxis(vals, 1, 0).reshape(cols.size, -1).min(axis=1)
+            return least - loose[np.minimum((cols * n).astype(int), n - 1)]
+
+        return score, window, lower, scored
+
+    @pytest.mark.parametrize("kind", ["random", "flat", "empty"])
+    @pytest.mark.parametrize("sizes", [(9, 11), (6, 7, 5)])
+    def test_grid_search_same_result_at_every_chunk_size(self, sizes, kind,
+                                                          monkeypatch):
+        specs = [GridSpec(0.0, 1.0, n) for n in sizes]
+        skipped = 0
+        for seed in range(4):
+            score, window, lower, scored = self._problem(
+                np.random.default_rng(seed), len(sizes), kind)
+            for chunk in range(1, math.prod(sizes) + 1):
+                monkeypatch.setattr(oracle, "_CHUNK", chunk)
+                want = _result(oracle._grid_search, score, specs)
+                scored[0] = 0
+                _result(oracle._grid_search, score, specs, window)
+                windowed = scored[0]
+                scored[0] = 0
+                got = _result(oracle._grid_search, score, specs, window,
+                              lower)
+                assert got == want, (seed, chunk)
+                skipped += windowed - scored[0]
+                assert (_result(oracle._grid_search, score, specs, None,
+                                lower) == want), (seed, chunk)
+        if kind != "empty":
+            assert skipped > 0
+
+    @pytest.mark.parametrize("kind", ["random", "flat", "empty"])
+    def test_refine_same_result(self, kind, monkeypatch):
+        specs = [GridSpec(0.0, 1.0, 23), GridSpec(0.0, 1.0, 19),
+                 GridSpec(0.0, 1.0, 5)]
+        for seed in range(4):
+            for dims in (2, 3):
+                score, window, lower, _ = self._problem(
+                    np.random.default_rng(seed), dims, kind)
+                for chunk in (1, 19, 64, 23 * 19 * 5):
+                    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+                    for passes in (0, 1, 3):
+                        args = (score, specs[:dims], passes)
+                        want = _result(oracle._refine, *args)
+                        assert _result(oracle._refine, *args, window,
+                                       lower) == want
+                        assert _result(oracle._refine, *args, None,
+                                       lower) == want
+
+
 class TestGtSum:
     """``_gt_sum`` adds per-GT terms exactly as ``np.sum`` adds a row."""
 
@@ -645,17 +727,22 @@ class TestMeshOraclesMatchReference:
             assert np.isfinite(got).any()
 
 
-def _first_search(monkeypatch, solver, cfg, state, **kwargs):
-    """The score, grid and column window an oracle hands its first
-    refined search; the search itself does not run."""
-    def capture(score, specs, passes, window=None):
-        raise _FirstScore(score, specs, window)
+def _first_call(monkeypatch, solver, cfg, state, *args, **kwargs):
+    """The score, grid, column window and column bound an oracle hands its
+    first refined search; the search itself does not run."""
+    def capture(score, specs, passes, window=None, lower=None):
+        raise _FirstScore(score, specs, window, lower)
 
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_refine", capture)
         with pytest.raises(_FirstScore) as caught:
-            getattr(oracle, solver)(cfg, state, **kwargs)
+            getattr(oracle, solver)(cfg, state, *args, **kwargs)
     return caught.value.args
+
+
+def _first_search(monkeypatch, solver, cfg, state, **kwargs):
+    """The score, grid and column window of :func:`_first_call`."""
+    return _first_call(monkeypatch, solver, cfg, state, **kwargs)[:3]
 
 
 def _assert_window_sound(score, specs, window):
@@ -783,6 +870,123 @@ class TestOracleWindowsSound:
             for _ in range(3):
                 _assert_window_sound(*search(p1))
                 p1 = np.nextafter(p1, 2.0 * p1 - 0.5 * (lo + hi))
+
+
+def _assert_bound_sound(score, specs, lower):
+    """Every column's bound is at most every finite score of the column,
+    for blocks of one leading row, of the search's own size and of the
+    whole grid; a NaN bound leaves its column in, so it passes."""
+    axes = [np.linspace(s.lower, s.upper, s.points) for s in specs]
+    lead, *later = np.ix_(*axes)
+    rows, cols, *rest = (a.size for a in axes)
+    step = max(1, oracle._CHUNK // (cols * math.prod(rest)))
+
+    def check(r0, r1, least):
+        bound = lower(axes[0][r0:r1], axes[1], *axes[2:])
+        assert not np.any(bound > least), (r0, r1)
+
+    whole = np.full(cols, np.inf)
+    for r0 in range(0, rows, step):
+        block = lead[r0:r0 + step]
+        vals = np.broadcast_to(score(block, *later), (block.size, cols, *rest))
+        # Each (row, column) pair's least finite score over later axes.
+        least = np.where(np.isnan(vals), np.inf, vals).reshape(
+            block.size, cols, -1).min(axis=2)
+        for r in range(block.size):
+            check(r0 + r, r0 + r + 1, least[r])
+        check(r0, r0 + step, least.min(axis=0))
+        whole = np.minimum(whole, least.min(axis=0))
+    assert np.isfinite(whole).any()
+    check(0, rows, whole)
+
+
+SEPARABLE = ("oracle_ratio", "oracle_cpu", "oracle_power_bandwidth")
+
+
+def _segments_arg(name, cfg, state):
+    return (_own_segments(cfg, state),) if name == "oracle_ratio" else ()
+
+
+class TestOracleBoundsSound:
+    """The column bounds of the ratio, CPU and power/bandwidth oracles are
+    at most every finite score of their columns, on every block of the
+    grid the oracle's first search walks."""
+
+    @staticmethod
+    def _check(monkeypatch, cfg, state, **kwargs):
+        """Checks each separable oracle that hands its search a bound and
+        returns their names."""
+        bounded = set()
+        for name in SEPARABLE:
+            if name == "oracle_cpu" and not any(state.allocation.task_uav):
+                continue  # no search: no CPU share to choose
+            score, specs, _, lower = _first_call(
+                monkeypatch, name, cfg, state,
+                *_segments_arg(name, cfg, state), **kwargs)
+            if lower is not None:
+                _assert_bound_sound(score, specs, lower)
+                bounded.add(name)
+        return bounded
+
+    @pytest.mark.parametrize("start_seed", [100, 200])
+    def test_benchmark_draws(self, start_seed, monkeypatch):
+        # The benchmark's oracle_instances(1) and (2), at default sizes.
+        for cfg, state in feasible_instances(4, start_seed=start_seed):
+            assert {"oracle_ratio", "oracle_power_bandwidth"} <= self._check(
+                monkeypatch, cfg, state)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_feasible_instances(self, offset, monkeypatch):
+        for cfg, state in feasible_instances(5):
+            self._check(monkeypatch, *_shifted(cfg, state, offset),
+                        points=1001)
+
+    def test_uav_compressing_state(self, monkeypatch):
+        assert self._check(monkeypatch, *_uav_instance()) == set(SEPARABLE)
+
+    @pytest.mark.parametrize("num_gts, points", [(3, 40), (9, 3)])
+    def test_grids_of_more_gts(self, num_gts, points, monkeypatch):
+        # Nine GTs sum their terms in np.sum's pairwise order.
+        for cfg, state in feasible_instances(2, num_gts=num_gts):
+            ample = replace(cfg, uav_power_budget=1e300)
+            assert len(self._check(monkeypatch, ample, state,
+                                   points=points)) >= 2
+
+    def test_benchmark_draws_score_under_a_fifth(self, monkeypatch):
+        # Over the benchmark's 8 draws the bounds leave the ratio and the
+        # power/bandwidth searches about a tenth of their grid points.
+        counts = {name: [0, 0] for name in SEPARABLE}
+        search = oracle._grid_search
+
+        def counted(score, specs, window=None, lower=None):
+            def tally(*mesh):
+                counts[name][0] += math.prod(
+                    np.broadcast_shapes(*(m.shape for m in mesh)))
+                return score(*mesh)
+            counts[name][1] += math.prod(s.points for s in specs)
+            return search(tally, specs, window, lower)
+
+        monkeypatch.setattr(oracle, "_grid_search", counted)
+        for start_seed in (100, 200):
+            for cfg, state in feasible_instances(4, start_seed=start_seed):
+                for name in ("oracle_ratio", "oracle_power_bandwidth"):
+                    getattr(oracle, name)(cfg, state,
+                                          *_segments_arg(name, cfg, state))
+        for name in ("oracle_ratio", "oracle_power_bandwidth"):
+            scored, nominal = counts[name]
+            assert 0 < scored < 0.2 * nominal, (name, scored / nominal)
+
+
+def test_power_bandwidth_without_hop_slack_raises():
+    # GT 1's latency left for its UAV-GT hop is -1 ms, so no bandwidth
+    # meets its budget; the oracle used to return 1.03e-8 J from negative
+    # powers.
+    cfg, state = feasible_instances(1, start_seed=100)[0]
+    slack = oracle._hop_terms(cfg, state)[0]
+    cfg = replace(cfg, latency_budget=cfg.latency_budget - slack[1] - 1e-3)
+    assert oracle._hop_terms(cfg, state)[0][1] == pytest.approx(-1e-3)
+    with pytest.raises(EmptyFeasibleError, match="GT 1"):
+        oracle_power_bandwidth(cfg, state)
 
 
 @pytest.mark.parametrize("name", ["oracle_ratio", "oracle_power_bandwidth",
