@@ -242,7 +242,7 @@ def heatmap(scenario, grid_points, seed, out, opts) -> None:
     for x, e_row, f_row in zip(grid_x.tolist(), energy.tolist(),
                                feasible.tolist()):
         cell_x = _float_cell(x)
-        lines += [",".join([cell_x, cell_y, _float_cell(e), str(f).lower()])
+        lines += [f"{cell_x},{cell_y},{e:.12g},{'true' if f else 'false'}"
                   for cell_y, e, f in zip(cells_y, e_row, f_row)]
     _write_text(out, "\n".join(lines) + "\n")
     if not result.feasible:

@@ -29,6 +29,7 @@ __all__ = [
     "rate_sat_uav",
     "channel_gain_ug",
     "rate_uav_gt",
+    "rate_uav_gt_at",
     "effective_fraction",
     "latency_terms",
     "latency_breakdown",
@@ -159,8 +160,10 @@ class FeasibilityReport:
 _REL_TOL = 1e-9
 
 
-def _violated(slack, scale: float, rel_tol: float = _REL_TOL):
-    return slack < -rel_tol * max(abs(scale), 1e-30)
+def _satisfied(slack, scale: float, rel_tol: float = _REL_TOL):
+    """Whether ``slack`` (a float or an array) is at least ``-rel_tol``
+    times ``scale``; a NaN slack is not."""
+    return slack >= -rel_tol * max(abs(scale), 1e-30)
 
 
 def rate_sat_uav(cfg: ScenarioConfig) -> float:
@@ -191,6 +194,16 @@ def rate_uav_gt(cfg: ScenarioConfig, placement: Placement,
     theta = placement.half_beamwidth
     snr = cfg.antenna_gain_const * g_k * p_k / (theta * theta * b_k * cfg.noise_psd)
     return b_k * math.log2(1.0 + snr)
+
+
+def rate_uav_gt_at(cfg: ScenarioConfig, d2, theta, bandwidth, power):
+    """:func:`rate_uav_gt` at trial placements, elementwise over arrays
+    that broadcast: ``d2`` is the squared UAV-to-GT distance and ``theta``
+    the half-beamwidth.  numpy's ``log2`` may round differently from
+    ``math``'s in the last bit."""
+    snr = (cfg.antenna_gain_const * (cfg.ref_channel_gain / d2) * power
+           / (theta * theta * bandwidth * cfg.noise_psd))
+    return bandwidth * np.log2(1.0 + snr)
 
 
 def effective_fraction(a_sat: int, a_uav: int, rho: float) -> float:
@@ -286,7 +299,7 @@ def check_feasibility(cfg: ScenarioConfig, state: SolutionState,
     Slacks are signed: nonnegative slack means satisfied.  Several blocks
     make their constraint tight by construction (latency equalities,
     coverage at the beamwidth edge), so a slack is only flagged when it is
-    negative beyond ``rel_tol`` times the constraint's own scale.
+    negative beyond ``rel_tol`` times the constraint's own scale, or NaN.
     Constraint codes: latency, power_budget, coverage, altitude,
     bandwidth_budget, cpu_budget, ratio_bounds, task_binary,
     task_exclusive, beamwidth, nonnegativity.
@@ -297,7 +310,7 @@ def check_feasibility(cfg: ScenarioConfig, state: SolutionState,
 
     def check(cond_slack: float, code: str, gt: int | None = None,
               scale: float = 1.0):
-        if _violated(cond_slack, scale, rel_tol):
+        if not _satisfied(cond_slack, scale, rel_tol):
             out.append(ConstraintViolation(code=code, gt_index=gt, slack=cond_slack))
 
     for k in range(cfg.num_gts):
@@ -367,18 +380,15 @@ def downlink_energy_grid(cfg: ScenarioConfig, state: SolutionState,
     for k in range(cfg.num_gts):
         gx, gy = cfg.gt_positions[k]
         horizontal = np.hypot(px - gx, py - gy)
-        feasible &= ~_violated(cover - horizontal, cover)
+        feasible &= _satisfied(cover - horizontal, cover)
         # latency_terms above raised unless power and bandwidth are
         # positive, so only a vanishing per-cell rate is left to reject.
         d = np.hypot(horizontal, pl.altitude)
-        g_k = cfg.ref_channel_gain / (d * d)
-        snr = (cfg.antenna_gain_const * g_k * al.power[k]
-               / (theta * theta * al.bandwidth[k] * cfg.noise_psd))
-        r_k = al.bandwidth[k] * np.log2(1.0 + snr)
+        r_k = rate_uav_gt_at(cfg, d * d, theta, al.bandwidth[k], al.power[k])
         if np.any(r_k <= 0.0):
             raise ModelError(f"GT {k}: zero UAV-GT rate with positive data")
         t_ug = terms.bits[k] / r_k
         energy += t_ug * al.power[k]
         total = shared + terms.t_uav[k] + t_ug
-        feasible &= ~_violated(cfg.latency_budget - total, cfg.latency_budget)
+        feasible &= _satisfied(cfg.latency_budget - total, cfg.latency_budget)
     return energy, feasible

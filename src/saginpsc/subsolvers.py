@@ -21,8 +21,8 @@ from .physics import (
     ModelError,
     SolutionState,
     channel_gain_ug,
-    effective_fraction,
     latency_terms,
+    rate_uav_gt_at,
     total_energy,
 )
 from .scenario import ScenarioConfig
@@ -291,11 +291,25 @@ def _keep_incumbent(adapter, primal, feasible, incumbent, opts: SolverOptions):
     return primal, feasible
 
 
+class _StateAdapter:
+    """Scores a primal by the state ``state_of(primal)`` it stands for:
+    the residuals are its GTs' normalized latency excesses and the
+    objective its total energy."""
+
+    def residuals(self, primal):
+        terms = latency_terms(self.cfg, self.state_of(primal))
+        t = self.cfg.latency_budget
+        return (np.array(terms.total) - t) / t
+
+    def objective(self, primal):
+        return total_energy(self.cfg, self.state_of(primal))
+
+
 # ---------------------------------------------------------------------------
 # Block 1: compression-site assignment (satellite / UAV / none)
 
 
-class _TaskAdapter:
+class _TaskAdapter(_StateAdapter):
     """Primal: ``(task_sat, task_uav)``.  Each GT's Lagrangian is linear in
     its assignment, so the tables ``obj`` and ``lat`` hold per GT the
     option columns none (0), satellite and UAV, and the least option wins;
@@ -337,19 +351,11 @@ class _TaskAdapter:
         return (tuple((choice == 1).astype(int).tolist()),
                 tuple((choice == 2).astype(int).tolist()))
 
-    def _with_assignment(self, primal) -> SolutionState:
+    def state_of(self, primal) -> SolutionState:
         task_sat, task_uav = primal
         al = replace(self.state.allocation,
                      task_sat=tuple(task_sat), task_uav=tuple(task_uav))
         return replace(self.state, allocation=al)
-
-    def residuals(self, primal):
-        terms = latency_terms(self.cfg, self._with_assignment(primal))
-        t = self.cfg.latency_budget
-        return (np.array(terms.total) - t) / t
-
-    def objective(self, primal):
-        return total_energy(self.cfg, self._with_assignment(primal))
 
 
 def solve_task_allocation(cfg: ScenarioConfig, state: SolutionState,
@@ -373,9 +379,10 @@ def solve_task_allocation(cfg: ScenarioConfig, state: SolutionState,
 # Block 2a: overhead-segment selection at segment midpoints
 
 
-class _SegmentAdapter:
-    """Primal: the chosen 0-based segment per GT.  The tables ``obj`` and
-    ``lat`` hold each GT's row of midpoint scores; rows of curves with
+class _SegmentAdapter(_StateAdapter):
+    """Primal: the chosen 0-based segment per GT, scored as the state with
+    each GT's ratio at its chosen segment's midpoint.  The tables ``obj``
+    and ``lat`` hold each GT's row of midpoint scores; rows of curves with
     fewer segments are padded with +inf, and ``argmin`` keeps the first
     minimum, so ties resolve to the shallowest segment."""
 
@@ -383,7 +390,6 @@ class _SegmentAdapter:
                  terms: LatencyTerms):
         self.cfg = cfg
         self.state = state
-        self.p = terms
         self.num_multipliers = cfg.num_gts
         self.mids = [
             [cfg.overhead_curves[k].midpoint(d)
@@ -420,35 +426,10 @@ class _SegmentAdapter:
     def primal_of(self, choice):
         return tuple(choice.tolist())
 
-    def _terms(self, chosen):
-        """Midpoint-approximated shared and per-GT latency terms."""
-        cfg, al, p = self.cfg, self.state.allocation, self.p
-        kappa = cfg.cycles_per_overhead
-        t_sat = 0.0
-        t_tx = 0.0
-        per_gt = []
-        for k, d in enumerate(chosen):
-            curve = cfg.overhead_curves[k]
-            mid = self.mids[k][d]
-            o_mid = curve.evaluate_on(mid, d)
-            a_s, a_u = al.task_sat[k], al.task_uav[k]
-            t_sat += kappa * a_s * o_mid / cfg.sat_cpu
-            t_tx += cfg.data_bits[k] * (a_s * mid + (1 - a_s)) / p.r_su
-            t_u = kappa * a_u * o_mid / al.cpu[k] if a_u else 0.0
-            t_ug = cfg.data_bits[k] * effective_fraction(a_s, a_u, mid) / p.rate[k]
-            per_gt.append((t_u, t_ug))
-        return t_sat, t_tx, per_gt
-
-    def residuals(self, chosen):
-        t_sat, t_tx, per_gt = self._terms(chosen)
-        t = self.cfg.latency_budget
-        return np.array([
-            (t_sat + t_tx + self.p.t_prop + t_u + t_ug - t) / t
-            for t_u, t_ug in per_gt
-        ])
-
-    def objective(self, chosen):
-        return sum(self.obj[k, d] for k, d in enumerate(chosen))
+    def state_of(self, chosen) -> SolutionState:
+        ratio = tuple(mids[d] for mids, d in zip(self.mids, chosen))
+        al = replace(self.state.allocation, ratio=ratio)
+        return replace(self.state, allocation=al)
 
 
 def select_segments(cfg: ScenarioConfig, state: SolutionState,
@@ -794,59 +775,53 @@ def solve_power_bandwidth(cfg: ScenarioConfig, state: SolutionState,
 # Block 5: altitude and half-beamwidth
 
 
-def _downlink_objective(cfg: ScenarioConfig, al, bits, positions, uav_xy,
-                        altitude, theta, slacks):
-    """UAV-to-GT communication energy at a trial (altitude, beamwidth),
-    or (inf, False) when some GT misses its latency slack."""
-    total = 0.0
-    for k in range(cfg.num_gts):
-        dx = uav_xy[0] - positions[k][0]
-        dy = uav_xy[1] - positions[k][1]
-        d2 = dx * dx + dy * dy + altitude * altitude
-        g_k = cfg.ref_channel_gain / d2
-        snr = (cfg.antenna_gain_const * g_k * al.power[k]
-               / (theta * theta * al.bandwidth[k] * cfg.noise_psd))
-        r_k = al.bandwidth[k] * math.log2(1.0 + snr)
-        if r_k <= 0.0 or bits[k] / r_k > slacks[k] * _TIGHT_BOUNDARY:
-            return math.inf, False
-        total += al.power[k] * bits[k] / r_k
-    return total, True
+# GTs in the first step of the beamwidth block's walk; each next step
+# takes twice as many (see ``_hop_scores``).
+_HOP_BLOCK = 16
 
 
-# numpy's tan and log2 may round differently from math's in the last bits,
-# which moves the pre-test's rate a few ulps from ``_downlink_objective``'s.
-# The relative margin covers that; the absolute one (in bits per Hz)
-# covers the rounding of 1 + snr, whose gap is absolute when snr is tiny.
-_PRETEST_MARGIN = 1e-9
-_PRETEST_LOG2_SLACK = 1e-12
+def _hop_scores(cfg: ScenarioConfig, al, bits, slacks, uav_xy, altitudes,
+                thetas):
+    """UAV-to-GT energy at each trial ``(altitudes[i], thetas[i])``.
 
-
-def _latency_survivors(cfg: ScenarioConfig, al, bits, positions, uav_xy,
-                       altitudes, thetas, slacks) -> np.ndarray:
-    """Indices, in order, of the trial (altitude, beamwidth) pairs that may
-    pass ``_downlink_objective``'s latency test; every dropped pair fails
-    it.
-
-    The pairs are tested against one GT at a time over the shrinking set
-    that passed every GT so far, and the walk stops once that set is
-    empty.  A pair is dropped only when its rate, raised by the pre-test
-    margins, still misses the latency slack; a NaN rate drops nothing.
+    Returns ``(admitted, energy)``: the indices, in order, of the trials
+    at which every GT gets a positive rate ``r`` with ``bits / r`` within
+    its latency slack (times ``_TIGHT_BOUNDARY``), and each one's sum of
+    ``(p * bits) / r`` in GT order.  The GTs are taken in blocks of
+    ``_HOP_BLOCK``, then twice as many each step, over the shrinking set
+    of trials that met every GT so far: most trials fail within the first
+    GTs, and doubling keeps the steps over the few left (often only the
+    incumbent) to about ``log2(K / _HOP_BLOCK)``.  The block's
+    energies of the trials that meet all its GTs are added to their
+    running sums by one sequential ``np.add.accumulate``.
     """
-    keep = np.arange(thetas.size)
-    for k in range(cfg.num_gts):
-        dx = uav_xy[0] - positions[k][0]
-        dy = uav_xy[1] - positions[k][1]
-        h = altitudes[keep]
-        theta = thetas[keep]
-        d2 = dx * dx + dy * dy + h * h
-        snr = (cfg.antenna_gain_const * (cfg.ref_channel_gain / d2)
-               * al.power[k] / (theta * theta * al.bandwidth[k] * cfg.noise_psd))
-        r = al.bandwidth[k] * (np.log2(1.0 + snr) + _PRETEST_LOG2_SLACK)
-        limit = slacks[k] * _TIGHT_BOUNDARY * (1.0 + _PRETEST_MARGIN)
-        keep = keep[~(bits[k] > limit * r)]
-        if keep.size == 0:
-            break
-    return keep
+    xs = np.array([pos[0] for pos in cfg.gt_positions])
+    ys = np.array([pos[1] for pos in cfg.gt_positions])
+    dx = uav_xy[0] - xs
+    dy = uav_xy[1] - ys
+    horizontal2 = (dx * dx + dy * dy)[:, None]
+    bw = np.array(al.bandwidth)[:, None]
+    pw = np.array(al.power)[:, None]
+    data = np.array(bits)[:, None]
+    load = pw * data
+    limit = np.array(slacks)[:, None] * _TIGHT_BOUNDARY
+    admitted = np.arange(thetas.size)
+    energy = np.zeros((1, thetas.size))
+    lo, width = 0, _HOP_BLOCK
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while lo < cfg.num_gts:
+            ks = slice(lo, lo + width)
+            lo, width = lo + width, 2 * width
+            h = altitudes[admitted]
+            r = rate_uav_gt_at(cfg, horizontal2[ks] + h * h, thetas[admitted],
+                               bw[ks], pw[ks])
+            met = ~((r <= 0.0) | (data[ks] / r > limit[ks])).any(axis=0)
+            admitted = admitted[met]
+            terms = np.concatenate((energy[:, met], load[ks] / r[:, met]))
+            energy = np.add.accumulate(terms)[-1:]
+            if admitted.size == 0:
+                break
+    return admitted, energy[0]
 
 
 def solve_altitude_beamwidth(cfg: ScenarioConfig, state: SolutionState,
@@ -854,20 +829,14 @@ def solve_altitude_beamwidth(cfg: ScenarioConfig, state: SolutionState,
     """Optimize UAV altitude and half-beamwidth with everything else fixed.
 
     The altitude is pinned to ``max(H_min, L_max / tan(theta))`` (raising
-    it further only hurts), which splits the search into the minimum-
-    altitude case (beamwidth as small as coverage allows, accepted when a
-    closed-form latency test passes) and a one-dimensional beamwidth
-    sweep along the coverage-tight curve.  Returns ``(altitude, theta)``.
-
-    The sweep is filter-first (``_latency_survivors``): one numpy pass per
-    GT drops the beamwidths whose latency test must fail, and only the
-    rest are scored by the unchanged scalar ``_downlink_objective``.  The
-    pre-test's numpy ``tan``/``log2`` can differ from ``math``'s in the
-    last bits, so it drops a beamwidth only when the rate raised by a
-    1e-9 relative margin (plus 1e-12 bit/s/Hz for the rounding of
-    ``1 + snr``) still misses the slack, far past any such gap; a
-    dropped beamwidth is one the scalar test rejects, so the candidates,
-    their order and the first-minimum tie-break are unchanged.
+    it further only hurts), which leaves a one-dimensional beamwidth
+    search.  The trials are the incumbent beamwidth (while admissible, so
+    the block never worsens the state), the smallest beamwidth covering
+    every GT from the minimum altitude, and a sweep along the
+    coverage-tight curve within the altitude range.  ``_hop_scores``
+    scores them all in one pass, and the first least admitted trial wins.
+    The sweep's altitudes come from ``np.tan``; the winner's is re-derived
+    with ``math.tan``.  Returns ``(altitude, theta)``.
     """
     al = state.allocation
     p = _block_terms(cfg, state, "solve_altitude_beamwidth")
@@ -875,77 +844,39 @@ def solve_altitude_beamwidth(cfg: ScenarioConfig, state: SolutionState,
     if min(slacks) <= 0.0:
         raise InfeasibleBlockError(
             "solve_altitude_beamwidth", "no latency left for the downlink")
-    positions = cfg.gt_positions
-    uav_xy = state.placement.uav_xy
-    l_max = max(state.placement.horizontal_distance(pos) for pos in positions)
+    l_max = max(state.placement.horizontal_distance(pos)
+                for pos in cfg.gt_positions)
     th_lo, th_hi = cfg.beam_range_clamped
     h_min, h_max = cfg.altitude_range
 
     def pinned_altitude(theta: float) -> float:
         return max(h_min, l_max / math.tan(theta))
 
-    candidates: list[tuple[float, float, float]] = []  # (objective, H, theta)
-
-    # Current placement, when still admissible, guards block monotonicity.
+    fixed = []  # the incumbent and the minimum-altitude beamwidth
     cur_theta = state.placement.half_beamwidth
-    if th_lo <= cur_theta <= th_hi:
-        cur_h = pinned_altitude(cur_theta)
-        if cur_h <= h_max:
-            obj, ok = _downlink_objective(cfg, al, p.bits, positions, uav_xy,
-                                          cur_h, cur_theta, slacks)
-            if ok:
-                candidates.append((obj, cur_h, cur_theta))
-
-    # Minimum-altitude case: smallest beamwidth covering every GT.
+    if th_lo <= cur_theta <= th_hi and pinned_altitude(cur_theta) <= h_max:
+        fixed.append(cur_theta)
     theta1 = max(th_lo, math.atan(l_max / h_min))
     if theta1 <= th_hi:
-        limit = th_hi
-        feasible1 = True
-        for k in range(cfg.num_gts):
-            if al.power[k] <= 0.0:
-                feasible1 = False
-                break
-            i_k = (state.placement.horizontal_distance(positions[k]) ** 2
-                   + h_min * h_min)
-            j_k = p.bits[k] / (al.bandwidth[k] * slacks[k])
-            if j_k > _EXP_CAP:
-                feasible1 = False
-                break
-            cap = math.sqrt(cfg.antenna_gain_const * cfg.ref_channel_gain
-                            * al.power[k]
-                            / (i_k * al.bandwidth[k] * cfg.noise_psd
-                               * (2.0 ** j_k - 1.0)))
-            limit = min(limit, cap)
-        if feasible1 and theta1 <= limit:
-            h1 = pinned_altitude(theta1)
-            obj, ok = _downlink_objective(cfg, al, p.bits, positions, uav_xy,
-                                          h1, theta1, slacks)
-            if ok:
-                candidates.append((obj, h1, theta1))
-
-    # Coverage-tight sweep: altitude rides L_max / tan(theta).
+        fixed.append(theta1)
+    thetas = np.array(fixed)
+    altitudes = np.array([pinned_altitude(t) for t in fixed])
     if l_max > 0.0:
         steps = max(2, int(math.ceil((th_hi - th_lo) / opts.grid_step_theta)) + 1)
-        thetas = np.linspace(th_lo, th_hi, steps)
-        survivors = _latency_survivors(cfg, al, p.bits, positions, uav_xy,
-                                       l_max / np.tan(thetas), thetas, slacks)
-        for theta in thetas[survivors]:
-            theta = float(theta)
-            h = l_max / math.tan(theta)
-            if h < h_min or h > h_max:
-                continue
-            h = pinned_altitude(theta)
-            obj, ok = _downlink_objective(cfg, al, p.bits, positions, uav_xy,
-                                          h, theta, slacks)
-            if ok:
-                candidates.append((obj, h, theta))
+        sweep = np.linspace(th_lo, th_hi, steps)
+        tight = l_max / np.tan(sweep)
+        inside = (tight >= h_min) & (tight <= h_max)
+        thetas = np.concatenate((thetas, sweep[inside]))
+        altitudes = np.concatenate((altitudes, tight[inside]))
 
-    if not candidates:
+    admitted, energy = _hop_scores(cfg, al, p.bits, slacks,
+                                   state.placement.uav_xy, altitudes, thetas)
+    if admitted.size == 0:
         raise InfeasibleBlockError(
             "solve_altitude_beamwidth",
             "no (altitude, beamwidth) pair meets coverage and latency")
-    best = min(candidates, key=lambda c: c[0])
-    return best[1], best[2]
+    theta = float(thetas[admitted[np.argmin(energy)]])
+    return pinned_altitude(theta), theta
 
 
 # ---------------------------------------------------------------------------

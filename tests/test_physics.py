@@ -1,9 +1,11 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from saginpsc.algorithm import run_scheme
 from saginpsc.physics import (
     Allocation,
     ModelError,
@@ -18,9 +20,11 @@ from saginpsc.physics import (
     rate_uav_gt,
     total_energy,
 )
-from saginpsc.scenario import default_document, loads_scenario
+from saginpsc.scenario import default_document, load_scenario, loads_scenario
 
 from conftest import feasible_instances
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture()
@@ -197,6 +201,37 @@ class TestFeasibility:
         state = _state(cfg, power=(cfg.uav_power_budget / n,) * n)
         codes = check_feasibility(cfg, state).codes()
         assert "power_budget" not in codes
+
+
+@pytest.fixture(scope="module")
+def shipped_answer():
+    cfg = load_scenario(SCENARIOS / "default.json")
+    return cfg, run_scheme(cfg, "sagin_psc").state
+
+
+def _with_nan(state, field):
+    """``state`` with a NaN in one field: GT 0's power or bandwidth, the
+    altitude, or the UAV's x position."""
+    pl, al = state.placement, state.allocation
+    if field in ("power", "bandwidth"):
+        values = (math.nan,) + getattr(al, field)[1:]
+        return replace(state, allocation=replace(al, **{field: values}))
+    if field == "altitude":
+        return replace(state, placement=replace(pl, altitude=math.nan))
+    return replace(state, placement=replace(
+        pl, uav_xy=(math.nan, pl.uav_xy[1])))
+
+
+class TestNanState:
+    @pytest.mark.parametrize("field", ["power", "bandwidth", "altitude",
+                                       "uav_x"])
+    def test_nan_field_is_infeasible(self, shipped_answer, field):
+        cfg, state = shipped_answer
+        assert check_feasibility(cfg, state).feasible
+        report = check_feasibility(cfg, _with_nan(state, field))
+        assert not report.feasible
+        # the outer loop's repair test reads the latency code
+        assert "latency" in report.codes()
 
 
 @given(st.floats(min_value=1e-6, max_value=1e3),

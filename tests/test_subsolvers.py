@@ -1029,10 +1029,32 @@ class TestFilteredLocationSearch:
         assert 0 in counts and max(counts) > 0
 
 
+def reference_downlink_objective(cfg, al, bits, positions, uav_xy,
+                                 altitude, theta, slacks):
+    """UAV-to-GT communication energy at a trial (altitude, beamwidth) in
+    scalar ``math``, or (inf, False) when some GT misses its latency
+    slack."""
+    total = 0.0
+    for k in range(cfg.num_gts):
+        dx = uav_xy[0] - positions[k][0]
+        dy = uav_xy[1] - positions[k][1]
+        d2 = dx * dx + dy * dy + altitude * altitude
+        g_k = cfg.ref_channel_gain / d2
+        snr = (cfg.antenna_gain_const * g_k * al.power[k]
+               / (theta * theta * al.bandwidth[k] * cfg.noise_psd))
+        r_k = al.bandwidth[k] * math.log2(1.0 + snr)
+        if r_k <= 0.0 or bits[k] / r_k > slacks[k] * subsolvers._TIGHT_BOUNDARY:
+            return math.inf, False
+        total += al.power[k] * bits[k] / r_k
+    return total, True
+
+
 def reference_solve_altitude_beamwidth(cfg, state, opts):
-    """``solve_altitude_beamwidth`` before the latency pre-test: every
-    in-range sweep beamwidth is scored by ``_downlink_objective`` (called
-    through the module, so a test can count the calls)."""
+    """``solve_altitude_beamwidth`` as a scalar search: the incumbent, the
+    minimum-altitude case (behind its closed-form latency test) and every
+    in-range sweep beamwidth are scored one at a time by
+    ``reference_downlink_objective``, with every altitude from
+    ``math.tan``."""
     al = state.allocation
     p = latency_terms(cfg, state)
     slacks = p.hop_slack
@@ -1055,7 +1077,7 @@ def reference_solve_altitude_beamwidth(cfg, state, opts):
     if th_lo <= cur_theta <= th_hi:
         cur_h = pinned_altitude(cur_theta)
         if cur_h <= h_max:
-            obj, ok = subsolvers._downlink_objective(
+            obj, ok = reference_downlink_objective(
                 cfg, al, p.bits, positions, uav_xy, cur_h, cur_theta, slacks)
             if ok:
                 candidates.append((obj, cur_h, cur_theta))
@@ -1082,7 +1104,7 @@ def reference_solve_altitude_beamwidth(cfg, state, opts):
             limit = min(limit, cap)
         if feasible1 and theta1 <= limit:
             h1 = pinned_altitude(theta1)
-            obj, ok = subsolvers._downlink_objective(
+            obj, ok = reference_downlink_objective(
                 cfg, al, p.bits, positions, uav_xy, h1, theta1, slacks)
             if ok:
                 candidates.append((obj, h1, theta1))
@@ -1096,7 +1118,7 @@ def reference_solve_altitude_beamwidth(cfg, state, opts):
             if h < h_min or h > h_max:
                 continue
             h = pinned_altitude(theta)
-            obj, ok = subsolvers._downlink_objective(
+            obj, ok = reference_downlink_objective(
                 cfg, al, p.bits, positions, uav_xy, h, theta, slacks)
             if ok:
                 candidates.append((obj, h, theta))
@@ -1132,18 +1154,6 @@ def _nudge(x, ulps):
     return x
 
 
-def _scalar_ratio(cfg, al, bits, uav_xy, altitude, theta, k):
-    """GT ``k``'s ``bits / r_k`` as ``_downlink_objective`` computes it."""
-    dx = uav_xy[0] - cfg.gt_positions[k][0]
-    dy = uav_xy[1] - cfg.gt_positions[k][1]
-    d2 = dx * dx + dy * dy + altitude * altitude
-    g_k = cfg.ref_channel_gain / d2
-    snr = (cfg.antenna_gain_const * g_k * al.power[k]
-           / (theta * theta * al.bandwidth[k] * cfg.noise_psd))
-    r_k = al.bandwidth[k] * math.log2(1.0 + snr)
-    return bits[k] / r_k
-
-
 class TestBeamwidthPrefilter:
     def test_matches_full_sweep_bit_for_bit(self):
         cases = _beamwidth_cases()
@@ -1154,79 +1164,6 @@ class TestBeamwidthPrefilter:
             assert got == _outcome(reference_solve_altitude_beamwidth, cfg, state)
             outcomes.append(got.startswith("Infeasible"))
         assert False in outcomes
-
-    def test_scores_only_admitted_sweep_beamwidths(self, monkeypatch):
-        # At most the incumbent and the minimum-altitude candidate, plus
-        # the sweep beamwidths the scalar latency test admits.
-        log = []
-        sweep_start = []
-        objective = subsolvers._downlink_objective
-        survivors = subsolvers._latency_survivors
-
-        def scored(*args):
-            out = objective(*args)
-            log.append(out[1])
-            return out
-
-        def pretest(*args):
-            sweep_start.append(len(log))
-            return survivors(*args)
-
-        monkeypatch.setattr(subsolvers, "_downlink_objective", scored)
-        monkeypatch.setattr(subsolvers, "_latency_survivors", pretest)
-        filtered = full = 0
-        for cfg, state in _beamwidth_cases():
-            log.clear()
-            sweep_start.clear()
-            _outcome(solve_altitude_beamwidth, cfg, state)
-            calls = len(log)
-            if not sweep_start:  # raised before the sweep, or no sweep
-                continue
-            start = sweep_start[0]
-            log.clear()
-            _outcome(reference_solve_altitude_beamwidth, cfg, state)
-            admitted = sum(log[start:])
-            assert start <= 2
-            assert calls <= 2 + admitted
-            filtered += calls
-            full += len(log)
-        assert 0 < filtered < full
-
-    def test_no_admitted_beamwidth_is_dropped_at_the_boundary(self):
-        # Slacks put each GT's scalar ratio bits / r within 4 ulps of
-        # slack * (1 + 1e-9) at chosen beamwidths, so the scalar test
-        # admits some and rejects others by a last-bit margin.
-        cases = list(feasible_instances(6, start_seed=0, num_gts=3))
-        cases += _block_calls(load_scenario(SCENARIOS / "default.json"),
-                              "solve_altitude_beamwidth")[:2]
-        verdicts = set()
-        for cfg, state in cases:
-            al = state.allocation
-            bits = latency_terms(cfg, state).bits
-            positions = cfg.gt_positions
-            uav_xy = state.placement.uav_xy
-            l_max = max(state.placement.horizontal_distance(pos)
-                        for pos in positions)
-            thetas = np.linspace(*cfg.beam_range_clamped, 7)[1:-1]
-            altitudes = l_max / np.tan(thetas)
-            for theta in thetas.tolist():
-                h = l_max / math.tan(theta)
-                ratios = [_scalar_ratio(cfg, al, bits, uav_xy, h, theta, k)
-                          for k in range(cfg.num_gts)]
-                for ulps in range(-4, 5):
-                    slacks = [_nudge(ratio / subsolvers._TIGHT_BOUNDARY, ulps)
-                              for ratio in ratios]
-                    kept = set(subsolvers._latency_survivors(
-                        cfg, al, bits, positions, uav_xy, altitudes, thetas,
-                        slacks).tolist())
-                    for i, t in enumerate(thetas.tolist()):
-                        ok = subsolvers._downlink_objective(
-                            cfg, al, bits, positions, uav_xy,
-                            l_max / math.tan(t), t, slacks)[1]
-                        assert not ok or i in kept
-                        if t == theta:
-                            verdicts.add(ok)
-        assert verdicts == {True, False}
 
 
 def reference_q_prime(u, b):
