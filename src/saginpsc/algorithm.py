@@ -24,8 +24,10 @@ from .physics import (
     ModelError,
     Placement,
     SolutionState,
+    _energy,
+    _late,
     check_feasibility,
-    total_energy,
+    latency_terms,
 )
 from .scenario import ScenarioConfig
 from .subsolvers import (
@@ -51,9 +53,6 @@ __all__ = [
     "run_blocks",
     "run_scheme",
 ]
-
-ALL_BLOCKS = ("tasks", "segments", "cpu", "power_bandwidth",
-              "placement", "location")
 
 _ACCEPT_SLACK = 1e-9
 
@@ -125,83 +124,61 @@ def initialize(cfg: ScenarioConfig) -> SolutionState:
     return SolutionState(placement=placement, allocation=allocation)
 
 
-def _latency_feasible(cfg: ScenarioConfig, state: SolutionState) -> bool:
-    return "latency" not in check_feasibility(cfg, state).codes()
+def _score(cfg: ScenarioConfig, state: SolutionState) -> tuple[float, bool]:
+    """``(total energy, every latency within budget)`` of ``state``, from
+    one derivation of its latency terms."""
+    terms = latency_terms(cfg, state)
+    return _energy(cfg, state.allocation, terms).total, not _late(cfg, terms)
 
 
-def _accept(cfg: ScenarioConfig, state: SolutionState, obj: float,
-            candidate: SolutionState) -> tuple[SolutionState, float]:
-    """Keep the candidate iff it does not worsen the energy, or it turns a
-    latency-infeasible state feasible."""
-    try:
-        cand_obj = total_energy(cfg, candidate)
-    except ModelError:
-        return state, obj
-    if cand_obj <= obj * (1.0 + _ACCEPT_SLACK):
-        return candidate, cand_obj
-    if not _latency_feasible(cfg, state) and _latency_feasible(cfg, candidate):
-        return candidate, cand_obj
-    return state, obj
+# The sweep's blocks in visiting order: the state record each one moves,
+# the fields set by the leading values of its solver's result, and the
+# solver call, which looks the solver up by module-global name each time,
+# so a wrapper bound to that name (the benchmark's tracer binds one) sees it.
+_BLOCKS = {
+    "tasks": ("allocation", ("task_sat", "task_uav"),
+              lambda *args: solve_task_allocation(*args)),
+    "segments": ("allocation", ("ratio",), lambda cfg, s, opts: solve_ratio_lp(
+        cfg, s, select_segments(cfg, s, opts)[0], opts)),
+    "cpu": ("allocation", ("cpu",),
+            lambda cfg, s, opts: (solve_cpu_allocation(cfg, s),)),
+    "power_bandwidth": ("allocation", ("bandwidth", "power"),
+                        lambda *args: solve_power_bandwidth(*args)),
+    "placement": ("placement", ("altitude", "half_beamwidth"),
+                  lambda *args: solve_altitude_beamwidth(*args)),
+    "location": ("placement", ("uav_xy",), lambda *args: solve_location(*args)),
+}
+ALL_BLOCKS = tuple(_BLOCKS)
 
 
-def _sweep(cfg: ScenarioConfig, state: SolutionState, obj: float,
+def _sweep(cfg: ScenarioConfig, state: SolutionState, score,
            blocks: tuple[str, ...], solver: SolverOptions):
-    """One pass over the enabled blocks; returns the updated state,
-    objective, and the names of blocks without a feasible move."""
+    """One pass over the enabled blocks; returns the updated state, its
+    score, and the names of blocks without a feasible move.  A candidate
+    equal to the state is kept without scoring it again; any other is
+    accepted iff it does not worsen the energy, or it turns a
+    latency-infeasible state feasible."""
     stuck: list[str] = []
-
-    def attempt(name: str, build):
-        nonlocal state, obj
+    for name, (record, fields, solve) in _BLOCKS.items():
+        if name not in blocks:
+            continue
         try:
-            candidate = build()
+            values = solve(cfg, state, solver)
         except InfeasibleBlockError:
             stuck.append(name)
-            return
-        state, obj = _accept(cfg, state, obj, candidate)
-
-    if "tasks" in blocks:
-        def build_tasks():
-            a_s, a_u, _ = solve_task_allocation(cfg, state, solver)
-            al = replace(state.allocation, task_sat=a_s, task_uav=a_u)
-            return replace(state, allocation=al)
-        attempt("tasks", build_tasks)
-
-    if "segments" in blocks:
-        def build_segments():
-            choice, _ = select_segments(cfg, state, solver)
-            ratios, _ = solve_ratio_lp(cfg, state, choice, solver)
-            return replace(state, allocation=replace(state.allocation,
-                                                     ratio=ratios))
-        attempt("segments", build_segments)
-
-    if "cpu" in blocks:
-        def build_cpu():
-            cpu = solve_cpu_allocation(cfg, state)
-            return replace(state, allocation=replace(state.allocation, cpu=cpu))
-        attempt("cpu", build_cpu)
-
-    if "power_bandwidth" in blocks:
-        def build_pb():
-            bw, pw = solve_power_bandwidth(cfg, state, solver)
-            return replace(state, allocation=replace(state.allocation,
-                                                     bandwidth=bw, power=pw))
-        attempt("power_bandwidth", build_pb)
-
-    if "placement" in blocks:
-        def build_placement():
-            altitude, theta = solve_altitude_beamwidth(cfg, state, solver)
-            return replace(state, placement=replace(state.placement,
-                                                    altitude=altitude,
-                                                    half_beamwidth=theta))
-        attempt("placement", build_placement)
-
-    if "location" in blocks:
-        def build_location():
-            xy, _ = solve_location(cfg, state, solver)
-            return replace(state, placement=replace(state.placement, uav_xy=xy))
-        attempt("location", build_location)
-
-    return state, obj, tuple(stuck)
+            continue
+        moved = replace(getattr(state, record), **dict(zip(fields, values)))
+        candidate = replace(state, **{record: moved})
+        if candidate == state:
+            continue
+        try:
+            cand = _score(cfg, candidate)
+        except ModelError:
+            continue
+        (obj, met), (cand_obj, cand_met) = score, cand
+        if cand_obj <= obj * (1.0 + _ACCEPT_SLACK) or (cand_met and not met):
+            state, score = candidate, cand
+    return state, score, tuple(stuck)
 
 
 def run_blocks(cfg: ScenarioConfig, state: SolutionState,
@@ -219,18 +196,17 @@ def run_blocks(cfg: ScenarioConfig, state: SolutionState,
     unknown = set(blocks) - set(ALL_BLOCKS)
     if unknown:
         raise ValueError(f"unknown blocks: {sorted(unknown)}")
-    obj = total_energy(cfg, state)
-    trace = [IterationTrace(0, obj, check_feasibility(cfg, state).feasible, ())]
+    score = _score(cfg, state)
+    trace = [IterationTrace(0, score[0], check_feasibility(cfg, state).feasible,
+                            ())]
     converged = False
     prev_small = False
-    iterations = 0
     for it in range(1, options.max_outer_iters + 1):
-        iterations = it
-        prev_state, prev_obj = state, obj
-        state, obj, stuck = _sweep(cfg, state, obj, blocks, options.solver)
+        prev_state, prev_obj = state, score[0]
+        state, score, stuck = _sweep(cfg, state, score, blocks, options.solver)
         trace.append(IterationTrace(
-            it, obj, check_feasibility(cfg, state).feasible, stuck))
-        rel = abs(prev_obj - obj) / max(abs(prev_obj), 1e-30)
+            it, score[0], check_feasibility(cfg, state).feasible, stuck))
+        rel = abs(prev_obj - score[0]) / max(abs(prev_obj), 1e-30)
         small = rel < options.outer_tolerance
         if small and (state == prev_state or prev_small):
             converged = True
@@ -239,10 +215,10 @@ def run_blocks(cfg: ScenarioConfig, state: SolutionState,
     return SolveResult(
         scheme=scheme,
         state=state,
-        objective=obj,
+        objective=score[0],
         feasible=trace[-1].feasible,  # the final state's entry
         converged=converged,
-        iterations=iterations,
+        iterations=len(trace) - 1,
         trace=tuple(trace),
     )
 

@@ -271,9 +271,9 @@ def latency_breakdown(cfg: ScenarioConfig, state: SolutionState) -> LatencyBreak
     )
 
 
-def energy_breakdown(cfg: ScenarioConfig, state: SolutionState) -> EnergyBreakdown:
-    terms = latency_terms(cfg, state)
-    al = state.allocation
+def _energy(cfg: ScenarioConfig, al: Allocation,
+            terms: LatencyTerms) -> EnergyBreakdown:
+    """The energy terms of a state with allocation ``al`` and ``terms``."""
     tau = cfg.comp_energy_coeff
     e_sat = tau * terms.t_sat * cfg.sat_cpu ** 3
     e_su = terms.t_tx * cfg.sat_tx_power
@@ -286,6 +286,19 @@ def energy_breakdown(cfg: ScenarioConfig, state: SolutionState) -> EnergyBreakdo
         uav_gt_comm=e_ug,
         total=e_sat + e_su + e_uav + e_ug,
     )
+
+
+def energy_breakdown(cfg: ScenarioConfig, state: SolutionState) -> EnergyBreakdown:
+    return _energy(cfg, state.allocation, latency_terms(cfg, state))
+
+
+def _late(cfg: ScenarioConfig, terms: LatencyTerms,
+          rel_tol: float = _REL_TOL) -> list[tuple[int, float]]:
+    """``(GT, slack)`` of each GT whose end-to-end latency in ``terms``
+    exceeds the budget by more than ``rel_tol`` of it (or is NaN)."""
+    t = cfg.latency_budget
+    return [(k, t - total) for k, total in enumerate(terms.total)
+            if not _satisfied(t - total, t, rel_tol)]
 
 
 def total_energy(cfg: ScenarioConfig, state: SolutionState) -> float:
@@ -341,13 +354,10 @@ def check_feasibility(cfg: ScenarioConfig, state: SolutionState,
     check(th_hi - pl.half_beamwidth, "beamwidth")
 
     try:
-        terms = latency_terms(cfg, state)
+        late = _late(cfg, latency_terms(cfg, state), rel_tol)
     except ModelError:
-        for k in range(cfg.num_gts):
-            out.append(ConstraintViolation("latency", k, -math.inf))
-    else:
-        for k, t in enumerate(terms.total):
-            check(cfg.latency_budget - t, "latency", k, scale=cfg.latency_budget)
+        late = [(k, -math.inf) for k in range(cfg.num_gts)]
+    out += [ConstraintViolation("latency", k, slack) for k, slack in late]
 
     return FeasibilityReport(violations=tuple(out))
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -196,11 +198,9 @@ class ScenarioConfig:
             ("uav_power_budget", self.uav_power_budget),
             ("uav_bandwidth_total", self.uav_bandwidth_total),
             ("lightspeed", self.lightspeed),
-        ]
+        ] + [("data_bits", bits) for bits in self.data_bits]
         for name, value in positives:
             _require(value > 0, name, "must be strictly positive")
-        for bits in self.data_bits:
-            _require(bits > 0, "data_bits", "must be strictly positive")
         h_lo, h_hi = self.altitude_range
         _require(0 < h_lo <= h_hi, "altitude_range", "requires 0 < min <= max")
         th_lo, th_hi = self.beam_range_clamped
@@ -225,36 +225,30 @@ def _linear_to_db(x: float) -> float:
     return 10.0 * math.log10(x)
 
 
-_REQUIRED_FIELDS = (
-    "num_gts",
-    "data_bytes",
-    "gt_positions",
-    "sat_uav_distance",
-    "sat_beam_gain_db",
-    "sat_wavelength",
-    "sat_bandwidth",
-    "sat_tx_power",
-    "noise_psd_dbm_hz",
-    "ref_channel_gain",
-    "sat_cpu",
-    "uav_cpu_total",
-    "latency_budget",
-    "uav_power_budget",
-    "uav_bandwidth_total",
-    "altitude_range",
-    "beamwidth_range",
-)
+def _number(value, name: str) -> float:
+    """``value`` as a float; anything but a finite number (a ``bool``, a
+    string, NaN, an infinity) is a :class:`ScenarioError` naming ``name``."""
+    _require(isinstance(value, numbers.Real) and not isinstance(value, bool)
+             and abs(value) <= sys.float_info.max, name,
+             "must be a finite number")
+    return float(value)
+
+
+def _numbers(value, name: str, count: int) -> tuple[float, ...]:
+    _require(isinstance(value, (list, tuple)) and len(value) == count, name,
+             f"must be a list of {count} numbers")
+    return tuple(_number(x, name) for x in value)
 
 
 def _curve_from_document(doc, k: int) -> OverheadCurve:
+    name = f"overhead_curves[{k}]"
     try:
-        segments = doc["segments"]
-        slopes = tuple(float(s[0]) for s in segments)
-        intercepts = tuple(float(s[1]) for s in segments)
-        boundaries = tuple(float(s[2]) for s in segments)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ScenarioError(f"overhead_curves[{k}]: malformed segment list") from exc
-    return OverheadCurve(slopes=slopes, intercepts=intercepts, boundaries=boundaries)
+        segments = [_numbers(s, name, 3) for s in doc["segments"]]
+    except (KeyError, TypeError) as exc:
+        raise ScenarioError(f"{name}: malformed segment list") from exc
+    return OverheadCurve(slopes=tuple(s[0] for s in segments),
+                         intercepts=tuple(s[1] for s in segments),
+                         boundaries=tuple(s[2] for s in segments))
 
 
 def loads_scenario(document: dict | str) -> ScenarioConfig:
@@ -263,7 +257,8 @@ def loads_scenario(document: dict | str) -> ScenarioConfig:
     Accepts either a parsed dict or a JSON string.  dB/dBm fields are
     converted to linear/SI, data sizes from bytes to bits.  Missing
     optional fields take their documented defaults; missing required
-    fields raise :class:`ScenarioError` naming the field.
+    fields, and values that are not finite numbers of the field's shape,
+    raise :class:`ScenarioError` naming the field.
     """
     if isinstance(document, str):
         try:
@@ -273,19 +268,28 @@ def loads_scenario(document: dict | str) -> ScenarioConfig:
     if not isinstance(document, dict):
         raise ScenarioError("scenario document must be a JSON object")
 
-    for name in _REQUIRED_FIELDS:
-        if name not in document:
-            raise ScenarioError(f"{name}: required field missing")
+    def read(name: str, default=None):
+        _require(name in document or default is not None, name,
+                 "required field missing")
+        return document.get(name, default)
 
-    k = int(document["num_gts"])
-    _require(k >= 1, "num_gts", "must be at least 1")
+    def number(name: str, default: float | None = None) -> float:
+        return _number(read(name, default), name)
 
-    data_bytes = document["data_bytes"]
-    if isinstance(data_bytes, (int, float)):
+    k = read("num_gts")
+    _require(isinstance(k, int) and not isinstance(k, bool) and k >= 1,
+             "num_gts", "must be an integer of at least 1")
+
+    data_bytes = read("data_bytes")
+    if not isinstance(data_bytes, (list, tuple)):
         data_bytes = [data_bytes] * k
-    data_bits = tuple(8.0 * float(x) for x in data_bytes)
+    data_bits = tuple(8.0 * x for x in _numbers(data_bytes, "data_bytes", k))
 
-    positions = tuple((float(p[0]), float(p[1])) for p in document["gt_positions"])
+    positions = read("gt_positions")
+    _require(isinstance(positions, (list, tuple)), "gt_positions",
+             "must be a list of [x, y] pairs")
+    positions = tuple(_numbers(p, f"gt_positions[{i}]", 2)
+                      for i, p in enumerate(positions))
 
     curves_doc = document.get("overhead_curves")
     if curves_doc is None:
@@ -293,35 +297,33 @@ def loads_scenario(document: dict | str) -> ScenarioConfig:
     elif isinstance(curves_doc, dict):
         curves = tuple(_curve_from_document(curves_doc, 0) for _ in range(k))
     else:
-        if len(curves_doc) != k:
-            raise ScenarioError(f"overhead_curves: expected {k} entries")
+        _require(isinstance(curves_doc, (list, tuple)) and len(curves_doc) == k,
+                 "overhead_curves", f"expected {k} entries")
         curves = tuple(_curve_from_document(c, i) for i, c in enumerate(curves_doc))
 
-    noise_dbm_hz = float(document["noise_psd_dbm_hz"])
     return ScenarioConfig(
         num_gts=k,
         data_bits=data_bits,
         gt_positions=positions,
-        sat_uav_distance=float(document["sat_uav_distance"]),
-        sat_beam_gain=_db_to_linear(float(document["sat_beam_gain_db"])),
-        sat_wavelength=float(document["sat_wavelength"]),
-        sat_bandwidth=float(document["sat_bandwidth"]),
-        sat_tx_power=float(document["sat_tx_power"]),
-        noise_psd=_db_to_linear(noise_dbm_hz) * 1e-3,
-        ref_channel_gain=float(document["ref_channel_gain"]),
-        antenna_gain_const=float(document.get("antenna_gain_const", 2.2846)),
-        comp_energy_coeff=float(document.get("comp_energy_coeff", 1e-28)),
-        cycles_per_overhead=float(document.get("cycles_per_overhead", 1.0)),
-        sat_cpu=float(document["sat_cpu"]),
-        uav_cpu_total=float(document["uav_cpu_total"]),
-        latency_budget=float(document["latency_budget"]),
-        uav_power_budget=float(document["uav_power_budget"]),
-        uav_bandwidth_total=float(document["uav_bandwidth_total"]),
-        altitude_range=(float(document["altitude_range"][0]),
-                        float(document["altitude_range"][1])),
-        beamwidth_range=(float(document["beamwidth_range"][0]),
-                         float(document["beamwidth_range"][1])),
-        lightspeed=float(document.get("lightspeed", SPEED_OF_LIGHT)),
+        sat_uav_distance=number("sat_uav_distance"),
+        sat_beam_gain=_db_to_linear(number("sat_beam_gain_db")),
+        sat_wavelength=number("sat_wavelength"),
+        sat_bandwidth=number("sat_bandwidth"),
+        sat_tx_power=number("sat_tx_power"),
+        noise_psd=_db_to_linear(number("noise_psd_dbm_hz")) * 1e-3,
+        ref_channel_gain=number("ref_channel_gain"),
+        antenna_gain_const=number("antenna_gain_const", 2.2846),
+        comp_energy_coeff=number("comp_energy_coeff", 1e-28),
+        cycles_per_overhead=number("cycles_per_overhead", 1.0),
+        sat_cpu=number("sat_cpu"),
+        uav_cpu_total=number("uav_cpu_total"),
+        latency_budget=number("latency_budget"),
+        uav_power_budget=number("uav_power_budget"),
+        uav_bandwidth_total=number("uav_bandwidth_total"),
+        altitude_range=_numbers(read("altitude_range"), "altitude_range", 2),
+        beamwidth_range=_numbers(read("beamwidth_range"),
+                                 "beamwidth_range", 2),
+        lightspeed=number("lightspeed", SPEED_OF_LIGHT),
         overhead_curves=curves,
     )
 

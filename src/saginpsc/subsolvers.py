@@ -20,10 +20,10 @@ from .physics import (
     LatencyTerms,
     ModelError,
     SolutionState,
+    _energy,
     channel_gain_ug,
     latency_terms,
     rate_uav_gt_at,
-    total_energy,
 )
 from .scenario import ScenarioConfig
 
@@ -279,30 +279,48 @@ def dual_subgradient(adapter, opts: SolverOptions):
     return primal, mult, t, False
 
 
-def _keep_incumbent(adapter, primal, feasible, incumbent, opts: SolverOptions):
-    """``(incumbent, True)`` when the incumbent is feasible and either the
-    dual loop found nothing feasible or the incumbent is strictly better,
-    else ``(primal, feasible)``: a block must never worsen the state it was
-    given."""
-    if float(np.max(adapter.residuals(incumbent))) <= opts.dual_tolerance:
-        if (not feasible
-                or adapter.objective(incumbent) < adapter.objective(primal)):
-            return incumbent, True
-    return primal, feasible
-
-
 class _StateAdapter:
     """Scores a primal by the state ``state_of(primal)`` it stands for:
     the residuals are its GTs' normalized latency excesses and the
-    objective its total energy."""
+    objective its total energy.  Both come from one ``latency_terms``
+    derivation per distinct state; the block's own state reuses the
+    block's terms."""
+
+    def __init__(self, cfg: ScenarioConfig, state: SolutionState,
+                 terms: LatencyTerms):
+        self.cfg = cfg
+        self.state = state
+        self.num_multipliers = cfg.num_gts
+        self._scores = {}  # state -> (residuals, energy)
+        self._score(state, terms)
+
+    def _score(self, state: SolutionState, terms: LatencyTerms | None = None):
+        score = self._scores.get(state)
+        if score is None:
+            terms = terms or latency_terms(self.cfg, state)
+            t = self.cfg.latency_budget
+            score = self._scores[state] = (
+                (np.array(terms.total) - t) / t,
+                _energy(self.cfg, state.allocation, terms).total)
+        return score
 
     def residuals(self, primal):
-        terms = latency_terms(self.cfg, self.state_of(primal))
-        t = self.cfg.latency_budget
-        return (np.array(terms.total) - t) / t
+        return self._score(self.state_of(primal))[0]
 
     def objective(self, primal):
-        return total_energy(self.cfg, self.state_of(primal))
+        return self._score(self.state_of(primal))[1]
+
+    def solve(self, incumbent, opts: SolverOptions):
+        """``(primal, feasible)`` of :func:`dual_subgradient`, or
+        ``(incumbent, True)`` when the incumbent is feasible and either the
+        loop found nothing feasible or the incumbent is strictly better: a
+        block must never worsen the state it was given."""
+        primal, _, _, feasible = dual_subgradient(self, opts)
+        if float(np.max(self.residuals(incumbent))) <= opts.dual_tolerance:
+            if (not feasible
+                    or self.objective(incumbent) < self.objective(primal)):
+                return incumbent, True
+        return primal, feasible
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +337,7 @@ class _TaskAdapter(_StateAdapter):
 
     def __init__(self, cfg: ScenarioConfig, state: SolutionState,
                  terms: LatencyTerms):
-        self.cfg = cfg
-        self.state = state
-        self.num_multipliers = cfg.num_gts
+        super().__init__(cfg, state, terms)
         kappa = cfg.cycles_per_overhead
         tau = cfg.comp_energy_coeff
         al = state.allocation
@@ -368,10 +384,8 @@ def solve_task_allocation(cfg: ScenarioConfig, state: SolutionState,
     """
     adapter = _TaskAdapter(
         cfg, state, _block_terms(cfg, state, "solve_task_allocation"))
-    primal, _, _, feasible = dual_subgradient(adapter, opts)
-    incumbent = (state.allocation.task_sat, state.allocation.task_uav)
-    (task_sat, task_uav), feasible = _keep_incumbent(
-        adapter, primal, feasible, incumbent, opts)
+    (task_sat, task_uav), feasible = adapter.solve(
+        (state.allocation.task_sat, state.allocation.task_uav), opts)
     return tuple(task_sat), tuple(task_uav), feasible
 
 
@@ -388,9 +402,7 @@ class _SegmentAdapter(_StateAdapter):
 
     def __init__(self, cfg: ScenarioConfig, state: SolutionState,
                  terms: LatencyTerms):
-        self.cfg = cfg
-        self.state = state
-        self.num_multipliers = cfg.num_gts
+        super().__init__(cfg, state, terms)
         self.mids = [
             [cfg.overhead_curves[k].midpoint(d)
              for d in range(cfg.overhead_curves[k].num_segments)]
@@ -439,12 +451,9 @@ def select_segments(cfg: ScenarioConfig, state: SolutionState,
     ties resolve to the shallowest segment."""
     adapter = _SegmentAdapter(
         cfg, state, _block_terms(cfg, state, "select_segments"))
-    chosen, _, _, feasible = dual_subgradient(adapter, opts)
-    incumbent = tuple(
+    chosen, feasible = adapter.solve(tuple(
         cfg.overhead_curves[k].segment_of(state.allocation.ratio[k])
-        for k in range(cfg.num_gts))
-    chosen, feasible = _keep_incumbent(adapter, chosen, feasible, incumbent,
-                                       opts)
+        for k in range(cfg.num_gts)), opts)
     choice = SegmentChoice(
         chosen_segment=tuple(chosen),
         midpoints=tuple(tuple(m) for m in adapter.mids),

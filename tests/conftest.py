@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from saginpsc import physics
 from saginpsc.algorithm import initialize
 from saginpsc.physics import check_feasibility
 from saginpsc.scenario import (
@@ -82,3 +83,19 @@ def scale_document(num_gts: int) -> dict:
                 "uav_power_budget"):
         doc[key] *= factor
     return doc
+
+
+def record_latency_terms(monkeypatch, *modules):
+    """Bind ``latency_terms`` in ``physics`` and each of ``modules`` to a
+    wrapper that appends every state it derives to the returned list (a
+    module that does not import the name gets it, unused)."""
+    derived = []
+    inner = physics.latency_terms
+
+    def record(cfg, state):
+        derived.append(state)
+        return inner(cfg, state)
+
+    for module in (physics, *modules):
+        monkeypatch.setattr(module, "latency_terms", record, raising=False)
+    return derived

@@ -129,8 +129,10 @@ def test_c04_dual_blocks_match_enumeration():
             if feas:
                 combo, ratios, best = enumerate_segment_choices(cfg, state)
                 if choice.chosen_segment != combo:
+                    ratio = tuple(m[d] for m, d in zip(choice.midpoints,
+                                                       choice.chosen_segment))
                     cand = replace(state, allocation=replace(
-                        state.allocation, ratio=choice.midpoints))
+                        state.allocation, ratio=ratio))
                     assert _rel(total_energy(cfg, cand), best) < 1e-9
                 compared += 1
         assert compared >= 100

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from saginpsc import algorithm, subsolvers
 from saginpsc.algorithm import (
     ALL_BLOCKS,
     AlgorithmOptions,
@@ -15,6 +16,8 @@ from saginpsc.algorithm import (
 from saginpsc.oracle import GridSpec, refine_minimize
 from saginpsc.physics import check_feasibility, rate_sat_uav, total_energy
 from saginpsc.scenario import default_document, loads_scenario
+
+from conftest import record_latency_terms
 
 
 def _default_cfg(**doc_kwargs):
@@ -91,6 +94,37 @@ class TestOuterLoop:
         assert r1.state == r2.state
         assert r1.objective == r2.objective
         assert [t.objective for t in r1.trace] == [t.objective for t in r2.trace]
+
+    def test_unchanged_candidate_is_not_scored(self, monkeypatch):
+        # Every block returns the values it was given, so each candidate
+        # equals the state, and the loop derives the state's terms for its
+        # start and its trace alone, however many blocks run.  The stubs
+        # are bound to the names in ``algorithm`` that the loop calls.
+        cfg = _default_cfg()
+        state = run_scheme(cfg, SchemeId.SAGIN_PSC).state
+        identity = {
+            "solve_task_allocation": lambda cfg, s, opts: (
+                s.allocation.task_sat, s.allocation.task_uav, True),
+            "select_segments": lambda cfg, s, opts: (None, True),
+            "solve_ratio_lp": lambda cfg, s, choice, opts: (
+                s.allocation.ratio, True),
+            "solve_cpu_allocation": lambda cfg, s: s.allocation.cpu,
+            "solve_power_bandwidth": lambda cfg, s, opts: (
+                s.allocation.bandwidth, s.allocation.power),
+            "solve_altitude_beamwidth": lambda cfg, s, opts: (
+                s.placement.altitude, s.placement.half_beamwidth),
+            "solve_location": lambda cfg, s, opts: (s.placement.uav_xy, 0.0),
+        }
+        for name, stub in identity.items():
+            monkeypatch.setattr(algorithm, name, stub)
+        derived = record_latency_terms(monkeypatch, algorithm, subsolvers)
+        counts = []
+        for blocks in (("cpu",), ALL_BLOCKS):
+            derived.clear()
+            res = run_blocks(cfg, state, blocks=blocks)
+            assert res.state == state and res.iterations == 1
+            counts.append(len(derived))
+        assert counts[0] == counts[1]
 
     def test_stuck_blocks_are_reported_not_fatal(self):
         # A 1 ms latency budget leaves no feasible move for most blocks.

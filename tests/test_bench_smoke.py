@@ -14,6 +14,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+# The dual loop and the seven block solvers, all of which a shipped solve
+# calls; a wrapper that the solver no longer reaches reads 0 calls.
+TRACED_BLOCKS = ("dual_subgradient", "solve_task_allocation",
+                 "select_segments", "solve_ratio_lp", "solve_cpu_allocation",
+                 "solve_power_bandwidth", "solve_altitude_beamwidth",
+                 "solve_location")
 
 
 def _run(*args):
@@ -29,6 +35,10 @@ def test_traced_workload_runs_correct(workload):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    if workload == "shipped_cli":
+        for name in TRACED_BLOCKS:
+            key = f"subsolvers.{name}.calls"
+            assert result["metrics"][key]["value"] > 0, key
 
 
 def test_benchmark_selftest_passes():

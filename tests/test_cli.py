@@ -81,6 +81,35 @@ class TestSolve:
         res = runner.invoke(main, ["solve", "--scenario", "/no/such/file.json"])
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_gts", "four"),
+        ("sat_uav_distance", "200e3"),
+        ("altitude_range", 100.0),
+        ("latency_budget", math.inf),
+        ("uav_power_budget", math.inf),
+    ])
+    def test_bad_scenario_value_exits_one(self, runner, tmp_path, field,
+                                          value):
+        # Before validation these ended in a traceback, or solved to a NaN
+        # energy and exited 2 as if the model were infeasible.
+        doc = default_document(num_gts=3, data_kib=16.0)
+        doc[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        res = runner.invoke(main, ["solve", "--scenario", str(path)])
+        assert res.exit_code == 1
+        assert f"Error: {field}: " in res.output
+
+    @pytest.mark.parametrize("position", [[10.0], [math.nan, 0.0]])
+    def test_bad_gt_position_exits_one(self, runner, tmp_path, position):
+        doc = default_document(num_gts=3, data_kib=16.0)
+        doc["gt_positions"][0] = position
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        res = runner.invoke(main, ["solve", "--scenario", str(path)])
+        assert res.exit_code == 1
+        assert "Error: gt_positions[0]: " in res.output
+
     def test_bad_scheme_exits_one(self, runner, scenario_path):
         res = runner.invoke(main, ["solve", "--scenario", str(scenario_path),
                                    "--scheme", "magic"])

@@ -60,6 +60,46 @@ class TestDocumentValidation:
         with pytest.raises(ScenarioError, match="gt_positions"):
             loads_scenario(doc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_gts", "four"),
+        ("num_gts", 2.5),
+        ("num_gts", True),
+        ("sat_uav_distance", "200e3"),
+        ("sat_beam_gain_db", None),
+        ("latency_budget", math.inf),
+        ("uav_power_budget", math.inf),
+        ("noise_psd_dbm_hz", math.nan),
+        ("comp_energy_coeff", math.inf),
+        ("altitude_range", 100.0),
+        ("altitude_range", [50.0, math.inf]),
+        ("beamwidth_range", [0.1]),
+        ("data_bytes", [1024.0, 1024.0, math.nan, 1024.0]),
+        pytest.param("data_bytes", 10 ** 400, id="data_bytes-int-past-float"),
+    ])
+    def test_bad_value_names_its_field(self, field, value):
+        # Each of these crashed with a bare ValueError, IndexError,
+        # TypeError or ZeroDivisionError, or loaded and solved to a NaN
+        # energy.
+        doc = default_document()
+        doc[field] = value
+        with pytest.raises(ScenarioError, match=f"^{field}: "):
+            loads_scenario(doc)
+
+    @pytest.mark.parametrize("position", [[10.0], [math.nan, 0.0],
+                                          [0.0, -math.inf], ["1", 0.0], 5.0])
+    def test_bad_gt_position_names_it(self, position):
+        doc = default_document()
+        doc["gt_positions"][1] = position
+        with pytest.raises(ScenarioError, match=r"^gt_positions\[1\]: "):
+            loads_scenario(doc)
+
+    def test_bad_overhead_segment_names_its_curve(self):
+        doc = default_document()
+        doc["overhead_curves"] = [
+            {"segments": [[-1e7, 2.2e7, 0.7], [-4e7, math.inf, 0.25]]}] * 4
+        with pytest.raises(ScenarioError, match=r"^overhead_curves\[0\]: "):
+            loads_scenario(doc)
+
     def test_retired_sidelobe_gain_key_is_ignored(self):
         # The model never used a sidelobe gain; documents that still carry
         # the key, negative values included, load as if it were absent.

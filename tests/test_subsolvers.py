@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -49,7 +50,7 @@ from saginpsc.subsolvers import (
     solve_task_allocation,
 )
 
-from conftest import feasible_instances, scale_document
+from conftest import feasible_instances, record_latency_terms, scale_document
 
 OPTS = SolverOptions()
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -764,6 +765,27 @@ def _block_calls(cfg, block, scheme="sagin_psc"):
         patch.setattr(algorithm, block, record)
         run_scheme(cfg, scheme)
     return calls
+
+
+class TestDualBlocksDeriveEachStateOnce:
+    """A dual block derives the latency terms of each state it scores
+    once: the block's own state, every distinct primal of the dual loop,
+    and the incumbent that the block's answer is compared with."""
+
+    def test_no_state_is_derived_twice(self, monkeypatch):
+        blocks = ("solve_task_allocation", "select_segments")
+        cfg = load_scenario(SCENARIOS / "default.json")
+        cases = [(block, case) for block in blocks
+                 for case in _block_calls(cfg, block)]
+        for num_gts in (1, 3, 8):
+            cases += [(block, case) for block in blocks
+                      for case in feasible_instances(3, num_gts=num_gts)]
+        derived = record_latency_terms(monkeypatch, subsolvers)
+        for block, (cfg, state) in cases:
+            derived.clear()
+            getattr(subsolvers, block)(cfg, state, OPTS)
+            assert state in derived
+            assert max(Counter(derived).values()) == 1, block
 
 
 def _scale_config(num_gts=256):
