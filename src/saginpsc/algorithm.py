@@ -26,7 +26,7 @@ from .physics import (
     SolutionState,
     _energy,
     _late,
-    check_feasibility,
+    _report,
     latency_terms,
 )
 from .scenario import ScenarioConfig
@@ -124,11 +124,21 @@ def initialize(cfg: ScenarioConfig) -> SolutionState:
     return SolutionState(placement=placement, allocation=allocation)
 
 
-def _score(cfg: ScenarioConfig, state: SolutionState) -> tuple[float, bool]:
-    """``(total energy, every latency within budget)`` of ``state``, from
-    one derivation of its latency terms."""
+def _score(cfg: ScenarioConfig, state: SolutionState):
+    """``(state, terms, total energy, every latency within budget)`` from
+    one derivation of the latency terms of ``state``.  The loop holds only
+    states scored here, and the blocks read their kept terms."""
     terms = latency_terms(cfg, state)
-    return _energy(cfg, state.allocation, terms).total, not _late(cfg, terms)
+    return (state, terms, _energy(cfg, state.allocation, terms).total,
+            not _late(cfg, terms))
+
+
+def _trace(cfg: ScenarioConfig, iteration: int, scored,
+           stuck: tuple[str, ...]) -> IterationTrace:
+    """The trace entry of the :func:`_score` tuple ``scored``."""
+    state, terms, obj, _ = scored
+    return IterationTrace(iteration, obj, _report(cfg, state, terms).feasible,
+                          stuck)
 
 
 # The sweep's blocks in visiting order: the state record each one moves,
@@ -138,10 +148,11 @@ def _score(cfg: ScenarioConfig, state: SolutionState) -> tuple[float, bool]:
 _BLOCKS = {
     "tasks": ("allocation", ("task_sat", "task_uav"),
               lambda *args: solve_task_allocation(*args)),
-    "segments": ("allocation", ("ratio",), lambda cfg, s, opts: solve_ratio_lp(
-        cfg, s, select_segments(cfg, s, opts)[0], opts)),
-    "cpu": ("allocation", ("cpu",),
-            lambda cfg, s, opts: (solve_cpu_allocation(cfg, s),)),
+    "segments": ("allocation", ("ratio",), lambda cfg, s, opts, terms: (
+        solve_ratio_lp(cfg, s, select_segments(cfg, s, opts, terms)[0],
+                       opts, terms))),
+    "cpu": ("allocation", ("cpu",), lambda cfg, s, opts, terms: (
+        solve_cpu_allocation(cfg, s, terms),)),
     "power_bandwidth": ("allocation", ("bandwidth", "power"),
                         lambda *args: solve_power_bandwidth(*args)),
     "placement": ("placement", ("altitude", "half_beamwidth"),
@@ -151,19 +162,20 @@ _BLOCKS = {
 ALL_BLOCKS = tuple(_BLOCKS)
 
 
-def _sweep(cfg: ScenarioConfig, state: SolutionState, score,
-           blocks: tuple[str, ...], solver: SolverOptions):
-    """One pass over the enabled blocks; returns the updated state, its
-    score, and the names of blocks without a feasible move.  A candidate
-    equal to the state is kept without scoring it again; any other is
-    accepted iff it does not worsen the energy, or it turns a
-    latency-infeasible state feasible."""
+def _sweep(cfg: ScenarioConfig, scored, blocks: tuple[str, ...],
+           solver: SolverOptions):
+    """One pass over the enabled blocks from the :func:`_score` tuple
+    ``scored``; returns the updated tuple and the names of blocks without
+    a feasible move.  A candidate equal to the state is kept without
+    scoring it again; any other is accepted iff it does not worsen the
+    energy, or it turns a latency-infeasible state feasible."""
     stuck: list[str] = []
     for name, (record, fields, solve) in _BLOCKS.items():
         if name not in blocks:
             continue
+        state, terms, obj, met = scored
         try:
-            values = solve(cfg, state, solver)
+            values = solve(cfg, state, solver, terms)
         except InfeasibleBlockError:
             stuck.append(name)
             continue
@@ -175,10 +187,10 @@ def _sweep(cfg: ScenarioConfig, state: SolutionState, score,
             cand = _score(cfg, candidate)
         except ModelError:
             continue
-        (obj, met), (cand_obj, cand_met) = score, cand
+        cand_obj, cand_met = cand[2:]
         if cand_obj <= obj * (1.0 + _ACCEPT_SLACK) or (cand_met and not met):
-            state, score = candidate, cand
-    return state, score, tuple(stuck)
+            scored = cand
+    return scored, tuple(stuck)
 
 
 def run_blocks(cfg: ScenarioConfig, state: SolutionState,
@@ -196,17 +208,16 @@ def run_blocks(cfg: ScenarioConfig, state: SolutionState,
     unknown = set(blocks) - set(ALL_BLOCKS)
     if unknown:
         raise ValueError(f"unknown blocks: {sorted(unknown)}")
-    score = _score(cfg, state)
-    trace = [IterationTrace(0, score[0], check_feasibility(cfg, state).feasible,
-                            ())]
+    scored = _score(cfg, state)
+    trace = [_trace(cfg, 0, scored, ())]
     converged = False
     prev_small = False
     for it in range(1, options.max_outer_iters + 1):
-        prev_state, prev_obj = state, score[0]
-        state, score, stuck = _sweep(cfg, state, score, blocks, options.solver)
-        trace.append(IterationTrace(
-            it, score[0], check_feasibility(cfg, state).feasible, stuck))
-        rel = abs(prev_obj - score[0]) / max(abs(prev_obj), 1e-30)
+        prev_state, _, prev_obj, _ = scored
+        scored, stuck = _sweep(cfg, scored, blocks, options.solver)
+        trace.append(_trace(cfg, it, scored, stuck))
+        state, _, obj, _ = scored
+        rel = abs(prev_obj - obj) / max(abs(prev_obj), 1e-30)
         small = rel < options.outer_tolerance
         if small and (state == prev_state or prev_small):
             converged = True
@@ -215,7 +226,7 @@ def run_blocks(cfg: ScenarioConfig, state: SolutionState,
     return SolveResult(
         scheme=scheme,
         state=state,
-        objective=score[0],
+        objective=trace[-1].objective,
         feasible=trace[-1].feasible,  # the final state's entry
         converged=converged,
         iterations=len(trace) - 1,

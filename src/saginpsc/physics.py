@@ -313,10 +313,23 @@ def check_feasibility(cfg: ScenarioConfig, state: SolutionState,
     make their constraint tight by construction (latency equalities,
     coverage at the beamwidth edge), so a slack is only flagged when it is
     negative beyond ``rel_tol`` times the constraint's own scale, or NaN.
-    Constraint codes: latency, power_budget, coverage, altitude,
+    A state whose latency terms are undefined misses every latency
+    budget.  Constraint codes: latency, power_budget, coverage, altitude,
     bandwidth_budget, cpu_budget, ratio_bounds, task_binary,
     task_exclusive, beamwidth, nonnegativity.
     """
+    try:
+        terms = latency_terms(cfg, state)
+    except ModelError:
+        terms = None
+    return _report(cfg, state, terms, rel_tol)
+
+
+def _report(cfg: ScenarioConfig, state: SolutionState,
+            terms: LatencyTerms | None,
+            rel_tol: float = _REL_TOL) -> FeasibilityReport:
+    """:func:`check_feasibility` of ``state`` from its ``terms``; ``None``
+    stands for undefined terms."""
     al = state.allocation
     pl = state.placement
     out: list[ConstraintViolation] = []
@@ -353,10 +366,8 @@ def check_feasibility(cfg: ScenarioConfig, state: SolutionState,
     check(pl.half_beamwidth - th_lo, "beamwidth")
     check(th_hi - pl.half_beamwidth, "beamwidth")
 
-    try:
-        late = _late(cfg, latency_terms(cfg, state), rel_tol)
-    except ModelError:
-        late = [(k, -math.inf) for k in range(cfg.num_gts)]
+    late = (_late(cfg, terms, rel_tol) if terms is not None
+            else [(k, -math.inf) for k in range(cfg.num_gts)])
     out += [ConstraintViolation("latency", k, slack) for k, slack in late]
 
     return FeasibilityReport(violations=tuple(out))
@@ -377,7 +388,7 @@ def downlink_energy_grid(cfg: ScenarioConfig, state: SolutionState,
     """
     terms = latency_terms(cfg, state)
     static_ok = all(v.code in ("coverage", "latency")
-                    for v in check_feasibility(cfg, state).violations)
+                    for v in _report(cfg, state, terms).violations)
     al = state.allocation
     pl = state.placement
     cover = pl.coverage_radius

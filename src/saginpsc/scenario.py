@@ -181,24 +181,13 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _require(self.num_gts >= 1, "num_gts", "must be at least 1")
-        positives = [
-            ("sat_uav_distance", self.sat_uav_distance),
-            ("sat_beam_gain", self.sat_beam_gain),
-            ("sat_wavelength", self.sat_wavelength),
-            ("sat_bandwidth", self.sat_bandwidth),
-            ("sat_tx_power", self.sat_tx_power),
-            ("noise_psd", self.noise_psd),
-            ("ref_channel_gain", self.ref_channel_gain),
-            ("antenna_gain_const", self.antenna_gain_const),
-            ("comp_energy_coeff", self.comp_energy_coeff),
-            ("cycles_per_overhead", self.cycles_per_overhead),
-            ("sat_cpu", self.sat_cpu),
-            ("uav_cpu_total", self.uav_cpu_total),
-            ("latency_budget", self.latency_budget),
-            ("uav_power_budget", self.uav_power_budget),
-            ("uav_bandwidth_total", self.uav_bandwidth_total),
-            ("lightspeed", self.lightspeed),
-        ] + [("data_bits", bits) for bits in self.data_bits]
+        positives = [(name, getattr(self, name)) for name in (
+            "sat_uav_distance", "sat_beam_gain", "sat_wavelength",
+            "sat_bandwidth", "sat_tx_power", "noise_psd", "ref_channel_gain",
+            "antenna_gain_const", "comp_energy_coeff", "cycles_per_overhead",
+            "sat_cpu", "uav_cpu_total", "latency_budget", "uav_power_budget",
+            "uav_bandwidth_total", "lightspeed")]
+        positives += [("data_bits", bits) for bits in self.data_bits]
         for name, value in positives:
             _require(value > 0, name, "must be strictly positive")
         h_lo, h_hi = self.altitude_range
@@ -215,10 +204,6 @@ class ScenarioConfig:
     def beam_range_clamped(self) -> tuple[float, float]:
         lo, hi = self.beamwidth_range
         return (max(lo, BEAMWIDTH_CLAMP), min(hi, math.pi / 2 - BEAMWIDTH_CLAMP))
-
-
-def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
 
 
 def _linear_to_db(x: float) -> float:
@@ -257,8 +242,8 @@ def loads_scenario(document: dict | str) -> ScenarioConfig:
     Accepts either a parsed dict or a JSON string.  dB/dBm fields are
     converted to linear/SI, data sizes from bytes to bits.  Missing
     optional fields take their documented defaults; missing required
-    fields, and values that are not finite numbers of the field's shape,
-    raise :class:`ScenarioError` naming the field.
+    fields, and values that are not finite numbers of the field's shape
+    or overflow on conversion, raise :class:`ScenarioError` naming it.
     """
     if isinstance(document, str):
         try:
@@ -276,6 +261,14 @@ def loads_scenario(document: dict | str) -> ScenarioConfig:
     def number(name: str, default: float | None = None) -> float:
         return _number(read(name, default), name)
 
+    def linear(name: str) -> float:
+        """The decibel value of field ``name`` as a linear ratio."""
+        db = number(name)
+        try:
+            return 10.0 ** (db / 10.0)
+        except OverflowError:
+            raise ScenarioError(f"{name}: overflows in linear units") from None
+
     k = read("num_gts")
     _require(isinstance(k, int) and not isinstance(k, bool) and k >= 1,
              "num_gts", "must be an integer of at least 1")
@@ -284,6 +277,7 @@ def loads_scenario(document: dict | str) -> ScenarioConfig:
     if not isinstance(data_bytes, (list, tuple)):
         data_bytes = [data_bytes] * k
     data_bits = tuple(8.0 * x for x in _numbers(data_bytes, "data_bytes", k))
+    _require(max(data_bits) < math.inf, "data_bytes", "overflows in bits")
 
     positions = read("gt_positions")
     _require(isinstance(positions, (list, tuple)), "gt_positions",
@@ -306,11 +300,11 @@ def loads_scenario(document: dict | str) -> ScenarioConfig:
         data_bits=data_bits,
         gt_positions=positions,
         sat_uav_distance=number("sat_uav_distance"),
-        sat_beam_gain=_db_to_linear(number("sat_beam_gain_db")),
+        sat_beam_gain=linear("sat_beam_gain_db"),
         sat_wavelength=number("sat_wavelength"),
         sat_bandwidth=number("sat_bandwidth"),
         sat_tx_power=number("sat_tx_power"),
-        noise_psd=_db_to_linear(number("noise_psd_dbm_hz")) * 1e-3,
+        noise_psd=linear("noise_psd_dbm_hz") * 1e-3,
         ref_channel_gain=number("ref_channel_gain"),
         antenna_gain_const=number("antenna_gain_const", 2.2846),
         comp_energy_coeff=number("comp_energy_coeff", 1e-28),

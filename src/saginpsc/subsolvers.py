@@ -6,7 +6,8 @@ overhead-segment selection) run a projected dual subgradient loop and
 return the best feasible iterate encountered, falling back to the final
 iterate with ``feasible=False`` when no iterate met the latency budget.
 The remaining blocks are a dense LP, a closed form, a two-multiplier
-convex allocator, and two exhaustive searches.
+convex allocator, and two exhaustive searches.  Each block reads its
+state's ``latency_terms`` from its last argument and never derives them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from .physics import (
     LatencyTerms,
-    ModelError,
     SolutionState,
     _energy,
     channel_gain_ug,
@@ -103,20 +103,6 @@ class SegmentChoice:
         return tuple(tuple(int(d == chosen) for d in range(len(mids)))
                      for chosen, mids in zip(self.chosen_segment,
                                              self.midpoints))
-
-
-# ---------------------------------------------------------------------------
-# The state's latency terms, as the blocks read them
-
-
-def _block_terms(cfg: ScenarioConfig, state: SolutionState,
-                 block: str) -> LatencyTerms:
-    """``latency_terms`` of ``state``; a state that leaves a term undefined
-    gives ``block`` no feasible point."""
-    try:
-        return latency_terms(cfg, state)
-    except ModelError as exc:
-        raise InfeasibleBlockError(block, str(exc)) from exc
 
 
 # The power/bandwidth block leaves each GT's downlink latency exactly
@@ -375,15 +361,14 @@ class _TaskAdapter(_StateAdapter):
 
 
 def solve_task_allocation(cfg: ScenarioConfig, state: SolutionState,
-                          opts: SolverOptions):
+                          opts: SolverOptions, terms: LatencyTerms):
     """Assign the compression site per GT by the dual method.
 
     Returns ``(task_sat, task_uav, feasible)``.  GTs without a
     positive UAV CPU share can only be assigned to the satellite or left
     uncompressed.
     """
-    adapter = _TaskAdapter(
-        cfg, state, _block_terms(cfg, state, "solve_task_allocation"))
+    adapter = _TaskAdapter(cfg, state, terms)
     (task_sat, task_uav), feasible = adapter.solve(
         (state.allocation.task_sat, state.allocation.task_uav), opts)
     return tuple(task_sat), tuple(task_uav), feasible
@@ -445,12 +430,11 @@ class _SegmentAdapter(_StateAdapter):
 
 
 def select_segments(cfg: ScenarioConfig, state: SolutionState,
-                    opts: SolverOptions):
+                    opts: SolverOptions, terms: LatencyTerms):
     """Pick one overhead segment per GT by ranking the midpoint scores
     under the dual multipliers.  Returns ``(SegmentChoice, feasible)``;
     ties resolve to the shallowest segment."""
-    adapter = _SegmentAdapter(
-        cfg, state, _block_terms(cfg, state, "select_segments"))
+    adapter = _SegmentAdapter(cfg, state, terms)
     chosen, feasible = adapter.solve(tuple(
         cfg.overhead_curves[k].segment_of(state.allocation.ratio[k])
         for k in range(cfg.num_gts)), opts)
@@ -466,7 +450,8 @@ def select_segments(cfg: ScenarioConfig, state: SolutionState,
 
 
 def solve_ratio_lp(cfg: ScenarioConfig, state: SolutionState,
-                   choice: SegmentChoice, opts: SolverOptions):
+                   choice: SegmentChoice, opts: SolverOptions,
+                   terms: LatencyTerms):
     """Optimize the compression ratios inside their chosen segments.
 
     Returns ``(ratios, fully_feasible)``.  Latency rows whose coefficients
@@ -480,7 +465,6 @@ def solve_ratio_lp(cfg: ScenarioConfig, state: SolutionState,
     from .simplex import solve_bounded_lp
 
     al = state.allocation
-    p = _block_terms(cfg, state, "solve_ratio_lp")
     kappa = cfg.cycles_per_overhead
     tau = cfg.comp_energy_coeff
     n = cfg.num_gts
@@ -497,22 +481,22 @@ def solve_ratio_lp(cfg: ScenarioConfig, state: SolutionState,
         slope[k], intercept[k] = curve.slopes[d], curve.intercepts[d]
         a_s, a_u = al.task_sat[k], al.task_uav[k]
         c[k] = (a_s * (kappa * tau * slope[k] * cfg.sat_cpu ** 2
-                       + cfg.sat_tx_power * cfg.data_bits[k] / p.r_su)
+                       + cfg.sat_tx_power * cfg.data_bits[k] / terms.r_su)
                 + a_u * kappa * tau * slope[k] * al.cpu[k] ** 2
-                + (a_s + a_u) * al.power[k] * cfg.data_bits[k] / p.rate[k])
+                + (a_s + a_u) * al.power[k] * cfg.data_bits[k] / terms.rate[k])
 
     # Latency rows: shared satellite terms couple every ratio; the UAV
     # compute/downlink terms are local to each GT.
     shared_coef = np.array([
         al.task_sat[k] * (kappa * slope[k] / cfg.sat_cpu
-                          + cfg.data_bits[k] / p.r_su)
+                          + cfg.data_bits[k] / terms.r_su)
         for k in range(n)
     ])
     shared_const = sum(
         al.task_sat[k] * kappa * intercept[k] / cfg.sat_cpu
-        + (1 - al.task_sat[k]) * cfg.data_bits[k] / p.r_su
+        + (1 - al.task_sat[k]) * cfg.data_bits[k] / terms.r_su
         for k in range(n)
-    ) + p.t_prop
+    ) + terms.t_prop
 
     rows = []
     rhs = []
@@ -524,8 +508,8 @@ def solve_ratio_lp(cfg: ScenarioConfig, state: SolutionState,
         if a_u:
             row[j] += kappa * slope[j] / al.cpu[j]
             const += kappa * intercept[j] / al.cpu[j]
-        row[j] += (a_s + a_u) * cfg.data_bits[j] / p.rate[j]
-        const += (1 - a_s - a_u) * cfg.data_bits[j] / p.rate[j]
+        row[j] += (a_s + a_u) * cfg.data_bits[j] / terms.rate[j]
+        const += (1 - a_s - a_u) * cfg.data_bits[j] / terms.rate[j]
         limit = cfg.latency_budget - const
         if np.max(np.abs(row)) == 0.0:
             if limit < 0.0:
@@ -559,13 +543,13 @@ def solve_ratio_lp(cfg: ScenarioConfig, state: SolutionState,
 # Block 3: UAV CPU shares (closed form)
 
 
-def solve_cpu_allocation(cfg: ScenarioConfig, state: SolutionState):
+def solve_cpu_allocation(cfg: ScenarioConfig, state: SolutionState,
+                         terms: LatencyTerms):
     """Closed-form CPU shares: each UAV-compressed GT gets exactly the
     cycles-per-second that make its end-to-end latency hit the budget;
     everyone else gets zero.  Raises when a slack is nonpositive or the
     shares exceed the UAV CPU budget."""
     al = state.allocation
-    p = _block_terms(cfg, state, "solve_cpu_allocation")
     kappa = cfg.cycles_per_overhead
     t = cfg.latency_budget
     cpu = []
@@ -573,12 +557,12 @@ def solve_cpu_allocation(cfg: ScenarioConfig, state: SolutionState):
         if not al.task_uav[k]:
             cpu.append(0.0)
             continue
-        slack = t - p.t_sat - p.t_tx - p.t_prop - p.t_ug[k]
+        slack = t - terms.t_sat - terms.t_tx - terms.t_prop - terms.t_ug[k]
         if slack <= 0.0:
             raise InfeasibleBlockError(
                 "solve_cpu_allocation",
                 f"GT {k}: no latency left for UAV compute (slack {slack:.3e} s)")
-        cpu.append(kappa * p.overhead[k] / slack)
+        cpu.append(kappa * terms.overhead[k] / slack)
     if sum(cpu) > cfg.uav_cpu_total:
         raise InfeasibleBlockError(
             "solve_cpu_allocation",
@@ -708,7 +692,7 @@ def _split(u, v, weights, b_total: float) -> tuple[list[float], float]:
 
 
 def solve_power_bandwidth(cfg: ScenarioConfig, state: SolutionState,
-                          opts: SolverOptions):
+                          opts: SolverOptions, terms: LatencyTerms):
     """Jointly allocate UAV bandwidth and power so every GT's downlink
     uses exactly its remaining latency budget at minimum energy.
 
@@ -723,9 +707,8 @@ def solve_power_bandwidth(cfg: ScenarioConfig, state: SolutionState,
     bandwidth multiplier ``mu`` that makes the bandwidth budget tight is
     one safeguarded Newton root in ``log mu`` (``_split``).
     """
-    p = _block_terms(cfg, state, "solve_power_bandwidth")
     n = cfg.num_gts
-    slacks = p.hop_slack
+    slacks = terms.hop_slack
     u = []
     v = []
     w = []
@@ -736,7 +719,7 @@ def solve_power_bandwidth(cfg: ScenarioConfig, state: SolutionState,
                 f"GT {k}: no latency left for the downlink (slack {slacks[k]:.3e} s)")
         g_k = channel_gain_ug(cfg, state.placement, k)
         theta = state.placement.half_beamwidth
-        u.append(p.bits[k] / slacks[k])
+        u.append(terms.bits[k] / slacks[k])
         v.append(cfg.antenna_gain_const * g_k / (theta * theta * cfg.noise_psd))
         w.append(slacks[k] / v[k])
 
@@ -834,7 +817,7 @@ def _hop_scores(cfg: ScenarioConfig, al, bits, slacks, uav_xy, altitudes,
 
 
 def solve_altitude_beamwidth(cfg: ScenarioConfig, state: SolutionState,
-                             opts: SolverOptions):
+                             opts: SolverOptions, terms: LatencyTerms):
     """Optimize UAV altitude and half-beamwidth with everything else fixed.
 
     The altitude is pinned to ``max(H_min, L_max / tan(theta))`` (raising
@@ -848,8 +831,7 @@ def solve_altitude_beamwidth(cfg: ScenarioConfig, state: SolutionState,
     with ``math.tan``.  Returns ``(altitude, theta)``.
     """
     al = state.allocation
-    p = _block_terms(cfg, state, "solve_altitude_beamwidth")
-    slacks = p.hop_slack
+    slacks = terms.hop_slack
     if min(slacks) <= 0.0:
         raise InfeasibleBlockError(
             "solve_altitude_beamwidth", "no latency left for the downlink")
@@ -878,7 +860,7 @@ def solve_altitude_beamwidth(cfg: ScenarioConfig, state: SolutionState,
         thetas = np.concatenate((thetas, sweep[inside]))
         altitudes = np.concatenate((altitudes, tight[inside]))
 
-    admitted, energy = _hop_scores(cfg, al, p.bits, slacks,
+    admitted, energy = _hop_scores(cfg, al, terms.bits, slacks,
                                    state.placement.uav_xy, altitudes, thetas)
     if admitted.size == 0:
         raise InfeasibleBlockError(
@@ -946,7 +928,7 @@ def _grid_candidates(gx, gy, xs, ys, limit) -> np.ndarray:
 
 
 def solve_location(cfg: ScenarioConfig, state: SolutionState,
-                   opts: SolverOptions):
+                   opts: SolverOptions, terms: LatencyTerms):
     """Place the UAV inside the intersection of the per-GT admissible
     disks (coverage radius capped by the latency-derived radius) by
     grid search over the disks' bounding box, with one 9 x 9 refinement
@@ -966,8 +948,7 @@ def solve_location(cfg: ScenarioConfig, state: SolutionState,
     """
     al = state.allocation
     pl = state.placement
-    p = _block_terms(cfg, state, "solve_location")
-    slacks = p.hop_slack
+    slacks = terms.hop_slack
     if min(slacks) <= 0.0:
         raise InfeasibleBlockError("solve_location",
                                    "no latency left for the downlink")
@@ -980,7 +961,7 @@ def solve_location(cfg: ScenarioConfig, state: SolutionState,
         if al.power[k] <= 0.0:
             raise InfeasibleBlockError(
                 "solve_location", f"GT {k}: zero power, admissible disk empty")
-        j_k = p.bits[k] / (al.bandwidth[k] * slacks[k])
+        j_k = terms.bits[k] / (al.bandwidth[k] * slacks[k])
         if j_k > _EXP_CAP:
             raise InfeasibleBlockError(
                 "solve_location", f"GT {k}: rate demand overflows, disk empty")
@@ -1003,7 +984,7 @@ def solve_location(cfg: ScenarioConfig, state: SolutionState,
 
     pw = np.array(al.power)
     bw = np.array(al.bandwidth)
-    bits = np.array(p.bits)
+    bits = np.array(terms.bits)
     gain = cfg.antenna_gain_const * cfg.ref_channel_gain / (theta * theta
                                                             * cfg.noise_psd)
 

@@ -26,7 +26,7 @@ from saginpsc.oracle import (
     oracle_power_bandwidth,
     oracle_ratio,
 )
-from saginpsc.physics import latency_breakdown, total_energy
+from saginpsc.physics import latency_breakdown, latency_terms, total_energy
 from saginpsc.scenario import default_document, loads_scenario
 from saginpsc.subsolvers import (
     SolverOptions,
@@ -78,7 +78,7 @@ def test_c01_convergence_monotone_and_fast():
 def test_c02_cpu_shares_tight_and_optimal():
     with criterion("C2 CPU closed form is latency-tight and grid-optimal"):
         for cfg, state in feasible_instances(100, start_seed=0):
-            cpu = solve_cpu_allocation(cfg, state)
+            cpu = solve_cpu_allocation(cfg, state, latency_terms(cfg, state))
             cand = replace(state, allocation=replace(state.allocation,
                                                      cpu=cpu))
             lat = latency_breakdown(cfg, cand)
@@ -96,7 +96,8 @@ def test_c02_cpu_shares_tight_and_optimal():
 def test_c03_power_bandwidth_tight_and_optimal():
     with criterion("C3 power/bandwidth meets the latency equalities"):
         for cfg, state in feasible_instances(100, start_seed=0):
-            bw, pw = solve_power_bandwidth(cfg, state, OPTS)
+            bw, pw = solve_power_bandwidth(
+                cfg, state, OPTS, latency_terms(cfg, state))
             assert sum(bw) == pytest.approx(cfg.uav_bandwidth_total,
                                             rel=1e-12)
             assert sum(pw) <= cfg.uav_power_budget * (1 + 1e-9)
@@ -116,7 +117,8 @@ def test_c04_dual_blocks_match_enumeration():
     with criterion("C4 dual assignment blocks match exhaustive enumeration"):
         compared = 0
         for cfg, state in feasible_instances(100, start_seed=0):
-            a_s, a_u, feas = solve_task_allocation(cfg, state, OPTS)
+            terms = latency_terms(cfg, state)
+            a_s, a_u, feas = solve_task_allocation(cfg, state, OPTS, terms)
             if feas:
                 e_s, e_u, best = enumerate_task_assignments(cfg, state)
                 if (a_s, a_u) != (e_s, e_u):
@@ -125,7 +127,7 @@ def test_c04_dual_blocks_match_enumeration():
                     assert _rel(total_energy(cfg, cand), best) < 1e-9
                 compared += 1
 
-            choice, feas = select_segments(cfg, state, OPTS)
+            choice, feas = select_segments(cfg, state, OPTS, terms)
             if feas:
                 combo, ratios, best = enumerate_segment_choices(cfg, state)
                 if choice.chosen_segment != combo:
@@ -142,10 +144,11 @@ def test_c04_dual_blocks_match_enumeration():
 def test_c05_ratio_lp_matches_grid_reference():
     with criterion("C5 in-segment ratio LP matches the grid reference"):
         for cfg, state in feasible_instances(100, start_seed=0):
-            choice, feas = select_segments(cfg, state, OPTS)
+            terms = latency_terms(cfg, state)
+            choice, feas = select_segments(cfg, state, OPTS, terms)
             if not feas:
                 continue
-            ratios, clean = solve_ratio_lp(cfg, state, choice, OPTS)
+            ratios, clean = solve_ratio_lp(cfg, state, choice, OPTS, terms)
             if not clean:
                 continue
             sol = oracle_ratio(cfg, state, choice.chosen_segment)
@@ -162,7 +165,7 @@ def test_c06_placement_blocks_match_grid_references():
         for cfg, state in feasible_instances(50, start_seed=0):
             # Horizontal location: within one production grid cell of the
             # reference argmin, and no worse than its objective by 0.1%.
-            xy, _ = solve_location(cfg, state, OPTS)
+            xy, _ = solve_location(cfg, state, OPTS, latency_terms(cfg, state))
             sol = oracle_location(cfg, state)
             prod_cell = tuple(c * (2010 - 1) / (201 - 1) for c in sol.cell)
             assert abs(xy[0] - sol.point[0]) <= prod_cell[0] * 1.5
@@ -173,7 +176,8 @@ def test_c06_placement_blocks_match_grid_references():
 
             # Altitude/beamwidth: the altitude identity holds exactly and
             # the pair sits on the reference's near-optimal level set.
-            h, theta = solve_altitude_beamwidth(cfg, state, OPTS)
+            h, theta = solve_altitude_beamwidth(
+                cfg, state, OPTS, latency_terms(cfg, state))
             l_max = max(state.placement.horizontal_distance(p)
                         for p in cfg.gt_positions)
             assert h == max(cfg.altitude_range[0], l_max / math.tan(theta))

@@ -97,34 +97,34 @@ class TestOuterLoop:
 
     def test_unchanged_candidate_is_not_scored(self, monkeypatch):
         # Every block returns the values it was given, so each candidate
-        # equals the state, and the loop derives the state's terms for its
-        # start and its trace alone, however many blocks run.  The stubs
-        # are bound to the names in ``algorithm`` that the loop calls.
+        # equals the state, and the loop derives the state's terms once,
+        # for its start, however many blocks run: the blocks and the trace
+        # read the kept terms.  The stubs are bound to the names in
+        # ``algorithm`` that the loop calls.
         cfg = _default_cfg()
         state = run_scheme(cfg, SchemeId.SAGIN_PSC).state
         identity = {
-            "solve_task_allocation": lambda cfg, s, opts: (
+            "solve_task_allocation": lambda cfg, s, opts, terms: (
                 s.allocation.task_sat, s.allocation.task_uav, True),
-            "select_segments": lambda cfg, s, opts: (None, True),
-            "solve_ratio_lp": lambda cfg, s, choice, opts: (
+            "select_segments": lambda cfg, s, opts, terms: (None, True),
+            "solve_ratio_lp": lambda cfg, s, choice, opts, terms: (
                 s.allocation.ratio, True),
-            "solve_cpu_allocation": lambda cfg, s: s.allocation.cpu,
-            "solve_power_bandwidth": lambda cfg, s, opts: (
+            "solve_cpu_allocation": lambda cfg, s, terms: s.allocation.cpu,
+            "solve_power_bandwidth": lambda cfg, s, opts, terms: (
                 s.allocation.bandwidth, s.allocation.power),
-            "solve_altitude_beamwidth": lambda cfg, s, opts: (
+            "solve_altitude_beamwidth": lambda cfg, s, opts, terms: (
                 s.placement.altitude, s.placement.half_beamwidth),
-            "solve_location": lambda cfg, s, opts: (s.placement.uav_xy, 0.0),
+            "solve_location": lambda cfg, s, opts, terms: (
+                s.placement.uav_xy, 0.0),
         }
         for name, stub in identity.items():
             monkeypatch.setattr(algorithm, name, stub)
         derived = record_latency_terms(monkeypatch, algorithm, subsolvers)
-        counts = []
         for blocks in (("cpu",), ALL_BLOCKS):
             derived.clear()
             res = run_blocks(cfg, state, blocks=blocks)
             assert res.state == state and res.iterations == 1
-            counts.append(len(derived))
-        assert counts[0] == counts[1]
+            assert derived == [state]
 
     def test_stuck_blocks_are_reported_not_fatal(self):
         # A 1 ms latency budget leaves no feasible move for most blocks.

@@ -87,11 +87,14 @@ class TestSolve:
         ("altitude_range", 100.0),
         ("latency_budget", math.inf),
         ("uav_power_budget", math.inf),
+        ("sat_beam_gain_db", 4000.0),
+        ("noise_psd_dbm_hz", 4000.0),
+        ("data_bytes", 1e308),
     ])
     def test_bad_scenario_value_exits_one(self, runner, tmp_path, field,
                                           value):
         # Before validation these ended in a traceback, or solved to a NaN
-        # energy and exited 2 as if the model were infeasible.
+        # or infinite energy and exited 2 as if the model were infeasible.
         doc = default_document(num_gts=3, data_kib=16.0)
         doc[field] = value
         path = tmp_path / "bad.json"

@@ -27,6 +27,7 @@ from saginpsc.physics import (
     check_feasibility,
     energy_breakdown,
     latency_breakdown,
+    latency_terms,
     rate_sat_uav,
     rate_uav_gt,
     total_energy,
@@ -659,7 +660,8 @@ class TestMeshOraclesMatchReference:
             uav += any(state.allocation.task_uav)
             self._compare("oracle_cpu", cfg, state)
             self._compare("oracle_power_bandwidth", cfg, state)
-            choice, feas = select_segments(cfg, state, SolverOptions())
+            choice, feas = select_segments(
+                cfg, state, SolverOptions(), latency_terms(cfg, state))
             if feas:
                 self._compare("oracle_ratio", cfg, state,
                               choice.chosen_segment)

@@ -75,11 +75,15 @@ class TestDocumentValidation:
         ("beamwidth_range", [0.1]),
         ("data_bytes", [1024.0, 1024.0, math.nan, 1024.0]),
         pytest.param("data_bytes", 10 ** 400, id="data_bytes-int-past-float"),
+        ("sat_beam_gain_db", 4000.0),
+        ("noise_psd_dbm_hz", 4000.0),
+        ("data_bytes", 1e308),
+        ("data_bytes", [1024.0, 1e308, 1024.0, 1024.0]),
     ])
     def test_bad_value_names_its_field(self, field, value):
         # Each of these crashed with a bare ValueError, IndexError,
-        # TypeError or ZeroDivisionError, or loaded and solved to a NaN
-        # energy.
+        # TypeError, ZeroDivisionError or OverflowError, or loaded and
+        # solved to a NaN or infinite energy.
         doc = default_document()
         doc[field] = value
         with pytest.raises(ScenarioError, match=f"^{field}: "):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from saginpsc import algorithm, subsolvers
-from saginpsc.algorithm import initialize, run_scheme
+from saginpsc.algorithm import initialize, run_blocks, run_scheme
 from saginpsc.oracle import (
     EmptyFeasibleError,
     enumerate_segment_choices,
@@ -20,6 +20,7 @@ from saginpsc.oracle import (
     oracle_ratio,
 )
 from saginpsc.physics import (
+    ModelError,
     channel_gain_ug,
     latency_breakdown,
     latency_terms,
@@ -33,7 +34,6 @@ from saginpsc.scenario import (
 )
 from saginpsc.subsolvers import (
     InfeasibleBlockError,
-    SegmentChoice,
     SolverOptions,
     _EXP_CAP,
     _SegmentAdapter,
@@ -408,8 +408,9 @@ class TestDualReplay:
         calls = _record_dual_calls(monkeypatch)
         for cfg, state in feasible_instances(4, start_seed=0,
                                              num_gts=num_gts):
-            solve_task_allocation(cfg, state, OPTS)
-            select_segments(cfg, state, OPTS)
+            terms = latency_terms(cfg, state)
+            solve_task_allocation(cfg, state, OPTS, terms)
+            select_segments(cfg, state, OPTS, terms)
         assert len(calls) == 8
         for adapter, opts in calls:
             assert_matches_reference(adapter, opts)
@@ -450,14 +451,16 @@ class TestTaskAllocation:
 
     def test_output_is_binary_and_exclusive(self):
         for cfg, state in feasible_instances(5, start_seed=0):
-            a_s, a_u, feasible = solve_task_allocation(cfg, state, OPTS)
+            a_s, a_u, feasible = solve_task_allocation(
+                cfg, state, OPTS, latency_terms(cfg, state))
             for s, u in zip(a_s, a_u):
                 assert s in (0, 1) and u in (0, 1)
                 assert s + u <= 1
 
     def test_matches_enumeration_on_random_instances(self):
         for cfg, state in feasible_instances(10, start_seed=0):
-            a_s, a_u, feasible = solve_task_allocation(cfg, state, OPTS)
+            a_s, a_u, feasible = solve_task_allocation(
+                cfg, state, OPTS, latency_terms(cfg, state))
             try:
                 e_s, e_u, e_obj = enumerate_task_assignments(cfg, state)
             except EmptyFeasibleError:
@@ -471,7 +474,8 @@ class TestTaskAllocation:
 
     def test_never_worsens_input(self):
         for cfg, state in feasible_instances(5, start_seed=20):
-            a_s, a_u, _ = solve_task_allocation(cfg, state, OPTS)
+            a_s, a_u, _ = solve_task_allocation(
+                cfg, state, OPTS, latency_terms(cfg, state))
             cand = replace(state, allocation=replace(
                 state.allocation, task_sat=a_s, task_uav=a_u))
             assert total_energy(cfg, cand) <= total_energy(cfg, state) * (1 + 1e-9)
@@ -480,14 +484,16 @@ class TestTaskAllocation:
 class TestSegmentSelection:
     def test_exactly_one_active_segment_per_gt(self):
         for cfg, state in feasible_instances(5, start_seed=0):
-            choice, feasible = select_segments(cfg, state, OPTS)
+            choice, feasible = select_segments(
+                cfg, state, OPTS, latency_terms(cfg, state))
             for k, row in enumerate(choice.alpha):
                 assert sum(row) == 1
                 assert row[choice.chosen_segment[k]] == 1
 
     def test_matches_enumeration_on_random_instances(self):
         for cfg, state in feasible_instances(10, start_seed=0):
-            choice, feasible = select_segments(cfg, state, OPTS)
+            choice, feasible = select_segments(
+                cfg, state, OPTS, latency_terms(cfg, state))
             try:
                 e_combo, e_rho, e_obj = enumerate_segment_choices(cfg, state)
             except EmptyFeasibleError:
@@ -507,9 +513,10 @@ class TestRatioLp:
             segs = tuple(
                 cfg.overhead_curves[k].segment_of(state.allocation.ratio[k])
                 for k in range(cfg.num_gts))
-            choice, _ = select_segments(cfg, state, OPTS)
+            terms = latency_terms(cfg, state)
+            choice, _ = select_segments(cfg, state, OPTS, terms)
             choice = replace(choice, chosen_segment=segs)
-            ratios, clean = solve_ratio_lp(cfg, state, choice, OPTS)
+            ratios, clean = solve_ratio_lp(cfg, state, choice, OPTS, terms)
             sol = oracle_ratio(cfg, state, segs)
             assert rel(sol.evaluate(ratios), sol.value) < 1e-6
 
@@ -518,8 +525,9 @@ class TestRatioLp:
         # coefficients; a violated budget is then someone else's problem.
         cfg = loads_scenario(default_document())
         state = initialize(cfg)
-        choice, _ = select_segments(cfg, state, OPTS)
-        ratios, clean = solve_ratio_lp(cfg, state, choice, OPTS)
+        terms = latency_terms(cfg, state)
+        choice, _ = select_segments(cfg, state, OPTS, terms)
+        ratios, clean = solve_ratio_lp(cfg, state, choice, OPTS, terms)
         assert not clean
         lo, _ = cfg.overhead_curves[0].segment_bounds(choice.chosen_segment[0])
         assert ratios == (lo,) * cfg.num_gts
@@ -529,9 +537,10 @@ class TestRatioLp:
         state = initialize(cfg)
         state = replace(state, allocation=replace(
             state.allocation, task_sat=(1, 0, 0, 0)))
-        choice, _ = select_segments(cfg, state, OPTS)
+        terms = latency_terms(cfg, state)
+        choice, _ = select_segments(cfg, state, OPTS, terms)
         with pytest.raises(InfeasibleBlockError, match="ratio"):
-            solve_ratio_lp(cfg, state, choice, OPTS)
+            solve_ratio_lp(cfg, state, choice, OPTS, terms)
 
 
 class TestCpuAllocation:
@@ -539,7 +548,7 @@ class TestCpuAllocation:
         for cfg, state in feasible_instances(10, start_seed=0):
             if not any(state.allocation.task_uav):
                 continue
-            cpu = solve_cpu_allocation(cfg, state)
+            cpu = solve_cpu_allocation(cfg, state, latency_terms(cfg, state))
             cand = replace(state, allocation=replace(state.allocation, cpu=cpu))
             lat = latency_breakdown(cfg, cand).total
             for k in range(cfg.num_gts):
@@ -552,7 +561,7 @@ class TestCpuAllocation:
         for cfg, state in feasible_instances(6, start_seed=0):
             if not any(state.allocation.task_uav):
                 continue
-            cpu = solve_cpu_allocation(cfg, state)
+            cpu = solve_cpu_allocation(cfg, state, latency_terms(cfg, state))
             cand = replace(state, allocation=replace(state.allocation, cpu=cpu))
             sol = oracle_cpu(cfg, cand)
             if sol.value > 0:
@@ -565,7 +574,7 @@ class TestCpuAllocation:
             state.allocation, task_uav=(1, 0, 0, 0),
             cpu=(cfg.uav_cpu_total, 0.0, 0.0, 0.0), ratio=(0.4, 1.0, 1.0, 1.0)))
         with pytest.raises(InfeasibleBlockError, match="no latency left"):
-            solve_cpu_allocation(cfg, state)
+            solve_cpu_allocation(cfg, state, latency_terms(cfg, state))
 
     def test_cpu_budget_exceeded_raises(self):
         for cfg, state in feasible_instances(10, start_seed=0):
@@ -573,14 +582,15 @@ class TestCpuAllocation:
                 continue
             tiny = replace(cfg, uav_cpu_total=1e3)
             with pytest.raises(InfeasibleBlockError, match="budget"):
-                solve_cpu_allocation(tiny, state)
+                solve_cpu_allocation(tiny, state, latency_terms(tiny, state))
             break
 
 
 class TestPowerBandwidth:
     def test_bandwidth_budget_tight_and_latency_equalities(self):
         for cfg, state in feasible_instances(10, start_seed=0):
-            bw, pw = solve_power_bandwidth(cfg, state, OPTS)
+            bw, pw = solve_power_bandwidth(
+                cfg, state, OPTS, latency_terms(cfg, state))
             assert rel(sum(bw), cfg.uav_bandwidth_total) < 1e-12
             assert sum(pw) <= cfg.uav_power_budget * (1 + 1e-9)
             cand = replace(state, allocation=replace(
@@ -591,7 +601,8 @@ class TestPowerBandwidth:
 
     def test_matches_grid_reference(self):
         for cfg, state in feasible_instances(5, start_seed=0):
-            bw, pw = solve_power_bandwidth(cfg, state, OPTS)
+            bw, pw = solve_power_bandwidth(
+                cfg, state, OPTS, latency_terms(cfg, state))
             cand = replace(state, allocation=replace(
                 state.allocation, bandwidth=bw, power=pw))
             sol = oracle_power_bandwidth(cfg, cand)
@@ -601,11 +612,12 @@ class TestPowerBandwidth:
         cfg = loads_scenario(default_document())
         state = initialize(cfg)  # uncompressed 64 KB x4 overruns the budget
         with pytest.raises(InfeasibleBlockError, match="no latency left"):
-            solve_power_bandwidth(cfg, state, OPTS)
+            solve_power_bandwidth(cfg, state, OPTS, latency_terms(cfg, state))
 
     def test_never_worsens_input(self):
         for cfg, state in feasible_instances(5, start_seed=30):
-            bw, pw = solve_power_bandwidth(cfg, state, OPTS)
+            bw, pw = solve_power_bandwidth(
+                cfg, state, OPTS, latency_terms(cfg, state))
             cand = replace(state, allocation=replace(
                 state.allocation, bandwidth=bw, power=pw))
             assert total_energy(cfg, cand) <= total_energy(cfg, state) * (1 + 1e-9)
@@ -614,14 +626,16 @@ class TestPowerBandwidth:
 class TestAltitudeBeamwidth:
     def test_altitude_identity_exact(self):
         for cfg, state in feasible_instances(10, start_seed=0):
-            h, theta = solve_altitude_beamwidth(cfg, state, OPTS)
+            h, theta = solve_altitude_beamwidth(
+                cfg, state, OPTS, latency_terms(cfg, state))
             l_max = max(state.placement.horizontal_distance(p)
                         for p in cfg.gt_positions)
             assert h == max(cfg.altitude_range[0], l_max / math.tan(theta))
 
     def test_within_bounds_and_never_worsens(self):
         for cfg, state in feasible_instances(5, start_seed=0):
-            h, theta = solve_altitude_beamwidth(cfg, state, OPTS)
+            h, theta = solve_altitude_beamwidth(
+                cfg, state, OPTS, latency_terms(cfg, state))
             lo, hi = cfg.beam_range_clamped
             assert lo <= theta <= hi
             assert cfg.altitude_range[0] <= h <= cfg.altitude_range[1]
@@ -633,7 +647,8 @@ class TestAltitudeBeamwidth:
         cfg = loads_scenario(default_document())
         state = initialize(cfg)
         with pytest.raises(InfeasibleBlockError):
-            solve_altitude_beamwidth(cfg, state, OPTS)
+            solve_altitude_beamwidth(
+                cfg, state, OPTS, latency_terms(cfg, state))
 
 
 class TestLocation:
@@ -646,7 +661,7 @@ class TestLocation:
         state = replace(state, placement=replace(
             state.placement, uav_xy=(80.0, 0.0), half_beamwidth=1.0),
             allocation=replace(state.allocation, task_sat=(1,), ratio=(0.3,)))
-        xy, obj = solve_location(cfg, state, OPTS)
+        xy, obj = solve_location(cfg, state, OPTS, latency_terms(cfg, state))
         assert xy[0] == pytest.approx(120.0, abs=1.0)
         assert xy[1] == pytest.approx(-40.0, abs=1.0)
 
@@ -663,7 +678,7 @@ class TestLocation:
             state.placement, uav_xy=(10.0, 0.0), half_beamwidth=1.35),
             allocation=replace(state.allocation, task_sat=(1, 1),
                                ratio=(0.3, 0.3)))
-        xy, obj = solve_location(cfg, state, OPTS)
+        xy, obj = solve_location(cfg, state, OPTS, latency_terms(cfg, state))
         assert xy[1] == pytest.approx(0.0, abs=2.0)
         mid = replace(state, placement=replace(state.placement,
                                                uav_xy=(0.0, 0.0)))
@@ -676,53 +691,30 @@ class TestLocation:
                 state.allocation,
                 power=tuple(1e-15 for _ in state.allocation.power)))
             with pytest.raises(InfeasibleBlockError):
-                solve_location(cfg, starved, OPTS)
+                solve_location(cfg, starved, OPTS, latency_terms(cfg, starved))
 
     def test_never_worsens_input(self):
         for cfg, state in feasible_instances(5, start_seed=40):
-            xy, obj = solve_location(cfg, state, OPTS)
+            xy, obj = solve_location(
+                cfg, state, OPTS, latency_terms(cfg, state))
             cand = replace(state, placement=replace(state.placement, uav_xy=xy))
             assert total_energy(cfg, cand) <= total_energy(cfg, state) * (1 + 1e-9)
 
 
 class TestZeroCpuShare:
     """A UAV-assigned GT without a CPU share has no defined UAV compute
-    time; every block that reads the state's latency terms reports that
-    as an infeasible block, not as an arithmetic error."""
+    time, so the state has no latency terms.  No block is handed such a
+    state: the loop refuses it at its start, before any block runs."""
 
-    @staticmethod
-    def _calls(cfg, state):
-        choice = SegmentChoice(
-            chosen_segment=tuple(curve.segment_of(rho) for curve, rho
-                                 in zip(cfg.overhead_curves,
-                                        state.allocation.ratio)),
-            midpoints=tuple(tuple(curve.midpoint(d)
-                                  for d in range(curve.num_segments))
-                            for curve in cfg.overhead_curves))
-        return {
-            "solve_task_allocation":
-                lambda: solve_task_allocation(cfg, state, OPTS),
-            "select_segments": lambda: select_segments(cfg, state, OPTS),
-            "solve_ratio_lp":
-                lambda: solve_ratio_lp(cfg, state, choice, OPTS),
-            "solve_cpu_allocation": lambda: solve_cpu_allocation(cfg, state),
-            "solve_power_bandwidth":
-                lambda: solve_power_bandwidth(cfg, state, OPTS),
-            "solve_altitude_beamwidth":
-                lambda: solve_altitude_beamwidth(cfg, state, OPTS),
-            "solve_location": lambda: solve_location(cfg, state, OPTS),
-        }
-
-    def test_every_block_raises_infeasible(self):
+    def test_loop_refuses_the_start(self):
         cfg = load_scenario(SCENARIOS / "default.json")
         state = initialize(cfg)
         state = replace(state, allocation=replace(
             state.allocation, task_uav=(0, 1, 0, 0), ratio=(1.0, 0.4, 1.0, 1.0)))
-        for block, call in self._calls(cfg, state).items():
-            with pytest.raises(InfeasibleBlockError,
-                               match="GT 1: .*zero CPU share") as info:
-                call()
-            assert info.value.block == block
+        with pytest.raises(ModelError, match="GT 1: .*zero CPU share"):
+            latency_terms(cfg, state)
+        with pytest.raises(ModelError, match="GT 1: .*zero CPU share"):
+            run_blocks(cfg, state)
 
 
 def dense_score_inside_disks(score, px, py, xs, ys, limit):
@@ -738,9 +730,10 @@ def dense_score_inside_disks(score, px, py, xs, ys, limit):
 
 
 def _result(solver, cfg, state, opts=OPTS):
-    """A block solver's return, or the text of the error it raised."""
+    """A block solver's return on the state's latency terms, or the text
+    of the error it raised."""
     try:
-        return solver(cfg, state, opts)
+        return solver(cfg, state, opts, latency_terms(cfg, state))
     except InfeasibleBlockError as exc:
         return f"InfeasibleBlockError: {exc}"
 
@@ -757,9 +750,9 @@ def _block_calls(cfg, block, scheme="sagin_psc"):
     calls = []
     solver = getattr(subsolvers, block)
 
-    def record(cfg, state, opts):
+    def record(cfg, state, *args):  # the other arguments, terms last
         calls.append((cfg, state))
-        return solver(cfg, state, opts)
+        return solver(cfg, state, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(algorithm, block, record)
@@ -769,8 +762,9 @@ def _block_calls(cfg, block, scheme="sagin_psc"):
 
 class TestDualBlocksDeriveEachStateOnce:
     """A dual block derives the latency terms of each state it scores
-    once: the block's own state, every distinct primal of the dual loop,
-    and the incumbent that the block's answer is compared with."""
+    once: every distinct primal of the dual loop, and the incumbent that
+    the block's answer is compared with.  It reads the terms of its own
+    state from its caller and never derives them."""
 
     def test_no_state_is_derived_twice(self, monkeypatch):
         blocks = ("solve_task_allocation", "select_segments")
@@ -782,10 +776,39 @@ class TestDualBlocksDeriveEachStateOnce:
                       for case in feasible_instances(3, num_gts=num_gts)]
         derived = record_latency_terms(monkeypatch, subsolvers)
         for block, (cfg, state) in cases:
+            terms = latency_terms(cfg, state)  # bound at import: unrecorded
             derived.clear()
-            getattr(subsolvers, block)(cfg, state, OPTS)
-            assert state in derived
-            assert max(Counter(derived).values()) == 1, block
+            getattr(subsolvers, block)(cfg, state, OPTS, terms)
+            assert state not in derived
+            assert all(n == 1 for n in Counter(derived).values()), block
+
+
+class TestBlocksReadTheirTerms:
+    def test_non_dual_blocks_derive_nothing(self, monkeypatch):
+        # The ratio LP, CPU, power/bandwidth, beamwidth and location blocks
+        # read every latency term from the terms they are handed.
+        cases = list(feasible_instances(5, start_seed=0, num_gts=3))
+        cases += _block_calls(load_scenario(SCENARIOS / "default.json"),
+                              "solve_location")
+        derived = record_latency_terms(monkeypatch, subsolvers)
+        outcomes = set()
+        for cfg, state in cases:
+            terms = latency_terms(cfg, state)
+            choice = select_segments(cfg, state, OPTS, terms)[0]
+            derived.clear()
+            for call in (
+                    lambda: solve_ratio_lp(cfg, state, choice, OPTS, terms),
+                    lambda: solve_cpu_allocation(cfg, state, terms),
+                    lambda: solve_power_bandwidth(cfg, state, OPTS, terms),
+                    lambda: solve_altitude_beamwidth(cfg, state, OPTS, terms),
+                    lambda: solve_location(cfg, state, OPTS, terms)):
+                try:
+                    call()
+                    outcomes.add("solved")
+                except InfeasibleBlockError:
+                    outcomes.add("infeasible")
+            assert derived == []
+        assert "solved" in outcomes
 
 
 def _scale_config(num_gts=256):
@@ -793,15 +816,14 @@ def _scale_config(num_gts=256):
     return loads_scenario(scale_document(num_gts))
 
 
-def reference_solve_location(cfg, state, opts, grids):
+def reference_solve_location(cfg, state, opts, terms, grids):
     """``solve_location`` before the row pre-test: every point of the full
     grid and of each refinement window is scored by
     ``dense_score_inside_disks``.  Appends each grid's count of finite
     scores to ``grids``."""
     al = state.allocation
     pl = state.placement
-    p = latency_terms(cfg, state)
-    slacks = p.hop_slack
+    slacks = terms.hop_slack
     if min(slacks) <= 0.0:
         raise InfeasibleBlockError("solve_location",
                                    "no latency left for the downlink")
@@ -814,7 +836,7 @@ def reference_solve_location(cfg, state, opts, grids):
         if al.power[k] <= 0.0:
             raise InfeasibleBlockError(
                 "solve_location", f"GT {k}: zero power, admissible disk empty")
-        j_k = p.bits[k] / (al.bandwidth[k] * slacks[k])
+        j_k = terms.bits[k] / (al.bandwidth[k] * slacks[k])
         if j_k > _EXP_CAP:
             raise InfeasibleBlockError(
                 "solve_location", f"GT {k}: rate demand overflows, disk empty")
@@ -837,7 +859,7 @@ def reference_solve_location(cfg, state, opts, grids):
 
     pw = np.array(al.power)
     bw = np.array(al.bandwidth)
-    bits = np.array(p.bits)
+    bits = np.array(terms.bits)
     gain = cfg.antenna_gain_const * cfg.ref_channel_gain / (theta * theta
                                                             * cfg.noise_psd)
     limit = (rr ** 2) * subsolvers._TIGHT_BOUNDARY
@@ -953,8 +975,8 @@ class TestFilteredLocationSearch:
 
         grids = []
 
-        def reference(cfg, state, opts):
-            return reference_solve_location(cfg, state, opts, grids)
+        def reference(cfg, state, opts, terms):
+            return reference_solve_location(cfg, state, opts, terms, grids)
 
         for opts in (OPTS, SolverOptions(location_grid_points=57,
                                          refinement_levels=3)):
@@ -1008,7 +1030,7 @@ class TestFilteredLocationSearch:
             scored.clear()
             grids.clear()
             try:
-                solve_location(cfg, state, OPTS)
+                solve_location(cfg, state, OPTS, latency_terms(cfg, state))
             except InfeasibleBlockError:
                 continue
             solved += 1
@@ -1024,7 +1046,7 @@ class TestFilteredLocationSearch:
         opts = SolverOptions(location_grid_points=20001)
         tracemalloc.start()
         try:
-            solve_location(cfg, state, opts)
+            solve_location(cfg, state, opts, latency_terms(cfg, state))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1071,15 +1093,14 @@ def reference_downlink_objective(cfg, al, bits, positions, uav_xy,
     return total, True
 
 
-def reference_solve_altitude_beamwidth(cfg, state, opts):
+def reference_solve_altitude_beamwidth(cfg, state, opts, terms):
     """``solve_altitude_beamwidth`` as a scalar search: the incumbent, the
     minimum-altitude case (behind its closed-form latency test) and every
     in-range sweep beamwidth are scored one at a time by
     ``reference_downlink_objective``, with every altitude from
     ``math.tan``."""
     al = state.allocation
-    p = latency_terms(cfg, state)
-    slacks = p.hop_slack
+    slacks = terms.hop_slack
     if min(slacks) <= 0.0:
         raise InfeasibleBlockError(
             "solve_altitude_beamwidth", "no latency left for the downlink")
@@ -1100,7 +1121,8 @@ def reference_solve_altitude_beamwidth(cfg, state, opts):
         cur_h = pinned_altitude(cur_theta)
         if cur_h <= h_max:
             obj, ok = reference_downlink_objective(
-                cfg, al, p.bits, positions, uav_xy, cur_h, cur_theta, slacks)
+                cfg, al, terms.bits, positions, uav_xy, cur_h, cur_theta,
+                slacks)
             if ok:
                 candidates.append((obj, cur_h, cur_theta))
 
@@ -1115,7 +1137,7 @@ def reference_solve_altitude_beamwidth(cfg, state, opts):
                 break
             i_k = (state.placement.horizontal_distance(positions[k]) ** 2
                    + h_min * h_min)
-            j_k = p.bits[k] / (al.bandwidth[k] * slacks[k])
+            j_k = terms.bits[k] / (al.bandwidth[k] * slacks[k])
             if j_k > _EXP_CAP:
                 feasible1 = False
                 break
@@ -1127,7 +1149,7 @@ def reference_solve_altitude_beamwidth(cfg, state, opts):
         if feasible1 and theta1 <= limit:
             h1 = pinned_altitude(theta1)
             obj, ok = reference_downlink_objective(
-                cfg, al, p.bits, positions, uav_xy, h1, theta1, slacks)
+                cfg, al, terms.bits, positions, uav_xy, h1, theta1, slacks)
             if ok:
                 candidates.append((obj, h1, theta1))
 
@@ -1141,7 +1163,7 @@ def reference_solve_altitude_beamwidth(cfg, state, opts):
                 continue
             h = pinned_altitude(theta)
             obj, ok = reference_downlink_objective(
-                cfg, al, p.bits, positions, uav_xy, h, theta, slacks)
+                cfg, al, terms.bits, positions, uav_xy, h, theta, slacks)
             if ok:
                 candidates.append((obj, h, theta))
 
@@ -1222,11 +1244,11 @@ def reference_solve_b_stationary(u, weight, mu):
     return 0.5 * (b_lo + b_hi)
 
 
-def _downlink_terms(cfg, state):
+def _downlink_terms(cfg, state, terms):
     """Each GT's rate demand ``u``, gain-to-noise ``v`` and weight
-    ``w = slack / v``, as the power/bandwidth block builds them."""
-    p = latency_terms(cfg, state)
-    slacks = p.hop_slack
+    ``w = slack / v``, as the power/bandwidth block builds them from the
+    state's latency ``terms``."""
+    slacks = terms.hop_slack
     u = []
     v = []
     w = []
@@ -1237,17 +1259,17 @@ def _downlink_terms(cfg, state):
                 f"GT {k}: no latency left for the downlink (slack {slacks[k]:.3e} s)")
         g_k = channel_gain_ug(cfg, state.placement, k)
         theta = state.placement.half_beamwidth
-        u.append(p.bits[k] / slacks[k])
+        u.append(terms.bits[k] / slacks[k])
         v.append(cfg.antenna_gain_const * g_k / (theta * theta * cfg.noise_psd))
         w.append(slacks[k] / v[k])
     return u, v, w
 
 
-def reference_solve_power_bandwidth(cfg, state, opts):
+def reference_solve_power_bandwidth(cfg, state, opts, terms):
     """``solve_power_bandwidth`` as a nested bisection: each GT's
     bandwidth bisected on q', the bandwidth multiplier bisected on the
     capped bandwidth sum, and the power multiplier walked and bisected."""
-    u, v, w = _downlink_terms(cfg, state)
+    u, v, w = _downlink_terms(cfg, state, terms)
     n = cfg.num_gts
     b_total = cfg.uav_bandwidth_total
 
@@ -1312,7 +1334,8 @@ def _budget_cases(count=15):
     cases = []
     for cfg, state in feasible_instances(count, start_seed=200):
         free = replace(cfg, uav_power_budget=math.inf)
-        spent = sum(solve_power_bandwidth(free, state, OPTS)[1])
+        spent = sum(solve_power_bandwidth(
+            free, state, OPTS, latency_terms(free, state))[1])
         for factor in (0.999999, 0.9999, 0.99):
             cases.append((replace(cfg, uav_power_budget=factor * spent), state))
     return cases
@@ -1439,8 +1462,9 @@ class TestPowerBandwidthReplay:
         for cfg, state in feasible_instances(10, start_seed=0):
             splits[0] = 0
             with pytest.raises(InfeasibleBlockError, match="unreachable"):
-                solve_power_bandwidth(replace(cfg, uav_power_budget=1e-30),
-                                      state, OPTS)
+                starved = replace(cfg, uav_power_budget=1e-30)
+                solve_power_bandwidth(starved, state, OPTS,
+                                      latency_terms(starved, state))
             assert splits[0] <= 3
 
     def test_stationary_bandwidth_matches_reference(self):
@@ -1482,7 +1506,7 @@ class TestPowerBandwidthReplay:
             bw, pw = got
             if sum(pw) >= cfg.uav_power_budget * (1 - 1e-9):
                 continue
-            u, _, w = _downlink_terms(cfg, state)
+            u, _, w = _downlink_terms(cfg, state, latency_terms(cfg, state))
             with mpmath.workdps(50):
                 mus = []
                 for u_k, w_k, b_k in zip(u, w, bw):
@@ -1499,7 +1523,7 @@ class TestPowerBandwidthReplay:
         evaluations = _counting(monkeypatch, "_bandwidths")
         for cfg, state in states:
             splits[0] = evaluations[0] = 0
-            solve_power_bandwidth(cfg, state, OPTS)
+            solve_power_bandwidth(cfg, state, OPTS, latency_terms(cfg, state))
             assert 0 < evaluations[0] <= 8 * splits[0]
 
 
