@@ -135,10 +135,11 @@ def _score(cfg: ScenarioConfig, state: SolutionState):
 
 def _trace(cfg: ScenarioConfig, iteration: int, scored,
            stuck: tuple[str, ...]) -> IterationTrace:
-    """The trace entry of the :func:`_score` tuple ``scored``."""
-    state, terms, obj, _ = scored
-    return IterationTrace(iteration, obj, _report(cfg, state, terms).feasible,
-                          stuck)
+    """The trace entry of the :func:`_score` tuple ``scored``; a state
+    that misses a latency budget is infeasible without its full report."""
+    state, terms, obj, met = scored
+    return IterationTrace(iteration, obj,
+                          met and _report(cfg, state, terms).feasible, stuck)
 
 
 # The sweep's blocks in visiting order: the state record each one moves,

@@ -189,6 +189,8 @@ def sweep(scenario, param_name, values, schemes, seed, jobs, out, opts) -> None:
     if not value_list:
         raise click.ClickException("--values must be nonempty")
     scheme_list = [s.strip() for s in schemes.split(",") if s.strip()]
+    if not scheme_list:
+        raise click.ClickException("--schemes must be nonempty")
     for s in scheme_list:
         if s not in _SCHEME_CHOICES:
             raise click.ClickException(f"unknown scheme: {s}")
@@ -290,8 +292,10 @@ def convergence(scenario, sat_cpus, seed, out, opts) -> None:
 @click.option("--out", default=None, type=str)
 def gen_scenario(num_gts, data_kib, radius, seed, unequal_data, out) -> None:
     """Write a scenario document with the default parameter set."""
-    if num_gts < 1 or data_kib <= 0 or radius <= 0:
-        raise click.ClickException("num-gts, data-kib, radius must be positive")
+    for name, value in (("--num-gts", num_gts), ("--data-kib", data_kib),
+                        ("--radius", radius)):
+        if not (math.isfinite(value) and value > 0):
+            raise click.ClickException(f"{name} must be finite and positive")
     doc = default_document(num_gts=num_gts, data_kib=data_kib, radius=radius,
                            seed=seed, unequal_data=unequal_data)
     _write_text(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -9,6 +9,7 @@ there).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,30 +100,29 @@ class LatencyBreakdown:
     total: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatencyTerms:
     """Every latency term of one state, with the rates and data volumes
     they come from.
 
-    ``r_su``, ``t_sat``, ``t_tx`` and ``t_prop`` are shared by all GTs;
-    the tuples hold one entry per GT.  ``overhead`` is the GT's overhead at
-    its ratio (0.0 where it is uncompressed), ``bits`` the data the UAV
-    delivers to it, ``rate`` its UAV-to-GT rate, ``total`` its end-to-end
-    latency and ``hop_slack`` the latency budget left for its UAV-to-GT
-    hop, ``T - t_sat - t_tx - t_prop - t_uav``.
+    ``r_su``, ``t_sat``, ``t_tx`` and ``t_prop`` are floats shared by all
+    GTs; the arrays hold one entry per GT: ``overhead`` at its ratio (0.0
+    where uncompressed), ``bits`` the UAV delivers to it, ``rate`` of its
+    UAV-to-GT hop, ``total`` end-to-end latency and ``hop_slack``, the
+    budget left for its hop, ``T - t_sat - t_tx - t_prop - t_uav``.
     """
 
     r_su: float
     t_sat: float
     t_tx: float
     t_prop: float
-    overhead: tuple[float, ...]
-    bits: tuple[float, ...]
-    t_uav: tuple[float, ...]
-    rate: tuple[float, ...]
-    t_ug: tuple[float, ...]
-    total: tuple[float, ...]
-    hop_slack: tuple[float, ...]
+    overhead: np.ndarray
+    bits: np.ndarray
+    t_uav: np.ndarray
+    rate: np.ndarray
+    t_ug: np.ndarray
+    total: np.ndarray
+    hop_slack: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -158,6 +158,10 @@ class FeasibilityReport:
 
 # Default relative tolerance of a constraint slack (see check_feasibility).
 _REL_TOL = 1e-9
+# The per-GT constraints, in the order each GT's violations are listed.
+_PER_GT = ("nonnegativity:bandwidth", "nonnegativity:cpu", "nonnegativity:power",
+           "task_binary", "task_exclusive", "ratio_bounds", "ratio_bounds",
+           "coverage")
 
 
 def _satisfied(slack, scale: float, rel_tol: float = _REL_TOL):
@@ -173,34 +177,35 @@ def rate_sat_uav(cfg: ScenarioConfig) -> float:
     return cfg.sat_bandwidth * math.log2(1.0 + snr)
 
 
+def _squared_distance(cfg: ScenarioConfig, placement: Placement) -> np.ndarray:
+    """Each GT's squared distance to the UAV, ``dx*dx + dy*dy + h*h``: the
+    one every UAV-to-GT rate reads."""
+    dxy = np.array(placement.uav_xy)[:, None] - cfg._tables.xy
+    return np.add.reduce(dxy * dxy) + placement.altitude * placement.altitude
+
+
 def channel_gain_ug(cfg: ScenarioConfig, placement: Placement, gt_index: int) -> float:
     """LoS channel gain between the UAV and one GT (inverse-square law)."""
-    d = placement.slant_distance(cfg.gt_positions[gt_index])
-    return cfg.ref_channel_gain / (d * d)
+    return float(cfg.ref_channel_gain / _squared_distance(cfg, placement)[gt_index])
 
 
 def rate_uav_gt(cfg: ScenarioConfig, placement: Placement,
                 b_k: float, p_k: float, gt_index: int) -> float:
-    """UAV-to-GT downlink rate in bit/s for a given bandwidth/power slice.
-
-    Main-lobe antenna gain scales as ``antenna_gain_const / Theta^2``;
-    sidelobes are ignored.
-    """
+    """UAV-to-GT downlink rate in bit/s for a given bandwidth/power slice:
+    :func:`rate_uav_gt_at` at one GT's squared distance."""
     if p_k == 0.0:
         return 0.0
     if b_k <= 0.0:
         raise ModelError("rate undefined: zero bandwidth with positive power")
-    g_k = channel_gain_ug(cfg, placement, gt_index)
-    theta = placement.half_beamwidth
-    snr = cfg.antenna_gain_const * g_k * p_k / (theta * theta * b_k * cfg.noise_psd)
-    return b_k * math.log2(1.0 + snr)
+    return float(rate_uav_gt_at(cfg, _squared_distance(cfg, placement)[gt_index],
+                                placement.half_beamwidth, b_k, p_k))
 
 
 def rate_uav_gt_at(cfg: ScenarioConfig, d2, theta, bandwidth, power):
-    """:func:`rate_uav_gt` at trial placements, elementwise over arrays
-    that broadcast: ``d2`` is the squared UAV-to-GT distance and ``theta``
-    the half-beamwidth.  numpy's ``log2`` may round differently from
-    ``math``'s in the last bit."""
+    """The UAV-to-GT rate ``b * log2(1 + SNR)`` in bit/s, elementwise over
+    arrays that broadcast, at squared distance ``d2`` and half-beamwidth
+    ``theta``; main-lobe gain ``antenna_gain_const / theta**2``, no
+    sidelobes.  Every UAV-to-GT rate of the model is evaluated here."""
     snr = (cfg.antenna_gain_const * (cfg.ref_channel_gain / d2) * power
            / (theta * theta * bandwidth * cfg.noise_psd))
     return bandwidth * np.log2(1.0 + snr)
@@ -213,62 +218,116 @@ def effective_fraction(a_sat: int, a_uav: int, rho: float) -> float:
     return a * rho + (1 - a)
 
 
+def _overhead(cfg: ScenarioConfig, ratio: tuple, where):
+    """Each GT's overhead at ``ratio`` where ``where`` holds (else 0.0), and
+    the flat index of its segment as :meth:`OverheadCurve.segment_of` finds
+    it (one past the last, on its line, at the domain minimum); raises
+    that method's error for a GT in ``where``."""
+    values, segment, outside = _curves(cfg._tables, ratio)
+    outside = where & outside
+    if np.count_nonzero(outside):
+        k = int(outside.argmax())
+        cfg.overhead_curves[k].segment_of(ratio[k])
+    return np.where(where, values, 0.0), segment
+
+
+# The curve lookup, the satellite rate and the two parts of a derivation
+# are cached on their inputs, the scenario's tables (hashed by identity)
+# first: the states scored in a row share most.  Every call that hits gets
+# the same arrays, so they are read-only.
+_rate_sat_uav = functools.lru_cache(maxsize=8)(lambda tables: rate_sat_uav(tables.cfg))
+
+
+@functools.lru_cache(maxsize=8)
+def _curves(tables, ratio: tuple):
+    """Each GT's overhead at its ``ratio``, its flat segment index, and the
+    mask of ratios outside the curve's domain (or NaN)."""
+    ratio = np.array(ratio, dtype=float)
+    segment = tables.first + (tables.lower < ratio[:, None]).argmax(axis=1)
+    slope, intercept = tables.line.take(segment, axis=1)
+    parts = (slope * ratio + intercept, segment,
+             np.minimum(np.maximum(ratio, tables.ratio_min), 1.0) != ratio)
+    for part in parts:
+        part.flags.writeable = False
+    return parts
+
+
+@functools.lru_cache(maxsize=8)
+def _on_board(tables, task_sat, task_uav, ratio_tuple, cpu):
+    """The terms that the compression sites, ratios and CPU shares decide,
+    each GT's latency before its hop and its hop slack, and the mask of
+    UAV-compressed GTs without a CPU share (``None`` if there is none)."""
+    cfg = tables.cfg
+    a_s, a_u, ratio, cpu = v = np.array(
+        (task_sat, task_uav, ratio_tuple, cpu), dtype=float)
+    overhead = _overhead(cfg, ratio_tuple, np.logical_or(a_s, a_u))[0]
+    # rows a_sat and a_sat + a_uav: the data forwarded over the satellite
+    # link, and the data the UAV delivers (effective_fraction)
+    a = v[:2].cumsum(axis=0)
+    forwarded, bits = (a * ratio + (1 - a)) * tables.data_bits
+    r_su, kappa = _rate_sat_uav(tables), cfg.cycles_per_overhead
+    t_sat = kappa * float(np.add.reduce(a_s * overhead)) / cfg.sat_cpu
+    t_tx, t_prop = float(np.add.reduce(forwarded)) / r_su, cfg.sat_uav_distance / cfg.lightspeed
+    no_cpu, t_uav = None, np.zeros(ratio.shape)
+    if np.count_nonzero(a_u):
+        uav = a_u != 0.0
+        no_cpu = uav & (cpu <= 0.0)  # such a GT raises
+        t_uav = np.where(uav, kappa * overhead / np.where(uav & ~no_cpu, cpu, 1.0), 0.0)
+        no_cpu = no_cpu if np.count_nonzero(no_cpu) else None
+    before_hop = t_sat + t_tx + t_prop + t_uav
+    hop_slack = cfg.latency_budget - t_sat - t_tx - t_prop - t_uav
+    for shared in (overhead, bits, t_uav, before_hop, hop_slack):
+        shared.flags.writeable = False
+    return (overhead, bits, r_su, t_sat, t_tx, t_prop, t_uav, before_hop,
+            hop_slack, no_cpu)
+
+
+@functools.lru_cache(maxsize=8)
+def _hop(tables, placement: Placement, bandwidth, power):
+    """Each GT's UAV-to-GT rate (0.0 where its power is), and the mask of
+    GTs with power and no bandwidth (``None`` if all have both and a rate)."""
+    bandwidth, power = np.array((bandwidth, power), dtype=float)
+    with np.errstate(all="ignore"):  # a GT without bandwidth raises later
+        rate = np.where(power != 0.0, rate_uav_gt_at(
+            tables.cfg, _squared_distance(tables.cfg, placement),
+            placement.half_beamwidth, bandwidth, power), 0.0)
+    no_bandwidth = (power != 0.0) & (bandwidth <= 0.0)
+    rate.flags.writeable = False
+    return rate, (no_bandwidth if np.count_nonzero(no_bandwidth | (rate <= 0.0))
+                  else None)
+
+
 def latency_terms(cfg: ScenarioConfig, state: SolutionState) -> LatencyTerms:
-    """Derive every latency term of ``state``; the only derivation outside
-    the grid oracles.  An overhead is evaluated only where its GT is
-    compressed.  Raises :class:`ModelError` when a UAV-compressed GT has
-    no CPU share, or a GT with data to receive has no rate."""
+    """Derive every latency term of ``state`` over the GT arrays; the only
+    derivation outside the grid oracles.  A ratio outside its curve's
+    domain is an error only where its GT is compressed.  Raises
+    :class:`ModelError` for the first GT that is UAV-compressed with no
+    CPU share, or has data to receive and no rate."""
     al = state.allocation
-    kappa = cfg.cycles_per_overhead
-    r_su = rate_sat_uav(cfg)
-    overhead = tuple(
-        cfg.overhead_curves[k].evaluate(al.ratio[k]) if a_s or a_u else 0.0
-        for k, (a_s, a_u) in enumerate(zip(al.task_sat, al.task_uav)))
-
-    t_sat = kappa * sum(
-        a * overhead[k] for k, a in enumerate(al.task_sat) if a
-    ) / cfg.sat_cpu
-    t_tx = sum(
-        (a * al.ratio[k] + (1 - a)) * cfg.data_bits[k]
-        for k, a in enumerate(al.task_sat)
-    ) / r_su
-    t_prop = cfg.sat_uav_distance / cfg.lightspeed
-    before_uav = cfg.latency_budget - t_sat - t_tx - t_prop
-
-    bits, t_uav, rates, t_ug, totals, hop_slack = [], [], [], [], [], []
-    for k in range(cfg.num_gts):
-        if al.task_uav[k]:
-            if al.cpu[k] <= 0.0:
-                raise ModelError(f"GT {k}: UAV compression assigned with zero CPU share")
-            tu = kappa * overhead[k] / al.cpu[k]
-        else:
-            tu = 0.0
-        b_k = cfg.data_bits[k] * effective_fraction(al.task_sat[k], al.task_uav[k], al.ratio[k])
-        r_k = rate_uav_gt(cfg, state.placement, al.bandwidth[k], al.power[k], k)
-        if r_k <= 0.0 and b_k > 0.0:
-            raise ModelError(f"GT {k}: zero UAV-GT rate with positive data")
-        tg = b_k / r_k
-        bits.append(b_k)
-        t_uav.append(tu)
-        rates.append(r_k)
-        t_ug.append(tg)
-        totals.append(t_sat + t_tx + t_prop + tu + tg)
-        hop_slack.append(before_uav - tu)
-    return LatencyTerms(r_su, t_sat, t_tx, t_prop, overhead, tuple(bits),
-                        tuple(t_uav), tuple(rates), tuple(t_ug),
-                        tuple(totals), tuple(hop_slack))
+    (overhead, bits, r_su, t_sat, t_tx, t_prop, t_uav, before_hop, hop_slack,
+     no_cpu) = _on_board(cfg._tables, al.task_sat, al.task_uav, al.ratio, al.cpu)
+    rate, no_bandwidth = _hop(cfg._tables, state.placement, al.bandwidth,
+                              al.power)
+    if no_cpu is not None or no_bandwidth is not None:
+        none = np.zeros(bits.shape, bool)
+        failed = np.array((none if no_cpu is None else no_cpu,
+                           none if no_bandwidth is None else no_bandwidth,
+                           (rate <= 0.0) & (bits > 0.0)))
+        if np.count_nonzero(failed):  # the first GT, by its first failure
+            k = int(failed.any(axis=0).argmax())
+            raise ModelError(("GT {}: UAV compression assigned with zero CPU share",
+                              "rate undefined: zero bandwidth with positive power",
+                              "GT {}: zero UAV-GT rate with positive data")[
+                                  int(failed[:, k].argmax())].format(k))
+    t_ug = bits / rate
+    return LatencyTerms(r_su, t_sat, t_tx, t_prop, overhead, bits, t_uav, rate,
+                        t_ug, before_hop + t_ug, hop_slack)
 
 
 def latency_breakdown(cfg: ScenarioConfig, state: SolutionState) -> LatencyBreakdown:
-    terms = latency_terms(cfg, state)
-    return LatencyBreakdown(
-        sat_compute=terms.t_sat,
-        sat_uav_tx=terms.t_tx,
-        sat_uav_prop=terms.t_prop,
-        uav_compute=terms.t_uav,
-        uav_gt_tx=terms.t_ug,
-        total=terms.total,
-    )
+    t = latency_terms(cfg, state)
+    return LatencyBreakdown(t.t_sat, t.t_tx, t.t_prop, *(
+        tuple(per_gt.tolist()) for per_gt in (t.t_uav, t.t_ug, t.total)))
 
 
 def _energy(cfg: ScenarioConfig, al: Allocation,
@@ -277,15 +336,12 @@ def _energy(cfg: ScenarioConfig, al: Allocation,
     tau = cfg.comp_energy_coeff
     e_sat = tau * terms.t_sat * cfg.sat_cpu ** 3
     e_su = terms.t_tx * cfg.sat_tx_power
-    e_uav = tau * sum(t * f ** 3 for t, f in zip(terms.t_uav, al.cpu))
-    e_ug = sum(t * p for t, p in zip(terms.t_ug, al.power))
-    return EnergyBreakdown(
-        sat_compute=e_sat,
-        sat_uav_comm=e_su,
-        uav_compute=e_uav,
-        uav_gt_comm=e_ug,
-        total=e_sat + e_su + e_uav + e_ug,
-    )
+    # sum(t_uav * cpu**3) and sum(t_ug * power); float_power rounds as
+    # Python's float power (np.power may not), and x**1 is x
+    e_uav, e_ug = np.add.reduce(np.array((terms.t_uav, terms.t_ug)) * np.float_power(
+        (al.cpu, al.power), ((3,), (1,))), axis=1).tolist()
+    e_uav *= tau
+    return EnergyBreakdown(e_sat, e_su, e_uav, e_ug, e_sat + e_su + e_uav + e_ug)
 
 
 def energy_breakdown(cfg: ScenarioConfig, state: SolutionState) -> EnergyBreakdown:
@@ -296,9 +352,10 @@ def _late(cfg: ScenarioConfig, terms: LatencyTerms,
           rel_tol: float = _REL_TOL) -> list[tuple[int, float]]:
     """``(GT, slack)`` of each GT whose end-to-end latency in ``terms``
     exceeds the budget by more than ``rel_tol`` of it (or is NaN)."""
-    t = cfg.latency_budget
-    return [(k, t - total) for k, total in enumerate(terms.total)
-            if not _satisfied(t - total, t, rel_tol)]
+    slack = cfg.latency_budget - terms.total
+    met = _satisfied(slack, cfg.latency_budget, rel_tol)
+    return ([] if np.count_nonzero(met) == met.size else
+            [(k, slack[k].item()) for k in np.flatnonzero(~met).tolist()])
 
 
 def total_energy(cfg: ScenarioConfig, state: SolutionState) -> float:
@@ -329,43 +386,34 @@ def _report(cfg: ScenarioConfig, state: SolutionState,
             terms: LatencyTerms | None,
             rel_tol: float = _REL_TOL) -> FeasibilityReport:
     """:func:`check_feasibility` of ``state`` from its ``terms``; ``None``
-    stands for undefined terms."""
-    al = state.allocation
-    pl = state.placement
-    out: list[ConstraintViolation] = []
-
-    def check(cond_slack: float, code: str, gt: int | None = None,
-              scale: float = 1.0):
-        if not _satisfied(cond_slack, scale, rel_tol):
-            out.append(ConstraintViolation(code=code, gt_index=gt, slack=cond_slack))
-
-    for k in range(cfg.num_gts):
-        for name, v in (("bandwidth", al.bandwidth[k]), ("cpu", al.cpu[k]),
-                        ("power", al.power[k])):
-            check(v, f"nonnegativity:{name}", k)
-        a_s, a_u = al.task_sat[k], al.task_uav[k]
-        if a_s not in (0, 1) or a_u not in (0, 1):
-            out.append(ConstraintViolation("task_binary", k, -1.0))
-        check(1 - (a_s + a_u), "task_exclusive", k)
-        lo = cfg.overhead_curves[k].ratio_min
-        check(al.ratio[k] - lo, "ratio_bounds", k)
-        check(1.0 - al.ratio[k], "ratio_bounds", k)
-        check(pl.coverage_radius - pl.horizontal_distance(cfg.gt_positions[k]),
-              "coverage", k, scale=pl.coverage_radius)
-
-    check(cfg.uav_power_budget - sum(al.power), "power_budget",
-          scale=cfg.uav_power_budget)
-    check(cfg.uav_bandwidth_total - sum(al.bandwidth), "bandwidth_budget",
-          scale=cfg.uav_bandwidth_total)
-    check(cfg.uav_cpu_total - sum(al.cpu), "cpu_budget", scale=cfg.uav_cpu_total)
-    check(pl.altitude - cfg.altitude_range[0], "altitude",
-          scale=cfg.altitude_range[0])
-    check(cfg.altitude_range[1] - pl.altitude, "altitude",
-          scale=cfg.altitude_range[1])
-    th_lo, th_hi = cfg.beam_range_clamped
-    check(pl.half_beamwidth - th_lo, "beamwidth")
-    check(th_hi - pl.half_beamwidth, "beamwidth")
-
+    stands for undefined terms.  Violations are listed GT by GT, then the
+    shared constraints, then the latency budgets."""
+    al, pl, cover = state.allocation, state.placement, state.placement.coverage_radius
+    tasks = np.array((al.task_sat, al.task_uav))
+    shares = np.array((al.bandwidth, al.cpu, al.power))
+    ratio = np.array(al.ratio, dtype=float)
+    # each GT's slack per constraint of _PER_GT, in the order listed
+    slacks = (*shares,
+              np.where(np.logical_or(*(tasks * (tasks - 1))), -1.0, 0.0),  # 0, 1
+              1 - np.add.reduce(tasks), ratio - cfg._tables.ratio_min, 1.0 - ratio,
+              cover - np.hypot(*(np.array(pl.uav_xy)[:, None] - cfg._tables.xy)))
+    met = _satisfied(np.array(slacks, dtype=float), 1.0, rel_tol)
+    met[-1] = _satisfied(slacks[-1], cover, rel_tol)  # scaled by the radius
+    out = [] if np.count_nonzero(met) == met.size else [
+        ConstraintViolation(_PER_GT[c], k, slacks[c][k].item())
+        for k, c in np.argwhere(~met.T).tolist()]
+    (h_lo, h_hi), (th_lo, th_hi) = cfg.altitude_range, cfg.beam_range_clamped
+    bandwidth, cpu, power = np.add.reduce(shares, axis=1).tolist()
+    shared = (
+        ("power_budget", cfg.uav_power_budget - power, cfg.uav_power_budget),
+        ("bandwidth_budget", cfg.uav_bandwidth_total - bandwidth, cfg.uav_bandwidth_total),
+        ("cpu_budget", cfg.uav_cpu_total - cpu, cfg.uav_cpu_total),
+        ("altitude", pl.altitude - h_lo, h_lo),
+        ("altitude", h_hi - pl.altitude, h_hi),
+        ("beamwidth", pl.half_beamwidth - th_lo, 1.0),
+        ("beamwidth", th_hi - pl.half_beamwidth, 1.0))
+    out += [ConstraintViolation(code, None, slack) for code, slack, scale in shared
+            if not _satisfied(slack, scale, rel_tol)]
     late = (_late(cfg, terms, rel_tol) if terms is not None
             else [(k, -math.inf) for k in range(cfg.num_gts)])
     out += [ConstraintViolation("latency", k, slack) for k, slack in late]
@@ -380,36 +428,36 @@ def downlink_energy_grid(cfg: ScenarioConfig, state: SolutionState,
 
     Returns ``(energy, feasible)``, two ``(len(xs), len(ys))`` arrays whose
     cells equal ``energy_breakdown(...).uav_gt_comm`` and
-    ``check_feasibility(...).feasible`` of the moved state.  The
-    constraints and latency terms that do not depend on the horizontal
-    position are evaluated once on ``state``; only coverage and the
-    UAV-to-GT hop are evaluated per cell.  Raises :class:`ModelError` where
+    ``check_feasibility(...).feasible`` of the moved state.  Only coverage
+    and the hop are evaluated per cell, in ``(rows, len(ys), K)`` blocks of
+    about 16k entries.  Raises :class:`ModelError` where
     ``energy_breakdown`` would.
     """
     terms = latency_terms(cfg, state)
     static_ok = all(v.code in ("coverage", "latency")
                     for v in _report(cfg, state, terms).violations)
-    al = state.allocation
-    pl = state.placement
-    cover = pl.coverage_radius
-    theta = pl.half_beamwidth
+    pl, cover = state.placement, state.placement.coverage_radius
+    bandwidth, power = np.array((state.allocation.bandwidth,
+                                 state.allocation.power), dtype=float)
     shared = terms.t_sat + terms.t_tx + terms.t_prop
-    px = np.asarray(xs, dtype=float)[:, None]
-    py = np.asarray(ys, dtype=float)[None, :]
-    energy = np.zeros((px.shape[0], py.shape[1]))
-    feasible = np.full(energy.shape, static_ok)
-    for k in range(cfg.num_gts):
-        gx, gy = cfg.gt_positions[k]
-        horizontal = np.hypot(px - gx, py - gy)
-        feasible &= _satisfied(cover - horizontal, cover)
+    px = np.asarray(xs, dtype=float)
+    dy = np.asarray(ys, dtype=float)[:, None] - cfg._tables.xy[1]
+    energy = np.empty((px.size, dy.shape[0]))
+    feasible = np.empty(energy.shape, dtype=bool)
+    rows = max(1, (1 << 14) // dy.size)
+    for i in range(0, px.size, rows):
+        dx = px[i:i + rows, None, None] - cfg._tables.xy[0]
         # latency_terms above raised unless power and bandwidth are
         # positive, so only a vanishing per-cell rate is left to reject.
-        d = np.hypot(horizontal, pl.altitude)
-        r_k = rate_uav_gt_at(cfg, d * d, theta, al.bandwidth[k], al.power[k])
-        if np.any(r_k <= 0.0):
+        r = rate_uav_gt_at(cfg, dx * dx + dy * dy + pl.altitude * pl.altitude,
+                           pl.half_beamwidth, bandwidth, power)
+        if np.count_nonzero(r <= 0.0):
+            k = int((r <= 0.0).any(axis=(0, 1)).argmax())
             raise ModelError(f"GT {k}: zero UAV-GT rate with positive data")
-        t_ug = terms.bits[k] / r_k
-        energy += t_ug * al.power[k]
-        total = shared + terms.t_uav[k] + t_ug
-        feasible &= _satisfied(cfg.latency_budget - total, cfg.latency_budget)
+        t_ug = terms.bits / r
+        energy[i:i + rows] = (t_ug * power).sum(axis=-1)
+        feasible[i:i + rows] = static_ok & np.all(
+            _satisfied(cover - np.hypot(dx, dy), cover)
+            & _satisfied(cfg.latency_budget - (shared + terms.t_uav + t_ug),
+                         cfg.latency_budget), axis=-1)
     return energy, feasible

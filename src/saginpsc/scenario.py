@@ -17,8 +17,10 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 __all__ = [
     "ScenarioError",
@@ -205,6 +207,44 @@ class ScenarioConfig:
         lo, hi = self.beamwidth_range
         return (max(lo, BEAMWIDTH_CLAMP), min(hi, math.pi / 2 - BEAMWIDTH_CLAMP))
 
+    @cached_property
+    def _tables(self) -> _GtTables:
+        """The per-GT constants as arrays, built on first use."""
+        return _GtTables(self)
+
+
+class _GtTables:
+    """A scenario ``cfg``'s per-GT constants as arrays: GT coordinates
+    ``xy``, ``data_bits`` and, one curve per row, segment bounds ``lower``
+    and ``upper``, midpoints ``mid`` and the overhead there; ``line`` holds
+    slopes and intercepts, flat.  Rows run one past the most segments
+    (``lower`` -inf, the line repeated, NaN elsewhere); ``first`` and
+    ``last`` are each curve's first and last flat segment index."""
+
+    def __init__(self, cfg: ScenarioConfig):
+        self.cfg = cfg
+        curves = cfg.overhead_curves
+        width = 1 + max(c.num_segments for c in curves)
+
+        def table(rows, fill=None):
+            return np.array([row + (row[-1] if fill is None else fill,)
+                             * (width - len(row)) for row in rows])
+
+        self.xy = np.array(cfg.gt_positions, dtype=float).T.copy()
+        self.data_bits = np.array(cfg.data_bits)
+        slope, intercept = (table([getattr(c, name) for c in curves])
+                            for name in ("slopes", "intercepts"))
+        self.line = np.array((slope.ravel(), intercept.ravel()))
+        self.lower = table([c.boundaries for c in curves], -math.inf)
+        self.upper = table([(1.0,) + c.boundaries[:-1] for c in curves], math.nan)
+        self.mid = 0.5 * (self.lower + self.upper)
+        self.mid_overhead = slope * self.mid + intercept
+        self.first = width * np.arange(cfg.num_gts)
+        self.last = self.first + [c.num_segments - 1 for c in curves]
+        self.ratio_min = self.lower.take(self.last)
+        self.mid_rows = tuple(tuple(row[:c.num_segments].tolist())
+                              for row, c in zip(self.mid, curves))
+
 
 def _linear_to_db(x: float) -> float:
     return 10.0 * math.log10(x)
@@ -261,13 +301,15 @@ def loads_scenario(document: dict | str) -> ScenarioConfig:
     def number(name: str, default: float | None = None) -> float:
         return _number(read(name, default), name)
 
-    def linear(name: str) -> float:
-        """The decibel value of field ``name`` as a linear ratio."""
+    def linear(name: str, unit: float = 1.0) -> float:
+        """The decibel value of field ``name`` in linear units of ``unit``."""
         db = number(name)
         try:
-            return 10.0 ** (db / 10.0)
+            value = 10.0 ** (db / 10.0) * unit
         except OverflowError:
             raise ScenarioError(f"{name}: overflows in linear units") from None
+        _require(value > 0.0, name, "underflows to zero in linear units")
+        return value
 
     k = read("num_gts")
     _require(isinstance(k, int) and not isinstance(k, bool) and k >= 1,
@@ -304,7 +346,7 @@ def loads_scenario(document: dict | str) -> ScenarioConfig:
         sat_wavelength=number("sat_wavelength"),
         sat_bandwidth=number("sat_bandwidth"),
         sat_tx_power=number("sat_tx_power"),
-        noise_psd=linear("noise_psd_dbm_hz") * 1e-3,
+        noise_psd=linear("noise_psd_dbm_hz", 1e-3),
         ref_channel_gain=number("ref_channel_gain"),
         antenna_gain_const=number("antenna_gain_const", 2.2846),
         comp_energy_coeff=number("comp_energy_coeff", 1e-28),
@@ -372,8 +414,6 @@ def generate_gt_positions(count: int, radius: float, seed: int) -> list[tuple[fl
     Deterministic for a fixed seed.  Area-uniform means the radial
     coordinate is ``radius * sqrt(u)``, not ``radius * u``.
     """
-    import numpy as np
-
     if count < 1:
         raise ScenarioError("count must be at least 1")
     if radius <= 0:

@@ -21,7 +21,8 @@ from .physics import (
     LatencyTerms,
     SolutionState,
     _energy,
-    channel_gain_ug,
+    _overhead,
+    _squared_distance,
     latency_terms,
     rate_uav_gt_at,
 )
@@ -277,7 +278,7 @@ class _StateAdapter:
         self.cfg = cfg
         self.state = state
         self.num_multipliers = cfg.num_gts
-        self._scores = {}  # state -> (residuals, energy)
+        self._scores = {}  # state -> [residuals, terms, energy once asked for]
         self._score(state, terms)
 
     def _score(self, state: SolutionState, terms: LatencyTerms | None = None):
@@ -285,16 +286,18 @@ class _StateAdapter:
         if score is None:
             terms = terms or latency_terms(self.cfg, state)
             t = self.cfg.latency_budget
-            score = self._scores[state] = (
-                (np.array(terms.total) - t) / t,
-                _energy(self.cfg, state.allocation, terms).total)
+            score = self._scores[state] = [(terms.total - t) / t, terms, None]
         return score
 
     def residuals(self, primal):
         return self._score(self.state_of(primal))[0]
 
     def objective(self, primal):
-        return self._score(self.state_of(primal))[1]
+        state = self.state_of(primal)
+        score = self._score(state)
+        if score[2] is None:
+            score[2] = _energy(self.cfg, state.allocation, score[1]).total
+        return score[2]
 
     def solve(self, incumbent, opts: SolverOptions):
         """``(primal, feasible)`` of :func:`dual_subgradient`, or
@@ -324,30 +327,23 @@ class _TaskAdapter(_StateAdapter):
     def __init__(self, cfg: ScenarioConfig, state: SolutionState,
                  terms: LatencyTerms):
         super().__init__(cfg, state, terms)
-        kappa = cfg.cycles_per_overhead
-        tau = cfg.comp_energy_coeff
+        kappa, tau = cfg.cycles_per_overhead, cfg.comp_energy_coeff
         al = state.allocation
-        obj = np.zeros((cfg.num_gts, 3))
-        lat = np.zeros((cfg.num_gts, 3))
-        for k in range(cfg.num_gts):
-            # every option needs the overhead; the terms hold only the
-            # compressed GTs'
-            o = cfg.overhead_curves[k].evaluate(al.ratio[k])
-            save = cfg.data_bits[k] * (1.0 - al.ratio[k])
-            r_k = terms.rate[k]
-            obj[k, 1] = (kappa * tau * o * cfg.sat_cpu ** 2
-                         - save * (cfg.sat_tx_power / terms.r_su
-                                   + al.power[k] / r_k))
-            lat[k, 1] = (kappa * o / cfg.sat_cpu
-                         - save * (1.0 / terms.r_su + 1.0 / r_k))
-            if al.cpu[k] > 0.0:
-                obj[k, 2] = (kappa * tau * o * al.cpu[k] ** 2
-                             - save * al.power[k] / r_k)
-                lat[k, 2] = kappa * o / al.cpu[k] - save / r_k
-            else:
-                obj[k, 2] = math.inf
-        self.obj = obj
-        self.lat = lat
+        ratio, cpu, power = np.array((al.ratio, al.cpu, al.power), dtype=float)
+        # every option needs the overhead; the terms hold only the
+        # compressed GTs'
+        o = _overhead(cfg, al.ratio, True)[0]
+        save, r, share = cfg._tables.data_bits * (1.0 - ratio), terms.rate, cpu > 0.0
+        self.obj, self.lat = np.zeros((2, cfg.num_gts, 3))
+        kto, ko = kappa * tau * o, kappa * o
+        self.obj[:, 1] = (kto * cfg.sat_cpu ** 2
+                          - save * (cfg.sat_tx_power / terms.r_su + power / r))
+        self.lat[:, 1] = ko / cfg.sat_cpu - save * (1.0 / terms.r_su + 1.0 / r)
+        # float_power rounds as Python's float power; np.power may not
+        self.obj[:, 2] = np.where(share, kto * np.float_power(cpu, 2)
+                                  - save * power / r, math.inf)
+        self.lat[:, 2] = np.where(share, ko / np.where(share, cpu, 1.0) - save / r,
+                                  0.0)
 
     def primal_of(self, choice):
         return (tuple((choice == 1).astype(int).tolist()),
@@ -388,37 +384,27 @@ class _SegmentAdapter(_StateAdapter):
     def __init__(self, cfg: ScenarioConfig, state: SolutionState,
                  terms: LatencyTerms):
         super().__init__(cfg, state, terms)
-        self.mids = [
-            [cfg.overhead_curves[k].midpoint(d)
-             for d in range(cfg.overhead_curves[k].num_segments)]
-            for k in range(cfg.num_gts)
-        ]
-        kappa = cfg.cycles_per_overhead
-        tau = cfg.comp_energy_coeff
+        tables = cfg._tables
+        self.mids = tables.mid_rows
+        kappa, tau = cfg.cycles_per_overhead, cfg.comp_energy_coeff
         al = state.allocation
         # Per (k, d) objective and latency-residual coefficients of the
         # one-hot segment indicator; GTs with no compression anywhere have
         # all-zero scores and resolve to segment 0 by the tie-break.
-        width = max(len(m) for m in self.mids)
-        self.obj = np.full((cfg.num_gts, width), math.inf)
-        self.lat = np.zeros((cfg.num_gts, width))
-        for k in range(cfg.num_gts):
-            curve = cfg.overhead_curves[k]
-            a_s, a_u = al.task_sat[k], al.task_uav[k]
-            for d in range(curve.num_segments):
-                mid = self.mids[k][d]
-                o_mid = curve.evaluate_on(mid, d)
-                self.obj[k, d] = (
-                    kappa * tau * cfg.sat_cpu ** 2 * a_s * o_mid
-                    + cfg.sat_tx_power * cfg.data_bits[k] * a_s * mid / terms.r_su
-                    + kappa * tau * al.cpu[k] ** 2 * a_u * o_mid
-                    + al.power[k] * cfg.data_bits[k] * mid * (a_s + a_u)
-                    / terms.rate[k])
-                self.lat[k, d] = (
-                    kappa * a_s * o_mid / cfg.sat_cpu
-                    + cfg.data_bits[k] * a_s * mid / terms.r_su
-                    + (kappa * a_u * o_mid / al.cpu[k] if a_u else 0.0)
-                    + cfg.data_bits[k] * mid * (a_s + a_u) / terms.rate[k])
+        a_s, a_u, cpu, power = np.array(
+            (al.task_sat, al.task_uav, al.cpu, al.power), dtype=float)[:, :, None]
+        bits, rate = tables.data_bits[:, None], terms.rate[:, None]
+        mid, o_mid = tables.mid, tables.mid_overhead
+        uav = kappa * a_u * o_mid / np.where(a_u != 0, cpu, 1.0)
+        pad = np.isnan(mid)
+        self.obj = np.where(pad, math.inf, (
+            kappa * tau * cfg.sat_cpu ** 2 * a_s * o_mid
+            + cfg.sat_tx_power * bits * a_s * mid / terms.r_su
+            + kappa * tau * np.float_power(cpu, 2) * a_u * o_mid
+            + power * bits * mid * (a_s + a_u) / rate))
+        self.lat = np.where(pad, 0.0, (
+            kappa * a_s * o_mid / cfg.sat_cpu + bits * a_s * mid / terms.r_su
+            + uav + bits * mid * (a_s + a_u) / rate))
 
     def primal_of(self, choice):
         return tuple(choice.tolist())
@@ -435,14 +421,12 @@ def select_segments(cfg: ScenarioConfig, state: SolutionState,
     under the dual multipliers.  Returns ``(SegmentChoice, feasible)``;
     ties resolve to the shallowest segment."""
     adapter = _SegmentAdapter(cfg, state, terms)
-    chosen, feasible = adapter.solve(tuple(
-        cfg.overhead_curves[k].segment_of(state.allocation.ratio[k])
-        for k in range(cfg.num_gts)), opts)
-    choice = SegmentChoice(
-        chosen_segment=tuple(chosen),
-        midpoints=tuple(tuple(m) for m in adapter.mids),
-    )
-    return choice, feasible
+    segment = np.minimum(_overhead(cfg, state.allocation.ratio, True)[1],
+                         cfg._tables.last)
+    chosen, feasible = adapter.solve(
+        tuple((segment - cfg._tables.first).tolist()), opts)
+    return SegmentChoice(chosen_segment=tuple(chosen),
+                         midpoints=adapter.mids), feasible
 
 
 # ---------------------------------------------------------------------------
@@ -464,75 +448,47 @@ def solve_ratio_lp(cfg: ScenarioConfig, state: SolutionState,
     """
     from .simplex import solve_bounded_lp
 
-    al = state.allocation
-    kappa = cfg.cycles_per_overhead
-    tau = cfg.comp_energy_coeff
-    n = cfg.num_gts
-
-    lo = np.empty(n)
-    hi = np.empty(n)
-    slope = np.empty(n)
-    intercept = np.empty(n)
-    c = np.empty(n)
-    for k in range(n):
-        curve = cfg.overhead_curves[k]
-        d = choice.chosen_segment[k]
-        lo[k], hi[k] = curve.segment_bounds(d)
-        slope[k], intercept[k] = curve.slopes[d], curve.intercepts[d]
-        a_s, a_u = al.task_sat[k], al.task_uav[k]
-        c[k] = (a_s * (kappa * tau * slope[k] * cfg.sat_cpu ** 2
-                       + cfg.sat_tx_power * cfg.data_bits[k] / terms.r_su)
-                + a_u * kappa * tau * slope[k] * al.cpu[k] ** 2
-                + (a_s + a_u) * al.power[k] * cfg.data_bits[k] / terms.rate[k])
+    al, tables, n = state.allocation, cfg._tables, cfg.num_gts
+    kappa, tau = cfg.cycles_per_overhead, cfg.comp_energy_coeff
+    segment = tables.first + choice.chosen_segment
+    lo, hi = tables.lower.take(segment), tables.upper.take(segment)
+    slope, intercept = tables.line[:, segment]
+    a_s, a_u, cpu, power = np.array(
+        (al.task_sat, al.task_uav, al.cpu, al.power), dtype=float)
+    bits = tables.data_bits
+    c = (a_s * (kappa * tau * slope * cfg.sat_cpu ** 2
+                + cfg.sat_tx_power * bits / terms.r_su)
+         + a_u * kappa * tau * slope * np.float_power(cpu, 2)
+         + (a_s + a_u) * power * bits / terms.rate)
 
     # Latency rows: shared satellite terms couple every ratio; the UAV
-    # compute/downlink terms are local to each GT.
-    shared_coef = np.array([
-        al.task_sat[k] * (kappa * slope[k] / cfg.sat_cpu
-                          + cfg.data_bits[k] / terms.r_su)
-        for k in range(n)
-    ])
-    shared_const = sum(
-        al.task_sat[k] * kappa * intercept[k] / cfg.sat_cpu
-        + (1 - al.task_sat[k]) * cfg.data_bits[k] / terms.r_su
-        for k in range(n)
-    ) + terms.t_prop
+    # compute/downlink terms are local to each GT, on the diagonal.
+    shared_coef = a_s * (kappa * slope / cfg.sat_cpu + bits / terms.r_su)
+    shared_const = float(np.add.reduce(a_s * kappa * intercept / cfg.sat_cpu
+                                       + (1 - a_s) * bits / terms.r_su)) + terms.t_prop
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uav_coef, uav_const = np.where(
+            a_u != 0, kappa * np.array((slope, intercept)) / cpu, 0.0)
+    matrix = np.repeat(shared_coef[None, :], n, axis=0)
+    matrix.flat[::n + 1] = shared_coef + uav_coef + (a_s + a_u) * bits / terms.rate
+    limit = cfg.latency_budget - (shared_const + uav_const
+                                  + (1 - a_s - a_u) * bits / terms.rate)
+    bound = np.maximum.reduce(np.abs(matrix), axis=1) != 0.0
+    rows, rhs, external_violation = matrix, limit, False
+    if np.count_nonzero(bound) < n:
+        external_violation = bool(np.count_nonzero(limit[~bound] < 0.0))
+        rows, rhs = matrix[bound], limit[bound]
 
-    rows = []
-    rhs = []
-    external_violation = False
-    for j in range(n):
-        a_s, a_u = al.task_sat[j], al.task_uav[j]
-        row = shared_coef.copy()
-        const = shared_const
-        if a_u:
-            row[j] += kappa * slope[j] / al.cpu[j]
-            const += kappa * intercept[j] / al.cpu[j]
-        row[j] += (a_s + a_u) * cfg.data_bits[j] / terms.rate[j]
-        const += (1 - a_s - a_u) * cfg.data_bits[j] / terms.rate[j]
-        limit = cfg.latency_budget - const
-        if np.max(np.abs(row)) == 0.0:
-            if limit < 0.0:
-                external_violation = True
-            continue
-        rows.append(row)
-        rhs.append(limit)
-
-    if rows:
-        result = solve_bounded_lp(c, np.array(rows), np.array(rhs), lo, hi)
+    if rhs.size:
+        result = solve_bounded_lp(c, rows, rhs, lo, hi)
     else:
         result = solve_bounded_lp(c, np.zeros((1, n)), np.array([1.0]), lo, hi)
     if result.status != "optimal":
-        center = 0.5 * (lo + hi)
-        worst = None
-        for row, limit in zip(rows, rhs):
-            viol = float(row @ center - limit)
-            if worst is None or viol > worst[1]:
-                worst = (row, viol)
+        worst = np.max(rows @ (0.5 * (lo + hi)) - rhs)
         raise InfeasibleBlockError(
             "solve_ratio_lp",
             "no ratio vector satisfies the latency rows "
-            f"(most violated by {worst[1]:.3e} s at the box center)")
+            f"(most violated by {worst:.3e} s at the box center)")
     # Simplex arithmetic can overshoot a bound by an ulp; keep the ratios
     # inside their segments so downstream segment lookups never reject them.
     ratios = np.clip(result.x, lo, hi)
@@ -549,25 +505,22 @@ def solve_cpu_allocation(cfg: ScenarioConfig, state: SolutionState,
     cycles-per-second that make its end-to-end latency hit the budget;
     everyone else gets zero.  Raises when a slack is nonpositive or the
     shares exceed the UAV CPU budget."""
-    al = state.allocation
-    kappa = cfg.cycles_per_overhead
-    t = cfg.latency_budget
-    cpu = []
-    for k in range(cfg.num_gts):
-        if not al.task_uav[k]:
-            cpu.append(0.0)
-            continue
-        slack = t - terms.t_sat - terms.t_tx - terms.t_prop - terms.t_ug[k]
-        if slack <= 0.0:
-            raise InfeasibleBlockError(
-                "solve_cpu_allocation",
-                f"GT {k}: no latency left for UAV compute (slack {slack:.3e} s)")
-        cpu.append(kappa * terms.overhead[k] / slack)
-    if sum(cpu) > cfg.uav_cpu_total:
+    uav = np.array(state.allocation.task_uav) != 0
+    slack = cfg.latency_budget - terms.t_sat - terms.t_tx - terms.t_prop - terms.t_ug
+    starved = uav & (slack <= 0.0)
+    if np.count_nonzero(starved):
+        k = int(starved.argmax())
         raise InfeasibleBlockError(
             "solve_cpu_allocation",
-            f"required CPU {sum(cpu):.3e} exceeds budget {cfg.uav_cpu_total:.3e}")
-    return tuple(cpu)
+            f"GT {k}: no latency left for UAV compute (slack {slack[k]:.3e} s)")
+    cpu = np.divide(cfg.cycles_per_overhead * terms.overhead, slack,
+                    out=np.zeros(cfg.num_gts), where=uav)
+    total = float(np.add.reduce(cpu))
+    if total > cfg.uav_cpu_total:
+        raise InfeasibleBlockError(
+            "solve_cpu_allocation",
+            f"required CPU {total:.3e} exceeds budget {cfg.uav_cpu_total:.3e}")
+    return tuple(cpu.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -709,19 +662,16 @@ def solve_power_bandwidth(cfg: ScenarioConfig, state: SolutionState,
     """
     n = cfg.num_gts
     slacks = terms.hop_slack
-    u = []
-    v = []
-    w = []
-    for k in range(n):
-        if slacks[k] <= 0.0:
-            raise InfeasibleBlockError(
-                "solve_power_bandwidth",
-                f"GT {k}: no latency left for the downlink (slack {slacks[k]:.3e} s)")
-        g_k = channel_gain_ug(cfg, state.placement, k)
-        theta = state.placement.half_beamwidth
-        u.append(terms.bits[k] / slacks[k])
-        v.append(cfg.antenna_gain_const * g_k / (theta * theta * cfg.noise_psd))
-        w.append(slacks[k] / v[k])
+    if np.count_nonzero(slacks <= 0.0):
+        k = int((slacks <= 0.0).argmax())
+        raise InfeasibleBlockError(
+            "solve_power_bandwidth",
+            f"GT {k}: no latency left for the downlink (slack {slacks[k]:.3e} s)")
+    theta = state.placement.half_beamwidth
+    gain = cfg.ref_channel_gain / _squared_distance(cfg, state.placement)
+    v = cfg.antenna_gain_const * gain / (theta * theta * cfg.noise_psd)
+    # the stationary-bandwidth search below iterates on Python floats
+    u, w, v = (terms.bits / slacks).tolist(), (slacks / v).tolist(), v.tolist()
 
     b_total = cfg.uav_bandwidth_total
 
@@ -780,23 +730,19 @@ def _hop_scores(cfg: ScenarioConfig, al, bits, slacks, uav_xy, altitudes,
     at which every GT gets a positive rate ``r`` with ``bits / r`` within
     its latency slack (times ``_TIGHT_BOUNDARY``), and each one's sum of
     ``(p * bits) / r`` in GT order.  The GTs are taken in blocks of
-    ``_HOP_BLOCK``, then twice as many each step, over the shrinking set
-    of trials that met every GT so far: most trials fail within the first
-    GTs, and doubling keeps the steps over the few left (often only the
-    incumbent) to about ``log2(K / _HOP_BLOCK)``.  The block's
-    energies of the trials that meet all its GTs are added to their
-    running sums by one sequential ``np.add.accumulate``.
+    ``_HOP_BLOCK``, then twice as many each step, over the trials that met
+    every GT so far: most fail within the first GTs, so the steps over the
+    few left (often only the incumbent) number about ``log2(K /
+    _HOP_BLOCK)``.  One sequential ``np.add.accumulate`` adds a block's
+    energies to the running sums of the trials that meet all its GTs.
     """
-    xs = np.array([pos[0] for pos in cfg.gt_positions])
-    ys = np.array([pos[1] for pos in cfg.gt_positions])
-    dx = uav_xy[0] - xs
-    dy = uav_xy[1] - ys
+    dx, dy = np.array(uav_xy)[:, None] - cfg._tables.xy
     horizontal2 = (dx * dx + dy * dy)[:, None]
-    bw = np.array(al.bandwidth)[:, None]
-    pw = np.array(al.power)[:, None]
-    data = np.array(bits)[:, None]
+    bw, pw = (np.asarray(v, dtype=float)[:, None]
+              for v in (al.bandwidth, al.power))
+    data = bits[:, None]
     load = pw * data
-    limit = np.array(slacks)[:, None] * _TIGHT_BOUNDARY
+    limit = slacks[:, None] * _TIGHT_BOUNDARY
     admitted = np.arange(thetas.size)
     energy = np.zeros((1, thetas.size))
     lo, width = 0, _HOP_BLOCK
@@ -832,7 +778,7 @@ def solve_altitude_beamwidth(cfg: ScenarioConfig, state: SolutionState,
     """
     al = state.allocation
     slacks = terms.hop_slack
-    if min(slacks) <= 0.0:
+    if np.count_nonzero(slacks <= 0.0):
         raise InfeasibleBlockError(
             "solve_altitude_beamwidth", "no latency left for the downlink")
     l_max = max(state.placement.horizontal_distance(pos)
@@ -949,52 +895,43 @@ def solve_location(cfg: ScenarioConfig, state: SolutionState,
     al = state.allocation
     pl = state.placement
     slacks = terms.hop_slack
-    if min(slacks) <= 0.0:
+    if np.count_nonzero(slacks <= 0.0):
         raise InfeasibleBlockError("solve_location",
                                    "no latency left for the downlink")
-    theta = pl.half_beamwidth
-    h = pl.altitude
+    theta, h = pl.half_beamwidth, pl.altitude
     cover = h * math.tan(theta)
+    bw, pw = np.array((al.bandwidth, al.power), dtype=float)
 
-    radii = []
-    for k in range(cfg.num_gts):
-        if al.power[k] <= 0.0:
-            raise InfeasibleBlockError(
-                "solve_location", f"GT {k}: zero power, admissible disk empty")
-        j_k = terms.bits[k] / (al.bandwidth[k] * slacks[k])
-        if j_k > _EXP_CAP:
-            raise InfeasibleBlockError(
-                "solve_location", f"GT {k}: rate demand overflows, disk empty")
-        q2 = (cfg.antenna_gain_const * cfg.ref_channel_gain * al.power[k]
-              / (theta * theta * al.bandwidth[k] * cfg.noise_psd
-                 * (2.0 ** j_k - 1.0))) - h * h
-        if q2 < 0.0:
-            raise InfeasibleBlockError(
-                "solve_location", f"GT {k}: latency disk has imaginary radius")
-        radii.append(min(cover, math.sqrt(q2)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        demand = terms.bits / (bw * slacks)
+        q2 = (cfg.antenna_gain_const * cfg.ref_channel_gain * pw
+              / (theta * theta * bw * cfg.noise_psd
+                 * (np.float_power(2.0, np.minimum(demand, _EXP_CAP)) - 1.0))) - h * h
+        root = np.sqrt(q2)
+    empty = np.array((pw <= 0.0, demand > _EXP_CAP, q2 < 0.0))
+    if np.count_nonzero(empty):
+        k = int(empty.any(axis=0).argmax())
+        raise InfeasibleBlockError("solve_location", (
+            "GT {}: zero power, admissible disk empty",
+            "GT {}: rate demand overflows, disk empty",
+            "GT {}: latency disk has imaginary radius")[
+                int(empty[:, k].argmax())].format(k))
+    rr = np.where(root < cover, root, cover)  # as min(cover, root) picks
 
-    xs = np.array([pos[0] for pos in cfg.gt_positions])
-    ys = np.array([pos[1] for pos in cfg.gt_positions])
-    rr = np.array(radii)
+    xs, ys = cfg._tables.xy
     x_lo, x_hi = float(np.max(xs - rr)), float(np.min(xs + rr))
     y_lo, y_hi = float(np.max(ys - rr)), float(np.min(ys + rr))
     if x_lo > x_hi or y_lo > y_hi:
         raise InfeasibleBlockError("solve_location",
                                    "admissible disks have empty intersection")
 
-    pw = np.array(al.power)
-    bw = np.array(al.bandwidth)
-    bits = np.array(terms.bits)
-    gain = cfg.antenna_gain_const * cfg.ref_channel_gain / (theta * theta
-                                                            * cfg.noise_psd)
-
+    load = pw * terms.bits
     limit = (rr ** 2) * _TIGHT_BOUNDARY
 
     def downlink(d2: np.ndarray) -> np.ndarray:
         """Downlink energy per row of squared horizontal distances."""
-        snr = gain * pw[None, :] / ((d2 + h * h) * bw[None, :])
-        r = bw[None, :] * np.log2(1.0 + snr)
-        return np.sum(pw[None, :] * bits[None, :] / r, axis=1)
+        return np.sum(load / rate_uav_gt_at(cfg, d2 + h * h, theta, bw, pw),
+                      axis=1)
 
     def evaluate(px: np.ndarray, py: np.ndarray):
         """Objective over flat point arrays, +inf outside any disk."""

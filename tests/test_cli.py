@@ -14,6 +14,7 @@ from saginpsc.physics import (
     downlink_energy_grid,
     energy_breakdown,
     latency_breakdown,
+    latency_terms,
 )
 from saginpsc.scenario import default_document, load_scenario, loads_scenario
 
@@ -52,6 +53,16 @@ class TestGenScenario:
     def test_rejects_nonpositive_sizes(self, runner):
         res = runner.invoke(main, ["gen-scenario", "--data-kib", "0"])
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("option, value", [
+        ("--data-kib", "nan"), ("--data-kib", "inf"), ("--data-kib", "-1"),
+        ("--radius", "nan"), ("--radius", "inf"), ("--radius", "0")])
+    def test_rejects_nonfinite_sizes_naming_the_option(self, runner, option,
+                                                       value):
+        # nan and inf exited 0 and wrote NaN or Infinity, which is not JSON
+        res = runner.invoke(main, ["gen-scenario", option, value])
+        assert res.exit_code == 1
+        assert f"{option} must be finite and positive" in res.output
 
 
 class TestSolve:
@@ -201,6 +212,14 @@ class TestSweep:
                                    "--param", "data_bits", "--values", " , "])
         assert res.exit_code == 1
 
+    def test_empty_schemes_exit_one(self, runner, scenario_path):
+        # wrote a header-only CSV and exited 0
+        res = runner.invoke(main, ["sweep", "--scenario", str(scenario_path),
+                                   "--param", "data_bits", "--values", "65536",
+                                   "--schemes", ","])
+        assert res.exit_code == 1
+        assert "--schemes must be nonempty" in res.output
+
     def test_nonnumeric_values_exit_one(self, runner, scenario_path):
         res = runner.invoke(main, ["sweep", "--scenario", str(scenario_path),
                                    "--param", "data_bits", "--values", "a,b"])
@@ -284,7 +303,16 @@ class TestHeatmap:
                 for axis, (lo, hi) in zip((xs, ys), lo_hi):
                     assert axis.tolist() == [lo + (hi - lo) * i / (n - 1)
                                              for i in range(n)]
-                energy, feasible = downlink_energy_grid(case, state, xs, ys)
+                # One more cell at the state's own position reads the
+                # state's own hop energy and feasibility, to the bit.
+                own = state.placement.uav_xy
+                energy, feasible = downlink_energy_grid(
+                    case, state, np.append(xs, own[0]), np.append(ys, own[1]))
+                terms = latency_terms(case, state)
+                assert energy[-1, -1] == float(np.sum(
+                    terms.t_ug * np.array(state.allocation.power)))
+                assert feasible[-1, -1] == check_feasibility(case, state).feasible
+                energy, feasible = energy[:-1, :-1], feasible[:-1, :-1]
                 ref_e, ref_f, codes = self.reference_cells(
                     case, state, xs.tolist(), ys.tolist())
                 seen |= codes

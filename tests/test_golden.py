@@ -4,28 +4,31 @@
 scenarios, a ``sweep`` CSV over ``data_bits`` on ``default.json``, and the
 exit code and SHA-256 digest of the 101x101 ``heatmap`` CSV of both
 shipped scenarios (about 536 kB each).  The shipped scenarios have four
-GTs, and below eight terms numpy's pairwise sum agrees with Python's
-``sum``, so ``solve_scale_sha256.json`` also holds the exit code and
-SHA-256 digest of the ``sagin_psc`` ``solve`` JSON on
-``conftest.scale_document`` at K = 16, 64 and 256, which pin the
-summation order at those sizes.  The shipped-scenario files were last
-regenerated when the power/bandwidth block moved from a nested
-bisection to the closed-form stationary bandwidth: that moved the
-bandwidths and powers of the ``sagin_psc`` and ``fixed_location``
-solves, and the downlink times and energy that follow from them, in
-their last digits only (at most 1.5e-15 relative), and 5 of the 10,201
-``default`` heatmap cells (at most 4.7e-12 relative, no feasibility
-flag); the objectives, flags, iteration counts, traces and the sweep CSV
-kept their bytes.  The sweep must write the same bytes on one thread and
-on two.  A change that keeps every result must keep these bytes.  They
-pin the floating-point rounding of the numpy build and CPU that wrote
-them, so they may be regenerated (``python tests/test_golden.py``, which
-prints each file whose bytes changed) only by a change that states a
-behaviour change.
+GTs, and below eight terms numpy's pairwise sum agrees with a sequential
+one, so ``solve_scale_sha256.json`` also holds the exit code and SHA-256
+digest of the ``sagin_psc`` ``solve`` JSON on ``conftest.scale_document``
+at K = 16, 64 and 256, which pin the summation order at those sizes.  The
+files were last regenerated when the latency terms became per-GT numpy
+arrays and every UAV-to-GT rate went through ``rate_uav_gt_at``
+(``np.log2`` at the squared distance ``dx*dx + dy*dy + h*h``, where the
+state's own hop had used ``math.log2`` at a ``hypot`` distance): six
+``solve`` JSONs moved in their last digits only (largest relative change
+5.3e-16; objectives, flags, iteration counts and traces kept), the sweep
+CSV kept its bytes, and both digest files changed: one ``default``
+heatmap cell's 12-digit print moved (the cells' largest relative change
+is 1.3e-14, no flag changed), and the K = 16/64/256 solves kept their
+objectives, flags and iteration counts.  The sweep must write the same
+bytes on one thread and on two.  A change that keeps every result must
+keep these bytes.  They pin the floating-point rounding of the numpy
+build and CPU that wrote them, so they may be regenerated (``python
+tests/test_golden.py``, which prints each changed file with the largest
+relative change of its floats and whether any other token changed) only
+by a change that states a behaviour change.
 """
 
 import hashlib
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -117,9 +120,64 @@ def test_scaled_solve_json_digest_is_unchanged(num_gts, tmp_path):
     assert _scale_digest(num_gts, tmp_path) == golden[str(num_gts)]
 
 
+def _tokens(path: Path, data: bytes):
+    """``(numbers, others)``: the floats of a JSON or CSV golden and its
+    other tokens (keys, flags, strings and integers such as counts and
+    exit codes), each in file order.  A CSV cell is a float when it parses
+    as one and is not written as an integer."""
+    numbers, others = [], []
+
+    def walk(value):
+        if isinstance(value, dict):
+            others.append(sorted(value))
+            for key in sorted(value):
+                walk(value[key])
+        elif isinstance(value, list):
+            others.append(len(value))
+            for item in value:
+                walk(item)
+        elif isinstance(value, float):
+            numbers.append(value)
+        else:
+            others.append(value)
+
+    if path.suffix == ".json":
+        walk(json.loads(data))
+        return numbers, others
+    for line in data.decode().splitlines():
+        others.append(line.count(","))
+        for cell in line.split(","):
+            try:
+                int(cell)
+                others.append(cell)
+            except ValueError:
+                try:
+                    numbers.append(float(cell))
+                except ValueError:
+                    others.append(cell)
+    return numbers, others
+
+
+def _relative_change(old: float, new: float) -> float:
+    if old == new or (math.isnan(old) and math.isnan(new)):
+        return 0.0
+    return abs(new - old) / abs(old) if math.isfinite(old) and old else math.inf
+
+
+def size_of_change(path: Path, old: bytes, new: bytes) -> str:
+    """The largest relative change over the floats of a JSON or CSV
+    golden, and whether any other token changed."""
+    (a, a_other), (b, b_other) = _tokens(path, old), _tokens(path, new)
+    if len(a) != len(b):
+        return "floats added or removed"
+    worst = max(map(_relative_change, a, b), default=0.0)
+    return (f"largest relative change {worst:.3g} over {len(a)} floats; "
+            f"other tokens {'changed' if a_other != b_other else 'unchanged'}")
+
+
 def regenerate():
     """Rewrite every golden file and print the name of each whose bytes
-    changed."""
+    changed, with the size of the change (:func:`size_of_change`)."""
     before = {path.name: path.read_bytes() for path in GOLDEN.iterdir()}
     for scenario in SCENARIOS:
         for scheme in SCHEMES:
@@ -135,8 +193,10 @@ def regenerate():
         digests = {str(k): _scale_digest(k, Path(tmp)) for k in SCALE_GTS}
     SCALE_DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
     for path in sorted(GOLDEN.iterdir()):
-        if before.get(path.name) != path.read_bytes():
-            print(f"changed: {path.relative_to(ROOT)}")
+        old, new = before.get(path.name), path.read_bytes()
+        if old != new:
+            size = "new file" if old is None else size_of_change(path, old, new)
+            print(f"changed: {path.relative_to(ROOT)}: {size}")
 
 
 if __name__ == "__main__":

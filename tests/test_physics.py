@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +19,7 @@ from saginpsc.physics import (
     latency_breakdown,
     rate_sat_uav,
     rate_uav_gt,
+    rate_uav_gt_at,
     total_energy,
 )
 from saginpsc.scenario import default_document, load_scenario, loads_scenario
@@ -58,6 +60,27 @@ class TestRates:
                        half_beamwidth=math.pi / 4)
         r = rate_uav_gt(cfg, pl, 2.5e6, 0.25, 0)
         assert r == pytest.approx(39223557.71962295, rel=1e-12)
+
+    def test_one_gt_rate_is_the_rate_at_its_squared_distance(self):
+        # The one-GT rate is rate_uav_gt_at at d2 = dx*dx + dy*dy + h*h, to
+        # the bit, over random placements, bandwidths and powers: math's
+        # log2 and numpy's disagree in the last bit on about 1 draw in 1,500.
+        cfg = loads_scenario(default_document(num_gts=3))
+        rng = np.random.default_rng(11)
+        n = 3000
+        xy = rng.uniform(-400.0, 400.0, (n, 2))
+        h = rng.uniform(*cfg.altitude_range, n)
+        theta = rng.uniform(*cfg.beam_range_clamped, n)
+        b, p = rng.uniform(1e5, 1e7, n), rng.uniform(1e-3, 1.0, n)
+        k = rng.integers(cfg.num_gts, size=n)
+        gt = np.array(cfg.gt_positions)[k]
+        dx, dy = (xy - gt).T
+        want = rate_uav_gt_at(cfg, dx * dx + dy * dy + h * h, theta, b, p)
+        got = [rate_uav_gt(cfg, Placement(tuple(xy[i].tolist()), float(h[i]),
+                                          float(theta[i])),
+                           float(b[i]), float(p[i]), int(k[i]))
+               for i in range(n)]
+        assert np.array_equal(got, want)
 
     def test_zero_power_means_zero_rate(self):
         cfg = single_gt_cfg()

@@ -79,11 +79,15 @@ class TestDocumentValidation:
         ("noise_psd_dbm_hz", 4000.0),
         ("data_bytes", 1e308),
         ("data_bytes", [1024.0, 1e308, 1024.0, 1024.0]),
+        ("sat_beam_gain_db", -4000.0),
+        ("noise_psd_dbm_hz", -4000.0),
+        pytest.param("noise_psd_dbm_hz", -3235.0, id="noise-zero-in-watts"),
     ])
     def test_bad_value_names_its_field(self, field, value):
         # Each of these crashed with a bare ValueError, IndexError,
-        # TypeError, ZeroDivisionError or OverflowError, or loaded and
-        # solved to a NaN or infinite energy.
+        # TypeError, ZeroDivisionError or OverflowError, loaded and solved
+        # to a NaN or infinite energy, or named a field that the document
+        # does not have (a decibel value that underflows).
         doc = default_document()
         doc[field] = value
         with pytest.raises(ScenarioError, match=f"^{field}: "):

@@ -859,15 +859,14 @@ def reference_solve_location(cfg, state, opts, terms, grids):
 
     pw = np.array(al.power)
     bw = np.array(al.bandwidth)
-    bits = np.array(terms.bits)
-    gain = cfg.antenna_gain_const * cfg.ref_channel_gain / (theta * theta
-                                                            * cfg.noise_psd)
     limit = (rr ** 2) * subsolvers._TIGHT_BOUNDARY
 
     def downlink(d2):
-        snr = gain * pw[None, :] / ((d2 + h * h) * bw[None, :])
-        r = bw[None, :] * np.log2(1.0 + snr)
-        return np.sum(pw[None, :] * bits[None, :] / r, axis=1)
+        # the UAV-to-GT rate at squared distance d2 + h * h
+        snr = (cfg.antenna_gain_const * (cfg.ref_channel_gain / (d2 + h * h))
+               * pw / (theta * theta * bw * cfg.noise_psd))
+        r = bw * np.log2(1.0 + snr)
+        return np.sum(pw * terms.bits / r, axis=1)
 
     def evaluate(px, py):
         return dense_score_inside_disks(downlink, px, py, xs, ys, limit)
@@ -1075,18 +1074,18 @@ class TestFilteredLocationSearch:
 
 def reference_downlink_objective(cfg, al, bits, positions, uav_xy,
                                  altitude, theta, slacks):
-    """UAV-to-GT communication energy at a trial (altitude, beamwidth) in
-    scalar ``math``, or (inf, False) when some GT misses its latency
-    slack."""
+    """UAV-to-GT communication energy at a trial (altitude, beamwidth),
+    one GT at a time, or (inf, False) when some GT misses its latency
+    slack.  The rate is the model's one expression, with numpy's
+    ``log2``."""
     total = 0.0
     for k in range(cfg.num_gts):
         dx = uav_xy[0] - positions[k][0]
         dy = uav_xy[1] - positions[k][1]
         d2 = dx * dx + dy * dy + altitude * altitude
-        g_k = cfg.ref_channel_gain / d2
-        snr = (cfg.antenna_gain_const * g_k * al.power[k]
+        snr = (cfg.antenna_gain_const * (cfg.ref_channel_gain / d2) * al.power[k]
                / (theta * theta * al.bandwidth[k] * cfg.noise_psd))
-        r_k = al.bandwidth[k] * math.log2(1.0 + snr)
+        r_k = al.bandwidth[k] * float(np.log2(1.0 + snr))
         if r_k <= 0.0 or bits[k] / r_k > slacks[k] * subsolvers._TIGHT_BOUNDARY:
             return math.inf, False
         total += al.power[k] * bits[k] / r_k
