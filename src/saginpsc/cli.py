@@ -29,7 +29,8 @@ from .physics import (
     energy_breakdown,
     latency_breakdown,
 )
-from .scenario import ScenarioConfig, ScenarioError, default_document, load_scenario
+from .scenario import (ScenarioConfig, ScenarioError, default_document,
+                       load_scenario, loads_scenario)
 from .subsolvers import SolverOptions
 
 # The exit-code contract reserves 2 for infeasible models, so usage
@@ -42,6 +43,7 @@ SWEEP_PARAMETERS = ("data_bits", "sat_beam_gain", "sat_uav_distance",
                     "latency_budget", "sat_cpu")
 
 _SCHEME_CHOICES = [s.value for s in SchemeId]
+_SEED = click.IntRange(min=0)  # numpy's generators take no negative seed
 
 
 def _float_cell(x: float) -> str:
@@ -64,9 +66,9 @@ def _load_options(path: str | None) -> AlgorithmOptions:
         raise click.ClickException(f"bad options file {path}: {exc}")
 
 
-def _load_cfg(path: str) -> ScenarioConfig:
+def _load_cfg(source, load=load_scenario) -> ScenarioConfig:
     try:
-        return load_scenario(path)
+        return load(source)
     except ScenarioError as exc:
         raise click.ClickException(str(exc))
 
@@ -132,7 +134,7 @@ def main() -> None:
 @click.option("--scenario", required=True, type=str, help="Scenario JSON file.")
 @click.option("--scheme", default=SchemeId.SAGIN_PSC.value,
               type=click.Choice(_SCHEME_CHOICES), show_default=True)
-@click.option("--seed", default=0, type=int, show_default=True,
+@click.option("--seed", default=0, type=_SEED, show_default=True,
               help="Seed for the random-assignment scheme.")
 @click.option("--out", default=None, type=str,
               help="Result document path ('-' or omitted for stdout).")
@@ -172,7 +174,7 @@ def _sweep_row(cfg, name, value, scheme, options, seed):
               help="Comma-separated parameter values (SI units).")
 @click.option("--schemes", default=",".join(_SCHEME_CHOICES), show_default=True,
               type=str, help="Comma-separated scheme names.")
-@click.option("--seed", default=0, type=int, show_default=True)
+@click.option("--seed", default=0, type=_SEED, show_default=True)
 @click.option("--jobs", default=1, type=int, show_default=True,
               help="Accepted for compatibility and ignored: rows always "
                    "run in order on one thread.")
@@ -213,7 +215,7 @@ def sweep(scenario, param_name, values, schemes, seed, jobs, out, opts) -> None:
 @main.command()
 @click.option("--scenario", required=True, type=str)
 @click.option("--grid-points", default=101, type=int, show_default=True)
-@click.option("--seed", default=0, type=int, show_default=True)
+@click.option("--seed", default=0, type=_SEED, show_default=True)
 @click.option("--out", default=None, type=str)
 @click.option("--opts", default=None, type=str)
 def heatmap(scenario, grid_points, seed, out, opts) -> None:
@@ -255,7 +257,7 @@ def heatmap(scenario, grid_points, seed, out, opts) -> None:
 @click.option("--scenario", required=True, type=str)
 @click.option("--sat-cpus", required=True, type=str,
               help="Comma-separated satellite CPU frequencies in Hz.")
-@click.option("--seed", default=0, type=int, show_default=True)
+@click.option("--seed", default=0, type=_SEED, show_default=True)
 @click.option("--out", default=None, type=str)
 @click.option("--opts", default=None, type=str)
 def convergence(scenario, sat_cpus, seed, out, opts) -> None:
@@ -286,7 +288,7 @@ def convergence(scenario, sat_cpus, seed, out, opts) -> None:
 @click.option("--num-gts", default=4, type=int, show_default=True)
 @click.option("--data-kib", default=64.0, type=float, show_default=True)
 @click.option("--radius", default=300.0, type=float, show_default=True)
-@click.option("--seed", default=7, type=int, show_default=True)
+@click.option("--seed", default=7, type=_SEED, show_default=True)
 @click.option("--unequal-data", is_flag=True, default=False,
               help="Stagger per-GT data sizes around the given size.")
 @click.option("--out", default=None, type=str)
@@ -298,6 +300,7 @@ def gen_scenario(num_gts, data_kib, radius, seed, unequal_data, out) -> None:
             raise click.ClickException(f"{name} must be finite and positive")
     doc = default_document(num_gts=num_gts, data_kib=data_kib, radius=radius,
                            seed=seed, unequal_data=unequal_data)
+    _load_cfg(doc, loads_scenario)  # write only what `solve` reads back
     _write_text(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 

@@ -216,8 +216,8 @@ class ScenarioConfig:
 class _GtTables:
     """A scenario ``cfg``'s per-GT constants as arrays: GT coordinates
     ``xy``, ``data_bits`` and, one curve per row, segment bounds ``lower``
-    and ``upper``, midpoints ``mid`` and the overhead there; ``line`` holds
-    slopes and intercepts, flat.  Rows run one past the most segments
+    and ``upper`` and midpoints ``mid``; ``line`` holds slopes and
+    intercepts, flat.  Rows run one past the most segments
     (``lower`` -inf, the line repeated, NaN elsewhere); ``first`` and
     ``last`` are each curve's first and last flat segment index."""
 
@@ -238,7 +238,6 @@ class _GtTables:
         self.lower = table([c.boundaries for c in curves], -math.inf)
         self.upper = table([(1.0,) + c.boundaries[:-1] for c in curves], math.nan)
         self.mid = 0.5 * (self.lower + self.upper)
-        self.mid_overhead = slope * self.mid + intercept
         self.first = width * np.arange(cfg.num_gts)
         self.last = self.first + [c.num_segments - 1 for c in curves]
         self.ratio_min = self.lower.take(self.last)

@@ -7,23 +7,22 @@ return the best feasible iterate encountered, falling back to the final
 iterate with ``feasible=False`` when no iterate met the latency budget.
 The remaining blocks are a dense LP, a closed form, a two-multiplier
 convex allocator, and two exhaustive searches.  Each block reads its
-state's ``latency_terms`` from its last argument and never derives them.
+state's ``latency_terms`` from its last argument and never derives them;
+``_gt_model`` prices compression per GT for the dual blocks and the LP.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .physics import (
     LatencyTerms,
     SolutionState,
-    _energy,
     _overhead,
     _squared_distance,
-    latency_terms,
     rate_uav_gt_at,
 )
 from .scenario import ScenarioConfig
@@ -266,38 +265,69 @@ def dual_subgradient(adapter, opts: SolverOptions):
     return primal, mult, t, False
 
 
-class _StateAdapter:
-    """Scores a primal by the state ``state_of(primal)`` it stands for:
-    the residuals are its GTs' normalized latency excesses and the
-    objective its total energy.  Both come from one ``latency_terms``
-    derivation per distinct state; the block's own state reuses the
-    block's terms."""
+# ---------------------------------------------------------------------------
+# The per-GT compression model and the dual blocks over its options
+
+
+def _gt_model(cfg: ScenarioConfig, al, terms: LatencyTerms, a_s, a_u,
+              overhead, forwarded, delivered):
+    """Each GT's energy, its part of the shared satellite latency, its UAV
+    compute time and its hop time, over grids that broadcast to ``(K,
+    options)``: option ``j`` of GT ``k`` compresses at sites ``a_s[k, j]``,
+    ``a_u[k, j]`` (0 or 1) with ``overhead`` and sends the fractions
+    ``forwarded`` of its data over the satellite link and ``delivered`` to
+    the GT; CPU shares and powers are ``al``'s, rates ``terms``'.  A GT's
+    latency is the sum of the shared parts over all GTs plus ``t_prop``,
+    its UAV time and its hop time.
+
+    The pieces are linear in the last three grids, which on a segment line
+    are affine in the ratio (``slope * rho + intercept``, ``a_s * rho + 1 -
+    a_s``, ``a * rho + 1 - a``, ``a = a_s + a_u``): at ``(slope, a_s, a)``
+    they are the ratio's coefficients, at ``(intercept, 1 - a_s, 1 - a)``
+    the constants.  A regrouped term rounds the LP's rows differently."""
+    kappa, tau = cfg.cycles_per_overhead, cfg.comp_energy_coeff
+    bits, rate = cfg._tables.data_bits[:, None], terms.rate[:, None]
+    cpu, power = np.array((al.cpu, al.power), dtype=float)[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uav = np.where(a_u != 0, kappa * overhead / cpu, 0.0)
+    # float_power rounds as Python's float power; np.power may not
+    energy = (a_s * kappa * tau * overhead * cfg.sat_cpu ** 2
+              + cfg.sat_tx_power * bits * forwarded / terms.r_su
+              + a_u * kappa * tau * overhead * np.float_power(cpu, 2)
+              + power * bits * delivered / rate)
+    shared = (a_s * kappa * overhead / cfg.sat_cpu
+              + bits * forwarded / terms.r_su)
+    return energy, shared, uav, bits * delivered / rate
+
+
+class _OptionAdapter:
+    """A dual block whose option ``j`` of GT ``k`` is the sites ``a_s[k,
+    j]``, ``a_u[k, j]`` with ``overhead[k, j]`` at ``ratio[k, j]``, the
+    rest of the state held.  ``obj`` and ``lat`` hold each option's energy
+    and latency by :func:`_gt_model`; a primal, with one option per GT
+    (its ``_columns``), scores as that state from the same pieces."""
 
     def __init__(self, cfg: ScenarioConfig, state: SolutionState,
-                 terms: LatencyTerms):
-        self.cfg = cfg
-        self.state = state
+                 terms: LatencyTerms, a_s, a_u, overhead, ratio):
+        a = a_s + a_u
+        self._gt_energy, shared, uav, hop = _gt_model(
+            cfg, state.allocation, terms, a_s, a_u, overhead,
+            a_s * ratio + (1 - a_s), a * ratio + (1 - a))
         self.num_multipliers = cfg.num_gts
-        self._scores = {}  # state -> [residuals, terms, energy once asked for]
-        self._score(state, terms)
-
-    def _score(self, state: SolutionState, terms: LatencyTerms | None = None):
-        score = self._scores.get(state)
-        if score is None:
-            terms = terms or latency_terms(self.cfg, state)
-            t = self.cfg.latency_budget
-            score = self._scores[state] = [(terms.total - t) / t, terms, None]
-        return score
+        self._shared, self._local = shared, uav + hop
+        self.obj, self.lat = self._gt_energy, shared + self._local
+        self._rows = np.arange(cfg.num_gts)
+        self._t_prop, self._budget = terms.t_prop, cfg.latency_budget
 
     def residuals(self, primal):
-        return self._score(self.state_of(primal))[0]
+        pick = self._rows, self._columns(primal)
+        latency = (float(np.add.reduce(self._shared[pick])) + self._t_prop
+                   + self._local[pick])
+        return (latency - self._budget) / self._budget
 
     def objective(self, primal):
-        state = self.state_of(primal)
-        score = self._score(state)
-        if score[2] is None:
-            score[2] = _energy(self.cfg, state.allocation, score[1]).total
-        return score[2]
+        pick = self._rows, self._columns(primal)
+        return float(np.add.reduce(self._gt_energy[pick]))
 
     def solve(self, incumbent, opts: SolverOptions):
         """``(primal, feasible)`` of :func:`dual_subgradient`, or
@@ -316,44 +346,33 @@ class _StateAdapter:
 # Block 1: compression-site assignment (satellite / UAV / none)
 
 
-class _TaskAdapter(_StateAdapter):
-    """Primal: ``(task_sat, task_uav)``.  Each GT's Lagrangian is linear in
-    its assignment, so the tables ``obj`` and ``lat`` hold per GT the
-    option columns none (0), satellite and UAV, and the least option wins;
-    ``argmin`` keeps the first minimum, so ties resolve to none, then
-    satellite.  GTs without a positive UAV CPU share price the UAV option
-    at +inf."""
+class _TaskAdapter(_OptionAdapter):
+    """Primal: ``(task_sat, task_uav)``.  Each GT's options are none (0),
+    satellite and UAV at its ratio, and the tables ``obj`` and ``lat``
+    hold them relative to none; the least option wins, and ``argmin``
+    keeps the first minimum, so ties resolve to none, then satellite.
+    GTs without a positive UAV CPU share price the UAV option at +inf."""
 
     def __init__(self, cfg: ScenarioConfig, state: SolutionState,
                  terms: LatencyTerms):
-        super().__init__(cfg, state, terms)
-        kappa, tau = cfg.cycles_per_overhead, cfg.comp_energy_coeff
         al = state.allocation
-        ratio, cpu, power = np.array((al.ratio, al.cpu, al.power), dtype=float)
-        # every option needs the overhead; the terms hold only the
-        # compressed GTs'
-        o = _overhead(cfg, al.ratio, True)[0]
-        save, r, share = cfg._tables.data_bits * (1.0 - ratio), terms.rate, cpu > 0.0
-        self.obj, self.lat = np.zeros((2, cfg.num_gts, 3))
-        kto, ko = kappa * tau * o, kappa * o
-        self.obj[:, 1] = (kto * cfg.sat_cpu ** 2
-                          - save * (cfg.sat_tx_power / terms.r_su + power / r))
-        self.lat[:, 1] = ko / cfg.sat_cpu - save * (1.0 / terms.r_su + 1.0 / r)
-        # float_power rounds as Python's float power; np.power may not
-        self.obj[:, 2] = np.where(share, kto * np.float_power(cpu, 2)
-                                  - save * power / r, math.inf)
-        self.lat[:, 2] = np.where(share, ko / np.where(share, cpu, 1.0) - save / r,
-                                  0.0)
+        # np.eye(3)[1:]: the sites of none, satellite and UAV; each needs
+        # the overhead, which the terms hold for the compressed GTs only
+        super().__init__(cfg, state, terms, *np.eye(3)[1:, None],
+                         _overhead(cfg, al.ratio, True)[0][:, None],
+                         np.array(al.ratio)[:, None])
+        self.obj = self.obj - self.obj[:, :1]
+        self.lat = self.lat - self.lat[:, :1]
+        no_share = ~(np.array(al.cpu) > 0.0)
+        self.obj[no_share, 2], self.lat[no_share, 2] = math.inf, 0.0
 
     def primal_of(self, choice):
         return (tuple((choice == 1).astype(int).tolist()),
                 tuple((choice == 2).astype(int).tolist()))
 
-    def state_of(self, primal) -> SolutionState:
-        task_sat, task_uav = primal
-        al = replace(self.state.allocation,
-                     task_sat=tuple(task_sat), task_uav=tuple(task_uav))
-        return replace(self.state, allocation=al)
+    @staticmethod
+    def _columns(primal):
+        return np.dot((1, 2), primal)
 
 
 def solve_task_allocation(cfg: ScenarioConfig, state: SolutionState,
@@ -374,45 +393,31 @@ def solve_task_allocation(cfg: ScenarioConfig, state: SolutionState,
 # Block 2a: overhead-segment selection at segment midpoints
 
 
-class _SegmentAdapter(_StateAdapter):
-    """Primal: the chosen 0-based segment per GT, scored as the state with
-    each GT's ratio at its chosen segment's midpoint.  The tables ``obj``
-    and ``lat`` hold each GT's row of midpoint scores; rows of curves with
-    fewer segments are padded with +inf, and ``argmin`` keeps the first
-    minimum, so ties resolve to the shallowest segment."""
+class _SegmentAdapter(_OptionAdapter):
+    """Primal: the chosen 0-based segment per GT.  Each GT's options are
+    its segments at their midpoints, the sites held; the padded columns of
+    curves with fewer segments hold +inf in ``obj``.  ``argmin`` keeps the
+    first minimum, so ties, and GTs compressed nowhere (which score alike
+    on every segment), resolve to the shallowest segment."""
 
     def __init__(self, cfg: ScenarioConfig, state: SolutionState,
                  terms: LatencyTerms):
-        super().__init__(cfg, state, terms)
-        tables = cfg._tables
+        tables, al = cfg._tables, state.allocation
         self.mids = tables.mid_rows
-        kappa, tau = cfg.cycles_per_overhead, cfg.comp_energy_coeff
-        al = state.allocation
-        # Per (k, d) objective and latency-residual coefficients of the
-        # one-hot segment indicator; GTs with no compression anywhere have
-        # all-zero scores and resolve to segment 0 by the tie-break.
-        a_s, a_u, cpu, power = np.array(
-            (al.task_sat, al.task_uav, al.cpu, al.power), dtype=float)[:, :, None]
-        bits, rate = tables.data_bits[:, None], terms.rate[:, None]
-        mid, o_mid = tables.mid, tables.mid_overhead
-        uav = kappa * a_u * o_mid / np.where(a_u != 0, cpu, 1.0)
-        pad = np.isnan(mid)
-        self.obj = np.where(pad, math.inf, (
-            kappa * tau * cfg.sat_cpu ** 2 * a_s * o_mid
-            + cfg.sat_tx_power * bits * a_s * mid / terms.r_su
-            + kappa * tau * np.float_power(cpu, 2) * a_u * o_mid
-            + power * bits * mid * (a_s + a_u) / rate))
-        self.lat = np.where(pad, 0.0, (
-            kappa * a_s * o_mid / cfg.sat_cpu + bits * a_s * mid / terms.r_su
-            + uav + bits * mid * (a_s + a_u) / rate))
+        slope, intercept = tables.line.reshape(2, cfg.num_gts, -1)
+        super().__init__(cfg, state, terms, *np.array(
+            (al.task_sat, al.task_uav), dtype=float)[:, :, None],
+            slope * tables.mid + intercept, tables.mid)
+        pad = np.isnan(tables.mid)
+        self.obj = np.where(pad, math.inf, self.obj)
+        self.lat = np.where(pad, 0.0, self.lat)
 
     def primal_of(self, choice):
         return tuple(choice.tolist())
 
-    def state_of(self, chosen) -> SolutionState:
-        ratio = tuple(mids[d] for mids, d in zip(self.mids, chosen))
-        al = replace(self.state.allocation, ratio=ratio)
-        return replace(self.state, allocation=al)
+    @staticmethod
+    def _columns(chosen):
+        return np.array(chosen)
 
 
 def select_segments(cfg: ScenarioConfig, state: SolutionState,
@@ -449,36 +454,28 @@ def solve_ratio_lp(cfg: ScenarioConfig, state: SolutionState,
     from .simplex import solve_bounded_lp
 
     al, tables, n = state.allocation, cfg._tables, cfg.num_gts
-    kappa, tau = cfg.cycles_per_overhead, cfg.comp_energy_coeff
     segment = tables.first + choice.chosen_segment
     lo, hi = tables.lower.take(segment), tables.upper.take(segment)
-    slope, intercept = tables.line[:, segment]
-    a_s, a_u, cpu, power = np.array(
-        (al.task_sat, al.task_uav, al.cpu, al.power), dtype=float)
-    bits = tables.data_bits
-    c = (a_s * (kappa * tau * slope * cfg.sat_cpu ** 2
-                + cfg.sat_tx_power * bits / terms.r_su)
-         + a_u * kappa * tau * slope * np.float_power(cpu, 2)
-         + (a_s + a_u) * power * bits / terms.rate)
+    a_s, a_u = np.array((al.task_sat, al.task_uav), dtype=float)[:, :, None]
+    a = a_s + a_u
+    # the model's coefficients of the ratios (column 0) and constants (1)
+    energy, shared, uav, hop = _gt_model(
+        cfg, al, terms, a_s, a_u, tables.line[:, segment].T,
+        np.hstack((a_s, 1 - a_s)), np.hstack((a, 1 - a)))
 
     # Latency rows: shared satellite terms couple every ratio; the UAV
     # compute/downlink terms are local to each GT, on the diagonal.
-    shared_coef = a_s * (kappa * slope / cfg.sat_cpu + bits / terms.r_su)
-    shared_const = float(np.add.reduce(a_s * kappa * intercept / cfg.sat_cpu
-                                       + (1 - a_s) * bits / terms.r_su)) + terms.t_prop
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uav_coef, uav_const = np.where(
-            a_u != 0, kappa * np.array((slope, intercept)) / cpu, 0.0)
-    matrix = np.repeat(shared_coef[None, :], n, axis=0)
-    matrix.flat[::n + 1] = shared_coef + uav_coef + (a_s + a_u) * bits / terms.rate
-    limit = cfg.latency_budget - (shared_const + uav_const
-                                  + (1 - a_s - a_u) * bits / terms.rate)
+    matrix = np.repeat(shared[None, :, 0], n, axis=0)
+    matrix.flat[::n + 1] = shared[:, 0] + uav[:, 0] + hop[:, 0]
+    limit = cfg.latency_budget - (float(np.add.reduce(shared[:, 1]))
+                                  + terms.t_prop + uav[:, 1] + hop[:, 1])
     bound = np.maximum.reduce(np.abs(matrix), axis=1) != 0.0
     rows, rhs, external_violation = matrix, limit, False
     if np.count_nonzero(bound) < n:
         external_violation = bool(np.count_nonzero(limit[~bound] < 0.0))
         rows, rhs = matrix[bound], limit[bound]
 
+    c = energy[:, 0]
     if rhs.size:
         result = solve_bounded_lp(c, rows, rhs, lo, hi)
     else:

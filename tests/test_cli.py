@@ -64,6 +64,39 @@ class TestGenScenario:
         assert res.exit_code == 1
         assert f"{option} must be finite and positive" in res.output
 
+    @pytest.mark.parametrize("data_kib, message", [
+        ("1e306", "data_bytes: must be a finite number"),
+        ("3e304", "data_bytes: overflows in bits")])
+    def test_rejects_documents_that_solve_rejects(self, runner, tmp_path,
+                                                  data_kib, message):
+        # A finite size can overflow in bytes or bits: 1e306 wrote
+        # Infinity, and 3e304 a document that solve then refused.
+        out = tmp_path / "doc.json"
+        res = runner.invoke(main, ["gen-scenario", "--num-gts", "1",
+                                   "--data-kib", data_kib, "--out", str(out)])
+        assert res.exit_code == 1
+        assert message in res.output
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["gen-scenario"],
+    ["solve", "--scheme", "random_comp"],
+    ["sweep", "--param", "sat_cpu", "--values", "1e9",
+     "--schemes", "random_comp"]])
+def test_negative_seed_is_a_usage_error(runner, scenario_path, tmp_path,
+                                        command):
+    # solve and gen-scenario exited 1 with numpy's traceback, and sweep
+    # exited 0 with a row of NaN marked infeasible
+    out = tmp_path / "out"
+    args = [*command, "--seed", "-1", "--out", str(out)]
+    if command[0] != "gen-scenario":
+        args += ["--scenario", str(scenario_path)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert "Invalid value for '--seed'" in res.output
+    assert not out.exists()
+
 
 class TestSolve:
     def test_feasible_run_exits_zero(self, runner, scenario_path, tmp_path):

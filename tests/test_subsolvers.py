@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from saginpsc.oracle import (
 from saginpsc.physics import (
     ModelError,
     channel_gain_ug,
+    energy_breakdown,
     latency_breakdown,
     latency_terms,
     total_energy,
@@ -761,10 +761,10 @@ def _block_calls(cfg, block, scheme="sagin_psc"):
 
 
 class TestDualBlocksDeriveEachStateOnce:
-    """A dual block derives the latency terms of each state it scores
-    once: every distinct primal of the dual loop, and the incumbent that
-    the block's answer is compared with.  It reads the terms of its own
-    state from its caller and never derives them."""
+    """A dual block derives no latency terms: it scores every distinct
+    primal of the dual loop, and the incumbent that the block's answer is
+    compared with, from the per-GT model over the terms of its own state,
+    which its caller hands it."""
 
     def test_no_state_is_derived_twice(self, monkeypatch):
         blocks = ("solve_task_allocation", "select_segments")
@@ -779,8 +779,63 @@ class TestDualBlocksDeriveEachStateOnce:
             terms = latency_terms(cfg, state)  # bound at import: unrecorded
             derived.clear()
             getattr(subsolvers, block)(cfg, state, OPTS, terms)
-            assert state not in derived
-            assert all(n == 1 for n in Counter(derived).values()), block
+            assert derived == [], block
+
+
+def _stands_for(adapter, state, primal):
+    """The state that a primal of a dual block's ``adapter`` stands for:
+    ``state`` with the primal's sites, or with each GT's ratio at the
+    midpoint of its chosen segment."""
+    if isinstance(adapter, _TaskAdapter):
+        al = replace(state.allocation, task_sat=primal[0],
+                     task_uav=primal[1])
+    else:
+        al = replace(state.allocation, ratio=tuple(
+            mids[d] for mids, d in zip(adapter.mids, primal)))
+    return replace(state, allocation=al)
+
+
+class TestModelScoresLikePhysics:
+    """The dual blocks score a primal from the per-GT model; its
+    latencies and energy must be those that ``latency_terms`` and
+    ``energy_breakdown`` derive for the state it stands for."""
+
+    @staticmethod
+    def _check(cfg, state):
+        terms = latency_terms(cfg, state)
+        budget = cfg.latency_budget
+        for adapter in (_TaskAdapter(cfg, state, terms),
+                        _SegmentAdapter(cfg, state, terms)):
+            for column in range(adapter.obj.shape[1]):
+                # every GT on the column where it has that option, else
+                # on option 0
+                priced = np.isfinite(adapter.obj[:, column])
+                if not priced.any():
+                    continue
+                primal = adapter.primal_of(np.where(priced, column, 0))
+                moved = _stands_for(adapter, state, primal)
+                np.testing.assert_allclose(
+                    budget * (1.0 + adapter.residuals(primal)),
+                    latency_terms(cfg, moved).total, rtol=1e-12, atol=0.0)
+                assert rel(adapter.objective(primal),
+                           energy_breakdown(cfg, moved).total) <= 1e-12
+
+    @pytest.mark.parametrize("num_gts", [1, 3, 8])
+    def test_feasible_instances(self, num_gts):
+        for cfg, state in feasible_instances(4, start_seed=0,
+                                             num_gts=num_gts):
+            self._check(cfg, state)
+
+    @pytest.mark.parametrize("scenario", ["default", "scale16"])
+    def test_shipped_block_calls(self, scenario):
+        cfg = (load_scenario(SCENARIOS / "default.json")
+               if scenario == "default" else _scale_config(16))
+        cases = [case for block in ("solve_task_allocation",
+                                    "select_segments")
+                 for case in _block_calls(cfg, block)]
+        assert cases
+        for case in cases:
+            self._check(*case)
 
 
 class TestBlocksReadTheirTerms:
@@ -1247,7 +1302,7 @@ def _downlink_terms(cfg, state, terms):
     """Each GT's rate demand ``u``, gain-to-noise ``v`` and weight
     ``w = slack / v``, as the power/bandwidth block builds them from the
     state's latency ``terms``."""
-    slacks = terms.hop_slack
+    slacks, bits = terms.hop_slack.tolist(), terms.bits.tolist()
     u = []
     v = []
     w = []
@@ -1258,7 +1313,7 @@ def _downlink_terms(cfg, state, terms):
                 f"GT {k}: no latency left for the downlink (slack {slacks[k]:.3e} s)")
         g_k = channel_gain_ug(cfg, state.placement, k)
         theta = state.placement.half_beamwidth
-        u.append(terms.bits[k] / slacks[k])
+        u.append(bits[k] / slacks[k])
         v.append(cfg.antenna_gain_const * g_k / (theta * theta * cfg.noise_psd))
         w.append(slacks[k] / v[k])
     return u, v, w
