@@ -9,7 +9,6 @@ there).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -223,78 +222,14 @@ def _overhead(cfg: ScenarioConfig, ratio: tuple, where):
     the flat index of its segment as :meth:`OverheadCurve.segment_of` finds
     it (one past the last, on its line, at the domain minimum); raises
     that method's error for a GT in ``where``."""
-    values, segment, outside = _curves(cfg._tables, ratio)
-    outside = where & outside
-    if np.count_nonzero(outside):
+    tables, rho = cfg._tables, np.array(ratio, dtype=float)
+    segment = tables.first + (tables.lower < rho[:, None]).argmax(axis=1)
+    slope, intercept = tables.line.take(segment, axis=1)
+    outside = where & (np.minimum(np.maximum(rho, tables.ratio_min), 1.0) != rho)
+    if np.count_nonzero(outside):  # outside the curve's domain, or NaN
         k = int(outside.argmax())
         cfg.overhead_curves[k].segment_of(ratio[k])
-    return np.where(where, values, 0.0), segment
-
-
-# The curve lookup, the satellite rate and the two parts of a derivation
-# are cached on their inputs, the scenario's tables (hashed by identity)
-# first: the states scored in a row share most.  Every call that hits gets
-# the same arrays, so they are read-only.
-_rate_sat_uav = functools.lru_cache(maxsize=8)(lambda tables: rate_sat_uav(tables.cfg))
-
-
-@functools.lru_cache(maxsize=8)
-def _curves(tables, ratio: tuple):
-    """Each GT's overhead at its ``ratio``, its flat segment index, and the
-    mask of ratios outside the curve's domain (or NaN)."""
-    ratio = np.array(ratio, dtype=float)
-    segment = tables.first + (tables.lower < ratio[:, None]).argmax(axis=1)
-    slope, intercept = tables.line.take(segment, axis=1)
-    parts = (slope * ratio + intercept, segment,
-             np.minimum(np.maximum(ratio, tables.ratio_min), 1.0) != ratio)
-    for part in parts:
-        part.flags.writeable = False
-    return parts
-
-
-@functools.lru_cache(maxsize=8)
-def _on_board(tables, task_sat, task_uav, ratio_tuple, cpu):
-    """The terms that the compression sites, ratios and CPU shares decide,
-    each GT's latency before its hop and its hop slack, and the mask of
-    UAV-compressed GTs without a CPU share (``None`` if there is none)."""
-    cfg = tables.cfg
-    a_s, a_u, ratio, cpu = v = np.array(
-        (task_sat, task_uav, ratio_tuple, cpu), dtype=float)
-    overhead = _overhead(cfg, ratio_tuple, np.logical_or(a_s, a_u))[0]
-    # rows a_sat and a_sat + a_uav: the data forwarded over the satellite
-    # link, and the data the UAV delivers (effective_fraction)
-    a = v[:2].cumsum(axis=0)
-    forwarded, bits = (a * ratio + (1 - a)) * tables.data_bits
-    r_su, kappa = _rate_sat_uav(tables), cfg.cycles_per_overhead
-    t_sat = kappa * float(np.add.reduce(a_s * overhead)) / cfg.sat_cpu
-    t_tx, t_prop = float(np.add.reduce(forwarded)) / r_su, cfg.sat_uav_distance / cfg.lightspeed
-    no_cpu, t_uav = None, np.zeros(ratio.shape)
-    if np.count_nonzero(a_u):
-        uav = a_u != 0.0
-        no_cpu = uav & (cpu <= 0.0)  # such a GT raises
-        t_uav = np.where(uav, kappa * overhead / np.where(uav & ~no_cpu, cpu, 1.0), 0.0)
-        no_cpu = no_cpu if np.count_nonzero(no_cpu) else None
-    before_hop = t_sat + t_tx + t_prop + t_uav
-    hop_slack = cfg.latency_budget - t_sat - t_tx - t_prop - t_uav
-    for shared in (overhead, bits, t_uav, before_hop, hop_slack):
-        shared.flags.writeable = False
-    return (overhead, bits, r_su, t_sat, t_tx, t_prop, t_uav, before_hop,
-            hop_slack, no_cpu)
-
-
-@functools.lru_cache(maxsize=8)
-def _hop(tables, placement: Placement, bandwidth, power):
-    """Each GT's UAV-to-GT rate (0.0 where its power is), and the mask of
-    GTs with power and no bandwidth (``None`` if all have both and a rate)."""
-    bandwidth, power = np.array((bandwidth, power), dtype=float)
-    with np.errstate(all="ignore"):  # a GT without bandwidth raises later
-        rate = np.where(power != 0.0, rate_uav_gt_at(
-            tables.cfg, _squared_distance(tables.cfg, placement),
-            placement.half_beamwidth, bandwidth, power), 0.0)
-    no_bandwidth = (power != 0.0) & (bandwidth <= 0.0)
-    rate.flags.writeable = False
-    return rate, (no_bandwidth if np.count_nonzero(no_bandwidth | (rate <= 0.0))
-                  else None)
+    return np.where(where, slope * rho + intercept, 0.0), segment
 
 
 def latency_terms(cfg: ScenarioConfig, state: SolutionState) -> LatencyTerms:
@@ -302,26 +237,42 @@ def latency_terms(cfg: ScenarioConfig, state: SolutionState) -> LatencyTerms:
     derivation outside the grid oracles.  A ratio outside its curve's
     domain is an error only where its GT is compressed.  Raises
     :class:`ModelError` for the first GT that is UAV-compressed with no
-    CPU share, or has data to receive and no rate."""
-    al = state.allocation
-    (overhead, bits, r_su, t_sat, t_tx, t_prop, t_uav, before_hop, hop_slack,
-     no_cpu) = _on_board(cfg._tables, al.task_sat, al.task_uav, al.ratio, al.cpu)
-    rate, no_bandwidth = _hop(cfg._tables, state.placement, al.bandwidth,
-                              al.power)
-    if no_cpu is not None or no_bandwidth is not None:
-        none = np.zeros(bits.shape, bool)
-        failed = np.array((none if no_cpu is None else no_cpu,
-                           none if no_bandwidth is None else no_bandwidth,
-                           (rate <= 0.0) & (bits > 0.0)))
-        if np.count_nonzero(failed):  # the first GT, by its first failure
-            k = int(failed.any(axis=0).argmax())
-            raise ModelError(("GT {}: UAV compression assigned with zero CPU share",
-                              "rate undefined: zero bandwidth with positive power",
-                              "GT {}: zero UAV-GT rate with positive data")[
-                                  int(failed[:, k].argmax())].format(k))
+    CPU share, or has power and no bandwidth, or has data to receive and
+    no rate.  The arrays are read-only, as one record may be read by
+    several blocks."""
+    al, pl = state.allocation, state.placement
+    a_s, a_u, ratio, cpu, bandwidth, power = v = np.array(
+        (al.task_sat, al.task_uav, al.ratio, al.cpu, al.bandwidth, al.power),
+        dtype=float)
+    overhead = _overhead(cfg, al.ratio, np.logical_or(a_s, a_u))[0]
+    # rows a_sat and a_sat + a_uav: the data forwarded over the satellite
+    # link, and the data the UAV delivers (effective_fraction)
+    a = v[:2].cumsum(axis=0)
+    forwarded, bits = (a * ratio + (1 - a)) * cfg._tables.data_bits
+    r_su, kappa = rate_sat_uav(cfg), cfg.cycles_per_overhead
+    t_sat = kappa * float(np.add.reduce(a_s * overhead)) / cfg.sat_cpu
+    t_tx, t_prop = float(np.add.reduce(forwarded)) / r_su, cfg.sat_uav_distance / cfg.lightspeed
+    uav = a_u != 0.0
+    with np.errstate(all="ignore"):  # a failing GT raises below
+        t_uav = np.where(uav, kappa * overhead / cpu, 0.0)
+        rate = np.where(power != 0.0, rate_uav_gt_at(
+            cfg, _squared_distance(cfg, pl), pl.half_beamwidth, bandwidth,
+            power), 0.0)
+    failed = np.array((uav & (cpu <= 0.0), (power != 0.0) & (bandwidth <= 0.0),
+                       (rate <= 0.0) & (bits > 0.0)))
+    if np.count_nonzero(failed):  # the first GT, by its first failure
+        k = int(failed.any(axis=0).argmax())
+        raise ModelError(("GT {}: UAV compression assigned with zero CPU share",
+                          "rate undefined: zero bandwidth with positive power",
+                          "GT {}: zero UAV-GT rate with positive data")[
+                              int(failed[:, k].argmax())].format(k))
     t_ug = bits / rate
+    total = t_sat + t_tx + t_prop + t_uav + t_ug
+    hop_slack = cfg.latency_budget - t_sat - t_tx - t_prop - t_uav
+    for per_gt in (overhead, bits, t_uav, rate, t_ug, total, hop_slack):
+        per_gt.flags.writeable = False
     return LatencyTerms(r_su, t_sat, t_tx, t_prop, overhead, bits, t_uav, rate,
-                        t_ug, before_hop + t_ug, hop_slack)
+                        t_ug, total, hop_slack)
 
 
 def latency_breakdown(cfg: ScenarioConfig, state: SolutionState) -> LatencyBreakdown:

@@ -222,7 +222,6 @@ class _GtTables:
     ``last`` are each curve's first and last flat segment index."""
 
     def __init__(self, cfg: ScenarioConfig):
-        self.cfg = cfg
         curves = cfg.overhead_curves
         width = 1 + max(c.num_segments for c in curves)
 
@@ -314,17 +313,20 @@ def loads_scenario(document: dict | str) -> ScenarioConfig:
     _require(isinstance(k, int) and not isinstance(k, bool) and k >= 1,
              "num_gts", "must be an integer of at least 1")
 
+    # The positions bound k by the document's size before anything is
+    # expanded to k entries.
+    positions = read("gt_positions")
+    _require(isinstance(positions, (list, tuple)), "gt_positions",
+             "must be a list of [x, y] pairs")
+    _require(len(positions) == k, "gt_positions", f"expected {k} entries")
+    positions = tuple(_numbers(p, f"gt_positions[{i}]", 2)
+                      for i, p in enumerate(positions))
+
     data_bytes = read("data_bytes")
     if not isinstance(data_bytes, (list, tuple)):
         data_bytes = [data_bytes] * k
     data_bits = tuple(8.0 * x for x in _numbers(data_bytes, "data_bytes", k))
     _require(max(data_bits) < math.inf, "data_bytes", "overflows in bits")
-
-    positions = read("gt_positions")
-    _require(isinstance(positions, (list, tuple)), "gt_positions",
-             "must be a list of [x, y] pairs")
-    positions = tuple(_numbers(p, f"gt_positions[{i}]", 2)
-                      for i, p in enumerate(positions))
 
     curves_doc = document.get("overhead_curves")
     if curves_doc is None:

@@ -147,6 +147,17 @@ class TestSolve:
         assert res.exit_code == 1
         assert f"Error: {field}: " in res.output
 
+    def test_huge_gt_count_exits_one(self, runner, tmp_path):
+        doc = default_document()
+        doc["num_gts"], doc["data_bytes"] = 2 ** 62, 1024.0
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        res = runner.invoke(main, ["solve", "--scenario", str(path)])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert "Error: gt_positions: " in res.output
+
     @pytest.mark.parametrize("position", [[10.0], [math.nan, 0.0]])
     def test_bad_gt_position_exits_one(self, runner, tmp_path, position):
         doc = default_document(num_gts=3, data_kib=16.0)

@@ -1,26 +1,33 @@
 """Byte-for-byte CLI outputs on the shipped and the scaled scenarios.
 
 ``tests/golden/`` holds the ``solve`` JSON of every scheme on both shipped
-scenarios, a ``sweep`` CSV over ``data_bits`` on ``default.json``, and the
-exit code and SHA-256 digest of the 101x101 ``heatmap`` CSV of both
-shipped scenarios (about 536 kB each).  The shipped scenarios have four
-GTs, and below eight terms numpy's pairwise sum agrees with a sequential
-one, so ``solve_scale_sha256.json`` also holds the exit code and SHA-256
-digest of the ``sagin_psc`` ``solve`` JSON on ``conftest.scale_document``
-at K = 16, 64 and 256, which pin the summation order at those sizes.  The
-files were last regenerated when the latency terms became per-GT numpy
-arrays and every UAV-to-GT rate went through ``rate_uav_gt_at``
-(``np.log2`` at the squared distance ``dx*dx + dy*dy + h*h``, where the
-state's own hop had used ``math.log2`` at a ``hypot`` distance): six
-``solve`` JSONs moved in their last digits only (largest relative change
-5.3e-16; objectives, flags, iteration counts and traces kept), the sweep
-CSV kept its bytes, and both digest files changed: one ``default``
-heatmap cell's 12-digit print moved (the cells' largest relative change
-is 1.3e-14, no flag changed), and the K = 16/64/256 solves kept their
-objectives, flags and iteration counts.  The sweep must write the same
-bytes on one thread and on two.  A change that keeps every result must
-keep these bytes.  They pin the floating-point rounding of the numpy
-build and CPU that wrote them, so they may be regenerated (``python
+scenarios, two ``sweep`` CSVs on ``default.json`` (over ``data_bits``, and
+the paper's energy-versus-CPU sweep over ``sat_cpu`` at 1-8 GHz, which
+records ``sagin_psc`` infeasible at 8 GHz and ratio 0.45, above the domain
+minimum, at 6-7 GHz), and the exit code and SHA-256 digest of the 101x101
+``heatmap`` CSV of both shipped scenarios (about 536 kB each).  The
+shipped scenarios have four GTs, and below eight terms numpy's pairwise
+sum agrees with a sequential one, so ``solve_scale_sha256.json`` also
+holds the exit code and SHA-256 digest of the ``sagin_psc`` ``solve`` JSON
+on ``conftest.scale_document`` at K = 16, 64 and 256, which pin the
+summation order at those sizes.  ``probe_sha256.json`` holds the count
+and SHA-256 digest of 1,600 ``run_scheme`` results on random small
+scenarios (see :func:`_probe_digest`); it pins every block's arithmetic on
+draws that the shipped scenarios do not reach.  The files were last
+regenerated when the latency terms became per-GT numpy arrays and every
+UAV-to-GT rate went through ``rate_uav_gt_at`` (``np.log2`` at the squared
+distance ``dx*dx + dy*dy + h*h``, where the state's own hop had used
+``math.log2`` at a ``hypot`` distance): six ``solve`` JSONs moved in their
+last digits only (largest relative change 5.3e-16; objectives, flags,
+iteration counts and traces kept), the ``data_bits`` sweep kept its bytes,
+and both digest files changed: one ``default`` heatmap cell's 12-digit
+print moved (the cells' largest relative change is 1.3e-14, no flag
+changed), and the K = 16/64/256 solves kept their objectives, flags and
+iteration counts.  The ``sat_cpu`` sweep and the probe digest were added
+after that.  The ``data_bits`` sweep must write the same bytes on one
+thread and on two.  A change that keeps every result must keep these
+bytes.  They pin the floating-point rounding of the numpy build and CPU
+that wrote them, so they may be regenerated (``python
 tests/test_golden.py``, which prints each changed file with the largest
 relative change of its floats and whether any other token changed) only
 by a change that states a behaviour change.
@@ -32,10 +39,13 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from saginpsc.algorithm import SchemeId, run_scheme
 from saginpsc.cli import main
+from saginpsc.scenario import default_document, loads_scenario
 
 from conftest import scale_document
 
@@ -48,9 +58,14 @@ SCHEMES = {"sagin_psc": 0, "non_semantic": 2, "random_comp": 2,
 SWEEP_ARGS = ["sweep", "--scenario", str(ROOT / "scenarios" / "default.json"),
               "--param", "data_bits",
               "--values", "131072,262144,524288,1048576"]
+SAT_CPU_SWEEP_ARGS = ["sweep", "--scenario",
+                      str(ROOT / "scenarios" / "default.json"),
+                      "--param", "sat_cpu",
+                      "--values", "1e9,2e9,3e9,4e9,5e9,6e9,7e9,8e9"]
 HEATMAP_DIGESTS = GOLDEN / "heatmap_101_sha256.json"
 SCALE_GTS = (16, 64, 256)
 SCALE_DIGESTS = GOLDEN / "solve_scale_sha256.json"
+PROBE_DIGEST = GOLDEN / "probe_sha256.json"
 
 
 def _solve_args(scenario, scheme):
@@ -81,6 +96,46 @@ def _scale_digest(num_gts, tmp: Path) -> dict:
             "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
 
 
+def _probe_documents(num_gts: int, seed: int):
+    """The base and the compute-dear scenario documents of one probe draw.
+
+    ``default_rng(seed)`` draws, in this order: ``data_kib`` U(8, 64),
+    the disk radius U(100, 600) (GT positions from
+    ``default_document(num_gts, data_kib, radius, seed)``), a factor
+    U(0.5, 4) on ``sat_cpu``, a factor U(0.5, 4) on ``uav_cpu_total``;
+    that is the base document.  Then a factor U(0.5, 8) on the base
+    ``sat_cpu`` and ``comp_energy_coeff`` from {1e-28, 1e-27}, which
+    replace those two fields in a copy: the compute-dear document."""
+    rng = np.random.default_rng(seed)
+    base = default_document(num_gts=num_gts,
+                            data_kib=float(rng.uniform(8, 64)),
+                            radius=float(rng.uniform(100, 600)), seed=seed)
+    base["sat_cpu"] *= float(rng.uniform(0.5, 4))
+    base["uav_cpu_total"] *= float(rng.uniform(0.5, 4))
+    dear = dict(base, sat_cpu=base["sat_cpu"] * float(rng.uniform(0.5, 8)),
+                comp_energy_coeff=(1e-28, 1e-27)[int(rng.integers(2))])
+    return base, dear
+
+
+def _probe_digest() -> dict:
+    """Count and SHA-256 digest of ``repr((objective, feasible, converged,
+    iterations, state))`` of ``run_scheme(cfg, scheme, seed=seed)``, one
+    line each, over K in (4, 8), seeds 0-99, both documents of
+    :func:`_probe_documents` and the four schemes, in that nesting."""
+    digest, count = hashlib.sha256(), 0
+    for num_gts in (4, 8):
+        for seed in range(100):
+            for document in _probe_documents(num_gts, seed):
+                cfg = loads_scenario(document)
+                for scheme in SchemeId:
+                    r = run_scheme(cfg, scheme, seed=seed)
+                    digest.update(repr((r.objective, r.feasible, r.converged,
+                                        r.iterations, r.state)).encode()
+                                  + b"\n")
+                    count += 1
+    return {"count": count, "sha256": digest.hexdigest()}
+
+
 def _run(args, out: Path) -> int:
     return CliRunner().invoke(main, args + ["--out", str(out)]).exit_code
 
@@ -108,6 +163,13 @@ def test_sweep_csv_is_unchanged_on_two_threads(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def test_sat_cpu_sweep_csv_is_unchanged(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert _run(SAT_CPU_SWEEP_ARGS, out) == 0
+    golden = GOLDEN / "sweep_default_sat_cpu.csv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_heatmap_csv_digest_is_unchanged(scenario, tmp_path):
     golden = json.loads(HEATMAP_DIGESTS.read_text())
@@ -118,6 +180,11 @@ def test_heatmap_csv_digest_is_unchanged(scenario, tmp_path):
 def test_scaled_solve_json_digest_is_unchanged(num_gts, tmp_path):
     golden = json.loads(SCALE_DIGESTS.read_text())
     assert _scale_digest(num_gts, tmp_path) == golden[str(num_gts)]
+
+
+@pytest.mark.slow
+def test_probe_results_digest_is_unchanged():
+    assert _probe_digest() == json.loads(PROBE_DIGEST.read_text())
 
 
 def _tokens(path: Path, data: bytes):
@@ -184,6 +251,7 @@ def regenerate():
             _run(_solve_args(scenario, scheme),
                  GOLDEN / f"solve_{scenario}_{scheme}.json")
     _run(SWEEP_ARGS + ["--jobs", "1"], GOLDEN / "sweep_default_data_bits.csv")
+    _run(SAT_CPU_SWEEP_ARGS, GOLDEN / "sweep_default_sat_cpu.csv")
     scratch = GOLDEN / "heatmap.csv.tmp"
     digests = {scenario: _heatmap_digest(scenario, scratch)
                for scenario in SCENARIOS}
@@ -192,6 +260,7 @@ def regenerate():
     with tempfile.TemporaryDirectory() as tmp:
         digests = {str(k): _scale_digest(k, Path(tmp)) for k in SCALE_GTS}
     SCALE_DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
+    PROBE_DIGEST.write_text(json.dumps(_probe_digest(), indent=2) + "\n")
     for path in sorted(GOLDEN.iterdir()):
         old, new = before.get(path.name), path.read_bytes()
         if old != new:

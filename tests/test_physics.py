@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,12 +18,18 @@ from saginpsc.physics import (
     effective_fraction,
     energy_breakdown,
     latency_breakdown,
+    latency_terms,
     rate_sat_uav,
     rate_uav_gt,
     rate_uav_gt_at,
     total_energy,
 )
-from saginpsc.scenario import default_document, load_scenario, loads_scenario
+from saginpsc.scenario import (
+    ScenarioError,
+    default_document,
+    load_scenario,
+    loads_scenario,
+)
 
 from conftest import feasible_instances
 
@@ -147,6 +154,64 @@ class TestLatency:
             expected = (lat.sat_compute + lat.sat_uav_tx + lat.sat_uav_prop
                         + lat.uav_compute[k] + lat.uav_gt_tx[k])
             assert lat.total[k] == expected
+
+
+_NO_CPU = "GT {}: UAV compression assigned with zero CPU share"
+_NO_BANDWIDTH = "rate undefined: zero bandwidth with positive power"
+_NO_RATE = "GT {}: zero UAV-GT rate with positive data"
+
+
+class TestLatencyTermsErrors:
+    """Which error a state raises: a compressed GT's ratio outside its
+    curve's domain before any :class:`ModelError`, then the first GT that
+    fails, by the first check it fails (CPU share, bandwidth, rate).  The
+    default curves' domain is [0.25, 1]; the base state forwards raw data
+    on equal power and bandwidth shares with no CPU share."""
+
+    @pytest.mark.parametrize("overrides, error, message", [
+        pytest.param(dict(ratio=(1.0, 0.1, 1.0, 1.0)), None, None,
+                     id="uncompressed-ratio-outside-domain"),
+        pytest.param(dict(task_sat=(0, 1, 0, 0), ratio=(1.0, 0.1, 1.0, 1.0)),
+                     ScenarioError, "ratio 0.1 outside overhead domain",
+                     id="compressed-ratio-outside-domain"),
+        pytest.param(dict(task_uav=(1, 0, 0, 0), task_sat=(0, 0, 1, 0),
+                          ratio=(0.5, 1.0, 0.1, 1.0), power=(0.25, 0.0, 0.25, 0.25)),
+                     ScenarioError, "ratio 0.1 outside overhead domain",
+                     id="domain-before-model-errors-of-lower-gts"),
+        pytest.param(dict(task_uav=(0, 0, 1, 0), ratio=(1.0, 1.0, 0.5, 1.0)),
+                     ModelError, _NO_CPU.format(2), id="no-cpu-share"),
+        pytest.param(dict(bandwidth=(2.5e6, 0.0, 2.5e6, 2.5e6)),
+                     ModelError, _NO_BANDWIDTH, id="no-bandwidth"),
+        pytest.param(dict(power=(0.25, 0.25, 0.25, 0.0)),
+                     ModelError, _NO_RATE.format(3), id="no-rate"),
+        pytest.param(dict(task_uav=(0, 0, 1, 0), ratio=(1.0, 1.0, 0.5, 1.0),
+                          power=(0.25, 0.0, 0.25, 0.25)),
+                     ModelError, _NO_RATE.format(1), id="lower-gt-wins"),
+        pytest.param(dict(task_uav=(0, 0, 1, 0), ratio=(1.0, 1.0, 0.5, 1.0),
+                          bandwidth=(2.5e6, 2.5e6, 0.0, 2.5e6),
+                          power=(0.25, 0.25, 0.25, 0.0)),
+                     ModelError, _NO_CPU.format(2), id="first-failure-of-a-gt"),
+    ])
+    def test_error_contract(self, cfg, overrides, error, message):
+        state = _state(cfg, **overrides)
+        if error is None:
+            terms = latency_terms(cfg, state)
+            assert terms.overhead.tolist() == [0.0] * 4
+            return
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
+            latency_terms(cfg, state)
+
+    def test_returned_arrays_are_read_only(self, cfg):
+        # The outer loop hands one record to every block it runs.
+        terms = latency_terms(cfg, _state(cfg, task_sat=(1, 0, 0, 0),
+                                          task_uav=(0, 1, 0, 0),
+                                          cpu=(0.0, 1e8, 0.0, 0.0),
+                                          ratio=(0.3, 0.5, 1.0, 1.0)))
+        arrays = {name: value for name, value in vars(terms).items()
+                  if isinstance(value, np.ndarray)}
+        assert len(arrays) == 7
+        assert [name for name, value in arrays.items()
+                if value.flags.writeable] == []
 
 
 class TestEnergy:

@@ -93,6 +93,14 @@ class TestDocumentValidation:
         with pytest.raises(ScenarioError, match=f"^{field}: "):
             loads_scenario(doc)
 
+    def test_huge_gt_count_is_checked_against_the_positions_first(self):
+        # A scalar data size is expanded to num_gts entries; at 2**62 that
+        # list cannot be built, so the positions' count is checked first.
+        doc = default_document()
+        doc["num_gts"], doc["data_bytes"] = 2 ** 62, 1024.0
+        with pytest.raises(ScenarioError, match="^gt_positions: "):
+            loads_scenario(doc)
+
     @pytest.mark.parametrize("position", [[10.0], [math.nan, 0.0],
                                           [0.0, -math.inf], ["1", 0.0], 5.0])
     def test_bad_gt_position_names_it(self, position):
