@@ -298,8 +298,12 @@ def gen_scenario(num_gts, data_kib, radius, seed, unequal_data, out) -> None:
                         ("--radius", radius)):
         if not (math.isfinite(value) and value > 0):
             raise click.ClickException(f"{name} must be finite and positive")
-    doc = default_document(num_gts=num_gts, data_kib=data_kib, radius=radius,
-                           seed=seed, unequal_data=unequal_data)
+    try:
+        doc = default_document(num_gts=num_gts, data_kib=data_kib,
+                               radius=radius, seed=seed,
+                               unequal_data=unequal_data)
+    except (ValueError, MemoryError) as exc:  # numpy refuses the arrays
+        raise click.ClickException(f"--num-gts {num_gts}: too many ({exc})")
     _load_cfg(doc, loads_scenario)  # write only what `solve` reads back
     _write_text(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 

@@ -240,8 +240,6 @@ class _GtTables:
         self.first = width * np.arange(cfg.num_gts)
         self.last = self.first + [c.num_segments - 1 for c in curves]
         self.ratio_min = self.lower.take(self.last)
-        self.mid_rows = tuple(tuple(row[:c.num_segments].tolist())
-                              for row, c in zip(self.mid, curves))
 
 
 def _linear_to_db(x: float) -> float:

@@ -29,7 +29,6 @@ from .scenario import ScenarioConfig
 
 __all__ = [
     "SolverOptions",
-    "SegmentChoice",
     "InfeasibleBlockError",
     "dual_subgradient",
     "solve_task_allocation",
@@ -89,22 +88,6 @@ def _require_positive(options, integers=(), reals=()) -> None:
                              f"got {value!r}")
 
 
-@dataclass(frozen=True)
-class SegmentChoice:
-    """One active overhead segment per GT (0-based indices), with the
-    per-(GT, segment) midpoints used to rank them."""
-
-    chosen_segment: tuple[int, ...]
-    midpoints: tuple[tuple[float, ...], ...]
-
-    @property
-    def alpha(self) -> tuple[tuple[int, ...], ...]:
-        """One-hot segment indicators, one row per GT."""
-        return tuple(tuple(int(d == chosen) for d in range(len(mids)))
-                     for chosen, mids in zip(self.chosen_segment,
-                                             self.midpoints))
-
-
 # The power/bandwidth block leaves each GT's downlink latency exactly
 # tight, so the later blocks admit a latency (or the matching disk radius)
 # up to this factor past its limit, to absorb roundoff.
@@ -127,37 +110,6 @@ def _least_option(obj, lat, mult):
 # which bounds a call's memory at (_MAX_WINDOW + 1) x K multipliers.
 _FIRST_WINDOW = 2
 _MAX_WINDOW = 1024
-
-
-class _Scored:
-    """One distinct primal of a dual loop: its residuals and the stopping
-    rule's verdict per ``mult > 0`` mask, each computed once."""
-
-    __slots__ = ("primal", "res", "res_pos", "may_stop", "verdicts")
-
-    def __init__(self, primal, res, tol):
-        self.primal = primal
-        self.res = res
-        self.res_pos = np.maximum(res, 0.0)
-        # The projected subgradient keeps every positive residual, and a
-        # dot product of non-negative terms is at least each rounded term,
-        # so a residual this large rules out a stop on this primal (as
-        # does a NaN, whichever value ``max`` returns then).
-        worst = max(self.res_pos.tolist())
-        self.may_stop = not math.sqrt(worst * worst) >= tol
-        self.verdicts = {}
-
-    def stops(self, mask, tol) -> bool:
-        """The stopping rule: the subgradient projected on the multipliers'
-        feasible cone (``mask``: multipliers above 0) is shorter than
-        ``tol``."""
-        key = mask.tobytes()
-        verdict = self.verdicts.get(key)
-        if verdict is None:
-            projected = np.where(mask, self.res, self.res_pos)
-            verdict = self.verdicts[key] = (
-                math.sqrt(projected.dot(projected)) < tol)
-        return verdict
 
 
 def dual_subgradient(adapter, opts: SolverOptions):
@@ -203,23 +155,37 @@ def dual_subgradient(adapter, opts: SolverOptions):
     choice = _least_option(table_obj, table_lat, mult)
     best_primal = None
     best_obj = math.inf
-    scored = {}  # choice bytes -> _Scored
+    scored = {}  # choice bytes -> (primal, res, res_pos, may_stop)
+
+    def stops(mask):
+        """The stopping rule: the subgradient projected on the multipliers'
+        feasible cone (``mask``: multipliers above 0) is shorter than
+        ``tol``."""
+        projected = np.where(mask, res, res_pos)
+        return math.sqrt(projected.dot(projected)) < tol
+
     t = 1
     done = False
     while not done:  # a run of steps t, t + 1, ... on one primal
         key = choice.tobytes()
-        entry = scored.get(key)
-        if entry is None:
+        if key not in scored:
             primal = adapter.primal_of(choice)
             res = np.asarray(adapter.residuals(primal), dtype=float)
+            res_pos = np.maximum(res, 0.0)
+            # The projected subgradient keeps every positive residual, and a
+            # dot product of non-negative terms is at least each rounded term,
+            # so a residual this large rules out a stop on this primal (as
+            # does a NaN, whichever value ``max`` returns then).
+            worst = max(res_pos.tolist())
+            may_stop = not math.sqrt(worst * worst) >= tol
+            scored[key] = primal, res, res_pos, may_stop
             obj = (adapter.objective(primal)
                    if np.all(res <= tol) else math.inf)
-            entry = scored[key] = _Scored(primal, res, tol)
             if obj < best_obj:
                 best_obj = obj
                 best_primal = primal
-        primal, res = entry.primal, entry.res
-        if entry.may_stop and entry.stops(mult > 0.0, tol):
+        primal, res, res_pos, may_stop = scored[key]
+        if may_stop and stops(mult > 0.0):
             break
         if steps is None:
             steps = opts.dual_step_scale / np.sqrt(
@@ -236,18 +202,14 @@ def dual_subgradient(adapter, opts: SolverOptions):
             # the row after the last step is no step's
             after = _least_option(table_obj, table_lat,
                                   rows[1:] if t + w <= last else rows[1:-1])
-            if after[:1].tobytes() != key:  # cheap test of the first row
-                span = 0
-            else:
-                moved = (after != choice).nonzero()[0]
-                span = int(moved[0]) if moved.size else len(after)
-            if entry.may_stop and span:
+            moved = (after != choice).nonzero()[0]
+            span = int(moved[0]) if moved.size else len(after)
+            if may_stop and span:
                 # Steps t + 1 .. t + span keep the primal; test the stopping
                 # rule where the mask changes (a row may repeat).
                 pos = rows[:span + 1] > 0.0
                 flips = ((pos[1:] != pos[:-1]).nonzero()[0] + 1).tolist()
-                stop = next((j for j in flips if entry.stops(pos[j], tol)),
-                            None)
+                stop = next((j for j in flips if stops(pos[j])), None)
                 if stop is not None:
                     t, mult, done = t + stop, rows[stop], True
                     break
@@ -403,7 +365,6 @@ class _SegmentAdapter(_OptionAdapter):
     def __init__(self, cfg: ScenarioConfig, state: SolutionState,
                  terms: LatencyTerms):
         tables, al = cfg._tables, state.allocation
-        self.mids = tables.mid_rows
         slope, intercept = tables.line.reshape(2, cfg.num_gts, -1)
         super().__init__(cfg, state, terms, *np.array(
             (al.task_sat, al.task_uav), dtype=float)[:, :, None],
@@ -423,15 +384,14 @@ class _SegmentAdapter(_OptionAdapter):
 def select_segments(cfg: ScenarioConfig, state: SolutionState,
                     opts: SolverOptions, terms: LatencyTerms):
     """Pick one overhead segment per GT by ranking the midpoint scores
-    under the dual multipliers.  Returns ``(SegmentChoice, feasible)``;
-    ties resolve to the shallowest segment."""
-    adapter = _SegmentAdapter(cfg, state, terms)
+    under the dual multipliers.  Returns ``(chosen, feasible)``: one
+    0-based segment index per GT, the tuple :func:`solve_ratio_lp` and
+    ``oracle.oracle_ratio`` take; ties resolve to the shallowest
+    segment."""
     segment = np.minimum(_overhead(cfg, state.allocation.ratio, True)[1],
                          cfg._tables.last)
-    chosen, feasible = adapter.solve(
+    return _SegmentAdapter(cfg, state, terms).solve(
         tuple((segment - cfg._tables.first).tolist()), opts)
-    return SegmentChoice(chosen_segment=tuple(chosen),
-                         midpoints=adapter.mids), feasible
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +399,9 @@ def select_segments(cfg: ScenarioConfig, state: SolutionState,
 
 
 def solve_ratio_lp(cfg: ScenarioConfig, state: SolutionState,
-                   choice: SegmentChoice, opts: SolverOptions,
-                   terms: LatencyTerms):
-    """Optimize the compression ratios inside their chosen segments.
+                   chosen, opts: SolverOptions, terms: LatencyTerms):
+    """Optimize the compression ratios inside the segments ``chosen``, one
+    0-based index per GT.
 
     Returns ``(ratios, fully_feasible)``.  Latency rows whose coefficients
     are all zero (no decision variable can influence them) are dropped and
@@ -454,7 +414,7 @@ def solve_ratio_lp(cfg: ScenarioConfig, state: SolutionState,
     from .simplex import solve_bounded_lp
 
     al, tables, n = state.allocation, cfg._tables, cfg.num_gts
-    segment = tables.first + choice.chosen_segment
+    segment = tables.first + chosen
     lo, hi = tables.lower.take(segment), tables.upper.take(segment)
     a_s, a_u = np.array((al.task_sat, al.task_uav), dtype=float)[:, :, None]
     a = a_s + a_u
@@ -475,11 +435,7 @@ def solve_ratio_lp(cfg: ScenarioConfig, state: SolutionState,
         external_violation = bool(np.count_nonzero(limit[~bound] < 0.0))
         rows, rhs = matrix[bound], limit[bound]
 
-    c = energy[:, 0]
-    if rhs.size:
-        result = solve_bounded_lp(c, rows, rhs, lo, hi)
-    else:
-        result = solve_bounded_lp(c, np.zeros((1, n)), np.array([1.0]), lo, hi)
+    result = solve_bounded_lp(energy[:, 0], rows, rhs, lo, hi)
     if result.status != "optimal":
         worst = np.max(rows @ (0.5 * (lo + hi)) - rhs)
         raise InfeasibleBlockError(

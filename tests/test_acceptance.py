@@ -127,12 +127,12 @@ def test_c04_dual_blocks_match_enumeration():
                     assert _rel(total_energy(cfg, cand), best) < 1e-9
                 compared += 1
 
-            choice, feas = select_segments(cfg, state, OPTS, terms)
+            chosen, feas = select_segments(cfg, state, OPTS, terms)
             if feas:
                 combo, ratios, best = enumerate_segment_choices(cfg, state)
-                if choice.chosen_segment != combo:
-                    ratio = tuple(m[d] for m, d in zip(choice.midpoints,
-                                                       choice.chosen_segment))
+                if chosen != combo:
+                    ratio = tuple(cfg.overhead_curves[k].midpoint(d)
+                                  for k, d in enumerate(chosen))
                     cand = replace(state, allocation=replace(
                         state.allocation, ratio=ratio))
                     assert _rel(total_energy(cfg, cand), best) < 1e-9
@@ -145,13 +145,13 @@ def test_c05_ratio_lp_matches_grid_reference():
     with criterion("C5 in-segment ratio LP matches the grid reference"):
         for cfg, state in feasible_instances(100, start_seed=0):
             terms = latency_terms(cfg, state)
-            choice, feas = select_segments(cfg, state, OPTS, terms)
+            chosen, feas = select_segments(cfg, state, OPTS, terms)
             if not feas:
                 continue
-            ratios, clean = solve_ratio_lp(cfg, state, choice, OPTS, terms)
+            ratios, clean = solve_ratio_lp(cfg, state, chosen, OPTS, terms)
             if not clean:
                 continue
-            sol = oracle_ratio(cfg, state, choice.chosen_segment)
+            sol = oracle_ratio(cfg, state, chosen)
             ours = sol.evaluate(ratios)
             scale = max(abs(sol.value), 1e-30)
             assert ours <= sol.value + 1e-6 * scale

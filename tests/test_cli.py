@@ -78,6 +78,18 @@ class TestGenScenario:
         assert message in res.output
         assert not out.exists()
 
+    def test_rejects_a_gt_count_too_large_to_place(self, runner, tmp_path):
+        # 2**62 fails numpy's array size check before anything is
+        # allocated; it ended in numpy's ValueError traceback
+        out = tmp_path / "doc.json"
+        res = runner.invoke(main, ["gen-scenario", "--num-gts", str(2 ** 62),
+                                   "--out", str(out)])
+        assert res.exit_code == 1
+        assert "--num-gts" in res.output
+        assert "Traceback" not in res.output
+        assert isinstance(res.exception, SystemExit)
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", [
     ["gen-scenario"],

@@ -660,11 +660,10 @@ class TestMeshOraclesMatchReference:
             uav += any(state.allocation.task_uav)
             self._compare("oracle_cpu", cfg, state)
             self._compare("oracle_power_bandwidth", cfg, state)
-            choice, feas = select_segments(
+            chosen, feas = select_segments(
                 cfg, state, SolverOptions(), latency_terms(cfg, state))
             if feas:
-                self._compare("oracle_ratio", cfg, state,
-                              choice.chosen_segment)
+                self._compare("oracle_ratio", cfg, state, chosen)
             if i < 5:
                 self._compare("oracle_location", cfg, state)
                 self._compare("oracle_altitude_beamwidth", cfg, state)

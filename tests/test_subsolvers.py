@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import mpmath
@@ -136,7 +137,7 @@ def assert_matches_reference(adapter, opts):
     got = dual_subgradient(adapter, opts)
     ref = reference_dual_subgradient(adapter, opts)
     assert repr((got[0], got[2], got[3])) == repr((ref[0], ref[2], ref[3]))
-    assert np.array_equal(got[1], ref[1])
+    assert np.array_equal(got[1], ref[1], equal_nan=True)
     return ref
 
 
@@ -166,12 +167,12 @@ def reference_task_minimize(adapter, mult):
     return tuple(zip(*out))
 
 
-def reference_segment_minimize(adapter, mult):
+def reference_segment_minimize(cfg, adapter, mult):
     """Per-GT scan of the unpadded score row, shallowest segment on ties."""
     chosen = []
-    for k, mids in enumerate(adapter.mids):
+    for k, curve in enumerate(cfg.overhead_curves):
         scores = [adapter.obj[k, d] + mult[k] * adapter.lat[k, d]
-                  for d in range(len(mids))]
+                  for d in range(curve.num_segments)]
         chosen.append(min(range(len(scores)), key=lambda d: (scores[d], d)))
     return tuple(chosen)
 
@@ -188,9 +189,10 @@ def _task_table_adapter(sat, uav):
 
 
 def _segment_instances():
-    """Real segment adapters: random compressed states, a state with no
-    compression (all-zero rows), and curves of 1, 2 and 3 segments."""
-    out = [_SegmentAdapter(cfg, state, latency_terms(cfg, state))
+    """Real segment adapters, each with its scenario: random compressed
+    states, a state with no compression (all-zero rows), and curves of 1,
+    2 and 3 segments."""
+    out = [(cfg, _SegmentAdapter(cfg, state, latency_terms(cfg, state)))
            for cfg, state in feasible_instances(4, start_seed=0, num_gts=3)]
     cfg, state = feasible_instances(1, start_seed=50, num_gts=3)[0]
     curves = (OverheadCurve(slopes=(-1.0e7,), intercepts=(2.2e7,),
@@ -199,10 +201,11 @@ def _segment_instances():
                             boundaries=(0.70, 0.25)),
               cfg.overhead_curves[2])
     uneven = replace(cfg, overhead_curves=curves)
-    out.append(_SegmentAdapter(uneven, state, latency_terms(uneven, state)))
+    out.append((uneven, _SegmentAdapter(uneven, state,
+                                        latency_terms(uneven, state))))
     bare = replace(state, allocation=replace(
         state.allocation, task_sat=(0, 0, 0), task_uav=(0, 0, 0)))
-    out.append(_SegmentAdapter(cfg, bare, latency_terms(cfg, bare)))
+    out.append((cfg, _SegmentAdapter(cfg, bare, latency_terms(cfg, bare))))
     return out
 
 
@@ -248,7 +251,7 @@ class TestDualSubgradient:
                     _stub_adapter(lambda p: 1.0 if p == 0 else -1.0)]
         for cfg, state in feasible_instances(6, start_seed=0, num_gts=3):
             adapters.append(_TaskAdapter(cfg, state, latency_terms(cfg, state)))
-        adapters += _segment_instances()
+        adapters += [adapter for _, adapter in _segment_instances()]
         for adapter in adapters:
             assert_matches_reference(adapter, OPTS)
 
@@ -286,9 +289,9 @@ class TestTableMinimize:
 
     def test_segment_matches_scalar_reference(self):
         rng = np.random.default_rng(6)
-        for adapter in _segment_instances():
-            self._check(adapter, self._mults(rng, len(adapter.mids)),
-                        reference_segment_minimize)
+        for cfg, adapter in _segment_instances():
+            self._check(adapter, self._mults(rng, cfg.num_gts),
+                        partial(reference_segment_minimize, cfg))
 
 
 def _switch_adapter(threshold):
@@ -322,14 +325,19 @@ def _runs(history):
 def _hand_tables():
     """Tables whose dual runs hit each event of the run replay: a
     multiplier clamped to 0 and a stop in the middle of a run, a primal
-    change at the second and at the last step, alternating primals."""
+    change at the second and at the last step, alternating primals, and a
+    NaN residual on one option: the second option, the first, and one GT
+    of two after the other GT moves."""
     last = OPTS.dual_max_iters
     entering = 0.0  # the multiplier entering step last - 1
     for t in range(1, last - 1):
         entering = max(0.0, entering + OPTS.dual_step_scale / math.sqrt(t))
     return [_decay_adapter([1.0, -0.2]), _decay_adapter([0.0, -0.2]),
             _switch_adapter(0.5), _switch_adapter(entering),
-            _alternating_adapter(), _alternating_adapter((0.5, 0.3, 2.0, 0.1))]
+            _alternating_adapter(), _alternating_adapter((0.5, 0.3, 2.0, 0.1)),
+            _stub_adapter(lambda c: 1.0 if c == 0 else math.nan),
+            _stub_adapter(lambda c: math.nan if c == 0 else -1.0),
+            _decay_adapter([1.0, math.nan])]
 
 
 def _option_grid():
@@ -356,7 +364,7 @@ class TestDualReplay:
     result must equal the step-by-step reference bit for bit."""
 
     def test_hand_tables_hit_every_replay_event(self):
-        clamp, stop, second, final, flip, flips = _hand_tables()
+        clamp, stop, second, final, flip, flips, *nans = _hand_tables()
         history = []
         reference_dual_subgradient(clamp, OPTS, history)
         zeroed = [t for (t, p, m), (_, q, n) in zip(history[1:], history)
@@ -377,6 +385,10 @@ class TestDualReplay:
             history = []
             reference_dual_subgradient(alternating, OPTS, history)
             assert len(_runs(history)) > 0.6 * OPTS.dual_max_iters
+        for nan in nans:
+            history = []
+            reference_dual_subgradient(nan, OPTS, history)
+            assert any(np.isnan(m).any() for _, _, m in history)
 
     def test_hand_tables_across_options(self):
         for opts in _option_grid():
@@ -484,24 +496,24 @@ class TestTaskAllocation:
 class TestSegmentSelection:
     def test_exactly_one_active_segment_per_gt(self):
         for cfg, state in feasible_instances(5, start_seed=0):
-            choice, feasible = select_segments(
+            chosen, feasible = select_segments(
                 cfg, state, OPTS, latency_terms(cfg, state))
-            for k, row in enumerate(choice.alpha):
-                assert sum(row) == 1
-                assert row[choice.chosen_segment[k]] == 1
+            assert len(chosen) == cfg.num_gts
+            for k, d in enumerate(chosen):
+                assert 0 <= d < cfg.overhead_curves[k].num_segments
 
     def test_matches_enumeration_on_random_instances(self):
         for cfg, state in feasible_instances(10, start_seed=0):
-            choice, feasible = select_segments(
+            chosen, feasible = select_segments(
                 cfg, state, OPTS, latency_terms(cfg, state))
             try:
                 e_combo, e_rho, e_obj = enumerate_segment_choices(cfg, state)
             except EmptyFeasibleError:
                 assert not feasible
                 continue
-            if choice.chosen_segment != e_combo and feasible:
-                rho = tuple(choice.midpoints[k][choice.chosen_segment[k]]
-                            for k in range(cfg.num_gts))
+            if chosen != e_combo and feasible:
+                rho = tuple(cfg.overhead_curves[k].midpoint(d)
+                            for k, d in enumerate(chosen))
                 cand = replace(state, allocation=replace(
                     state.allocation, ratio=rho))
                 assert rel(total_energy(cfg, cand), e_obj) < 1e-9
@@ -514,9 +526,7 @@ class TestRatioLp:
                 cfg.overhead_curves[k].segment_of(state.allocation.ratio[k])
                 for k in range(cfg.num_gts))
             terms = latency_terms(cfg, state)
-            choice, _ = select_segments(cfg, state, OPTS, terms)
-            choice = replace(choice, chosen_segment=segs)
-            ratios, clean = solve_ratio_lp(cfg, state, choice, OPTS, terms)
+            ratios, clean = solve_ratio_lp(cfg, state, segs, OPTS, terms)
             sol = oracle_ratio(cfg, state, segs)
             assert rel(sol.evaluate(ratios), sol.value) < 1e-6
 
@@ -526,10 +536,10 @@ class TestRatioLp:
         cfg = loads_scenario(default_document())
         state = initialize(cfg)
         terms = latency_terms(cfg, state)
-        choice, _ = select_segments(cfg, state, OPTS, terms)
-        ratios, clean = solve_ratio_lp(cfg, state, choice, OPTS, terms)
+        chosen, _ = select_segments(cfg, state, OPTS, terms)
+        ratios, clean = solve_ratio_lp(cfg, state, chosen, OPTS, terms)
         assert not clean
-        lo, _ = cfg.overhead_curves[0].segment_bounds(choice.chosen_segment[0])
+        lo, _ = cfg.overhead_curves[0].segment_bounds(chosen[0])
         assert ratios == (lo,) * cfg.num_gts
 
     def test_contradictory_rows_raise(self):
@@ -782,7 +792,7 @@ class TestDualBlocksDeriveEachStateOnce:
             assert derived == [], block
 
 
-def _stands_for(adapter, state, primal):
+def _stands_for(cfg, adapter, state, primal):
     """The state that a primal of a dual block's ``adapter`` stands for:
     ``state`` with the primal's sites, or with each GT's ratio at the
     midpoint of its chosen segment."""
@@ -791,7 +801,7 @@ def _stands_for(adapter, state, primal):
                      task_uav=primal[1])
     else:
         al = replace(state.allocation, ratio=tuple(
-            mids[d] for mids, d in zip(adapter.mids, primal)))
+            cfg.overhead_curves[k].midpoint(d) for k, d in enumerate(primal)))
     return replace(state, allocation=al)
 
 
@@ -813,7 +823,7 @@ class TestModelScoresLikePhysics:
                 if not priced.any():
                     continue
                 primal = adapter.primal_of(np.where(priced, column, 0))
-                moved = _stands_for(adapter, state, primal)
+                moved = _stands_for(cfg, adapter, state, primal)
                 np.testing.assert_allclose(
                     budget * (1.0 + adapter.residuals(primal)),
                     latency_terms(cfg, moved).total, rtol=1e-12, atol=0.0)
