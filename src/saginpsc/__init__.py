@@ -16,15 +16,11 @@ from .physics import (
     ConstraintViolation,
     EnergyBreakdown,
     FeasibilityReport,
-    LatencyBreakdown,
     ModelError,
     Placement,
     SolutionState,
-    channel_gain_ug,
     check_feasibility,
-    effective_fraction,
     energy_breakdown,
-    latency_breakdown,
     rate_sat_uav,
     rate_uav_gt,
     total_energy,
@@ -53,7 +49,6 @@ __all__ = [
     "FeasibilityReport",
     "InfeasibleBlockError",
     "IterationTrace",
-    "LatencyBreakdown",
     "ModelError",
     "OverheadCurve",
     "Placement",
@@ -63,15 +58,12 @@ __all__ = [
     "SolutionState",
     "SolveResult",
     "SolverOptions",
-    "channel_gain_ug",
     "check_feasibility",
     "default_document",
     "default_overhead_curve",
-    "effective_fraction",
     "energy_breakdown",
     "generate_gt_positions",
     "initialize",
-    "latency_breakdown",
     "load_scenario",
     "loads_scenario",
     "rate_sat_uav",

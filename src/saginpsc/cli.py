@@ -27,7 +27,7 @@ from .physics import (
     check_feasibility,
     downlink_energy_grid,
     energy_breakdown,
-    latency_breakdown,
+    latency_terms,
 )
 from .scenario import (ScenarioConfig, ScenarioError, default_document,
                        load_scenario, loads_scenario)
@@ -44,6 +44,9 @@ SWEEP_PARAMETERS = ("data_bits", "sat_beam_gain", "sat_uav_distance",
 
 _SCHEME_CHOICES = [s.value for s in SchemeId]
 _SEED = click.IntRange(min=0)  # numpy's generators take no negative seed
+# The heatmap's n x n float64 energy grid is the largest array it holds,
+# and numpy sizes no array beyond the platform's intp in bytes.
+_MAX_GRID_POINTS = math.isqrt(np.iinfo(np.intp).max // 8)
 
 
 def _float_cell(x: float) -> str:
@@ -97,7 +100,7 @@ def _grid_axis(lo: float, hi: float, n: int) -> np.ndarray:
 
 def _result_document(cfg: ScenarioConfig, result) -> dict:
     eb = energy_breakdown(cfg, result.state)
-    lat = latency_breakdown(cfg, result.state)
+    lat = latency_terms(cfg, result.state)
     report = check_feasibility(cfg, result.state)
     return {
         "scheme": result.scheme,
@@ -110,7 +113,9 @@ def _result_document(cfg: ScenarioConfig, result) -> dict:
             "allocation": asdict(result.state.allocation),
         },
         "energy": asdict(eb),
-        "latency": asdict(lat),
+        "latency": {"sat_compute": lat.t_sat, "sat_uav_tx": lat.t_tx,
+                    "sat_uav_prop": lat.t_prop, "uav_compute": lat.t_uav.tolist(),
+                    "uav_gt_tx": lat.t_ug.tolist(), "total": lat.total.tolist()},
         "violations": [asdict(v) for v in report.violations],
         "trace": [asdict(t) for t in result.trace],
     }
@@ -230,6 +235,10 @@ def heatmap(scenario, grid_points, seed, out, opts) -> None:
     """
     if grid_points < 2:
         raise click.ClickException("--grid-points must be at least 2")
+    if grid_points > _MAX_GRID_POINTS:
+        raise click.ClickException(
+            f"--grid-points must be at most {_MAX_GRID_POINTS}: a larger"
+            " grid exceeds the largest array numpy can hold")
     cfg = _load_cfg(scenario)
     options = _load_options(opts)
     result = run_scheme(cfg, SchemeId.FIXED_LOCATION, options, seed=seed)

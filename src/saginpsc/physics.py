@@ -21,18 +21,14 @@ __all__ = [
     "Placement",
     "Allocation",
     "SolutionState",
-    "LatencyBreakdown",
     "LatencyTerms",
     "EnergyBreakdown",
     "ConstraintViolation",
     "FeasibilityReport",
     "rate_sat_uav",
-    "channel_gain_ug",
     "rate_uav_gt",
     "rate_uav_gt_at",
-    "effective_fraction",
     "latency_terms",
-    "latency_breakdown",
     "energy_breakdown",
     "total_energy",
     "check_feasibility",
@@ -80,23 +76,6 @@ class Allocation:
 class SolutionState:
     placement: Placement
     allocation: Allocation
-
-
-@dataclass(frozen=True)
-class LatencyBreakdown:
-    """Per-GT end-to-end latency and its shared/individual components.
-
-    ``sat_compute``, ``sat_uav_tx``, ``sat_uav_prop`` are shared by all
-    GTs; ``uav_compute`` and ``uav_gt_tx`` are per GT.  ``total`` is the
-    exact componentwise sum.
-    """
-
-    sat_compute: float
-    sat_uav_tx: float
-    sat_uav_prop: float
-    uav_compute: tuple[float, ...]
-    uav_gt_tx: tuple[float, ...]
-    total: tuple[float, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +134,7 @@ class FeasibilityReport:
         return {v.code for v in self.violations}
 
 
-# Default relative tolerance of a constraint slack (see check_feasibility).
+# Relative tolerance of a constraint slack (see check_feasibility).
 _REL_TOL = 1e-9
 # The per-GT constraints, in the order each GT's violations are listed.
 _PER_GT = ("nonnegativity:bandwidth", "nonnegativity:cpu", "nonnegativity:power",
@@ -163,10 +142,10 @@ _PER_GT = ("nonnegativity:bandwidth", "nonnegativity:cpu", "nonnegativity:power"
            "coverage")
 
 
-def _satisfied(slack, scale: float, rel_tol: float = _REL_TOL):
-    """Whether ``slack`` (a float or an array) is at least ``-rel_tol``
+def _satisfied(slack, scale: float):
+    """Whether ``slack`` (a float or an array) is at least ``-_REL_TOL``
     times ``scale``; a NaN slack is not."""
-    return slack >= -rel_tol * max(abs(scale), 1e-30)
+    return slack >= -_REL_TOL * max(abs(scale), 1e-30)
 
 
 def rate_sat_uav(cfg: ScenarioConfig) -> float:
@@ -181,11 +160,6 @@ def _squared_distance(cfg: ScenarioConfig, placement: Placement) -> np.ndarray:
     one every UAV-to-GT rate reads."""
     dxy = np.array(placement.uav_xy)[:, None] - cfg._tables.xy
     return np.add.reduce(dxy * dxy) + placement.altitude * placement.altitude
-
-
-def channel_gain_ug(cfg: ScenarioConfig, placement: Placement, gt_index: int) -> float:
-    """LoS channel gain between the UAV and one GT (inverse-square law)."""
-    return float(cfg.ref_channel_gain / _squared_distance(cfg, placement)[gt_index])
 
 
 def rate_uav_gt(cfg: ScenarioConfig, placement: Placement,
@@ -208,13 +182,6 @@ def rate_uav_gt_at(cfg: ScenarioConfig, d2, theta, bandwidth, power):
     snr = (cfg.antenna_gain_const * (cfg.ref_channel_gain / d2) * power
            / (theta * theta * bandwidth * cfg.noise_psd))
     return bandwidth * np.log2(1.0 + snr)
-
-
-def effective_fraction(a_sat: int, a_uav: int, rho: float) -> float:
-    """Fraction of the original data the UAV must deliver to the GT:
-    ``rho`` if the data was compressed anywhere upstream, else 1."""
-    a = a_sat + a_uav
-    return a * rho + (1 - a)
 
 
 def _overhead(cfg: ScenarioConfig, ratio: tuple, where):
@@ -246,7 +213,8 @@ def latency_terms(cfg: ScenarioConfig, state: SolutionState) -> LatencyTerms:
         dtype=float)
     overhead = _overhead(cfg, al.ratio, np.logical_or(a_s, a_u))[0]
     # rows a_sat and a_sat + a_uav: the data forwarded over the satellite
-    # link, and the data the UAV delivers (effective_fraction)
+    # link, and the data the UAV delivers (rho of it where compressed
+    # upstream, else all)
     a = v[:2].cumsum(axis=0)
     forwarded, bits = (a * ratio + (1 - a)) * cfg._tables.data_bits
     r_su, kappa = rate_sat_uav(cfg), cfg.cycles_per_overhead
@@ -275,12 +243,6 @@ def latency_terms(cfg: ScenarioConfig, state: SolutionState) -> LatencyTerms:
                         t_ug, total, hop_slack)
 
 
-def latency_breakdown(cfg: ScenarioConfig, state: SolutionState) -> LatencyBreakdown:
-    t = latency_terms(cfg, state)
-    return LatencyBreakdown(t.t_sat, t.t_tx, t.t_prop, *(
-        tuple(per_gt.tolist()) for per_gt in (t.t_uav, t.t_ug, t.total)))
-
-
 def _energy(cfg: ScenarioConfig, al: Allocation,
             terms: LatencyTerms) -> EnergyBreakdown:
     """The energy terms of a state with allocation ``al`` and ``terms``."""
@@ -299,12 +261,11 @@ def energy_breakdown(cfg: ScenarioConfig, state: SolutionState) -> EnergyBreakdo
     return _energy(cfg, state.allocation, latency_terms(cfg, state))
 
 
-def _late(cfg: ScenarioConfig, terms: LatencyTerms,
-          rel_tol: float = _REL_TOL) -> list[tuple[int, float]]:
+def _late(cfg: ScenarioConfig, terms: LatencyTerms) -> list[tuple[int, float]]:
     """``(GT, slack)`` of each GT whose end-to-end latency in ``terms``
-    exceeds the budget by more than ``rel_tol`` of it (or is NaN)."""
+    exceeds the budget by more than ``_REL_TOL`` of it (or is NaN)."""
     slack = cfg.latency_budget - terms.total
-    met = _satisfied(slack, cfg.latency_budget, rel_tol)
+    met = _satisfied(slack, cfg.latency_budget)
     return ([] if np.count_nonzero(met) == met.size else
             [(k, slack[k].item()) for k in np.flatnonzero(~met).tolist()])
 
@@ -313,14 +274,14 @@ def total_energy(cfg: ScenarioConfig, state: SolutionState) -> float:
     return energy_breakdown(cfg, state).total
 
 
-def check_feasibility(cfg: ScenarioConfig, state: SolutionState,
-                      rel_tol: float = _REL_TOL) -> FeasibilityReport:
+def check_feasibility(cfg: ScenarioConfig, state: SolutionState) -> FeasibilityReport:
     """Evaluate every constraint of the joint problem; violations are data.
 
     Slacks are signed: nonnegative slack means satisfied.  Several blocks
     make their constraint tight by construction (latency equalities,
     coverage at the beamwidth edge), so a slack is only flagged when it is
-    negative beyond ``rel_tol`` times the constraint's own scale, or NaN.
+    negative beyond ``_REL_TOL`` (1e-9) times the constraint's own scale,
+    or NaN.
     A state whose latency terms are undefined misses every latency
     budget.  Constraint codes: latency, power_budget, coverage, altitude,
     bandwidth_budget, cpu_budget, ratio_bounds, task_binary,
@@ -330,12 +291,11 @@ def check_feasibility(cfg: ScenarioConfig, state: SolutionState,
         terms = latency_terms(cfg, state)
     except ModelError:
         terms = None
-    return _report(cfg, state, terms, rel_tol)
+    return _report(cfg, state, terms)
 
 
 def _report(cfg: ScenarioConfig, state: SolutionState,
-            terms: LatencyTerms | None,
-            rel_tol: float = _REL_TOL) -> FeasibilityReport:
+            terms: LatencyTerms | None) -> FeasibilityReport:
     """:func:`check_feasibility` of ``state`` from its ``terms``; ``None``
     stands for undefined terms.  Violations are listed GT by GT, then the
     shared constraints, then the latency budgets."""
@@ -348,8 +308,8 @@ def _report(cfg: ScenarioConfig, state: SolutionState,
               np.where(np.logical_or(*(tasks * (tasks - 1))), -1.0, 0.0),  # 0, 1
               1 - np.add.reduce(tasks), ratio - cfg._tables.ratio_min, 1.0 - ratio,
               cover - np.hypot(*(np.array(pl.uav_xy)[:, None] - cfg._tables.xy)))
-    met = _satisfied(np.array(slacks, dtype=float), 1.0, rel_tol)
-    met[-1] = _satisfied(slacks[-1], cover, rel_tol)  # scaled by the radius
+    met = _satisfied(np.array(slacks, dtype=float), 1.0)
+    met[-1] = _satisfied(slacks[-1], cover)  # scaled by the radius
     out = [] if np.count_nonzero(met) == met.size else [
         ConstraintViolation(_PER_GT[c], k, slacks[c][k].item())
         for k, c in np.argwhere(~met.T).tolist()]
@@ -364,8 +324,8 @@ def _report(cfg: ScenarioConfig, state: SolutionState,
         ("beamwidth", pl.half_beamwidth - th_lo, 1.0),
         ("beamwidth", th_hi - pl.half_beamwidth, 1.0))
     out += [ConstraintViolation(code, None, slack) for code, slack, scale in shared
-            if not _satisfied(slack, scale, rel_tol)]
-    late = (_late(cfg, terms, rel_tol) if terms is not None
+            if not _satisfied(slack, scale)]
+    late = (_late(cfg, terms) if terms is not None
             else [(k, -math.inf) for k in range(cfg.num_gts)])
     out += [ConstraintViolation("latency", k, slack) for k, slack in late]
 

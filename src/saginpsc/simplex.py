@@ -17,6 +17,8 @@ import numpy as np
 __all__ = ["LPResult", "solve_bounded_lp"]
 
 _TOL = 1e-9
+# Pivots allowed in each phase before a solve reports "infeasible".
+_MAX_ITERS = 10000
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,8 @@ class _Tableau:
             x[j] = self.values[i]
         return x
 
-    def iterate(self, c: np.ndarray, max_iters: int) -> tuple[str, int]:
-        for it in range(max_iters):
+    def iterate(self, c: np.ndarray) -> tuple[str, int]:
+        for it in range(_MAX_ITERS):
             B = self.A[:, self.basis]
             y = np.linalg.solve(B.T, c[self.basis])
             reduced = c - y @ self.A
@@ -116,10 +118,10 @@ class _Tableau:
                 enter_val = self.lower[entering] + t_max
             self.at_upper[entering] = False
             self.values[leaving] = enter_val
-        return "iteration_limit", max_iters
+        return "iteration_limit", _MAX_ITERS
 
 
-def solve_bounded_lp(c, A_ub, b_ub, lower, upper, max_iters: int = 10000) -> LPResult:
+def solve_bounded_lp(c, A_ub, b_ub, lower, upper) -> LPResult:
     """Minimize ``c @ x`` subject to ``A_ub @ x <= b_ub`` and box bounds.
 
     Ties in the objective resolve to the lowest box corner reachable by
@@ -170,7 +172,7 @@ def solve_bounded_lp(c, A_ub, b_ub, lower, upper, max_iters: int = 10000) -> LPR
         c1 = np.zeros(total)
         for col in art_cols.values():
             c1[col] = 1.0
-        status, it = tab.iterate(c1, max_iters)
+        status, it = tab.iterate(c1)
         iters += it
         if status == "iteration_limit":
             return LPResult("infeasible", None, math.inf, iters)
@@ -187,7 +189,7 @@ def solve_bounded_lp(c, A_ub, b_ub, lower, upper, max_iters: int = 10000) -> LPR
 
     c2 = np.zeros(total)
     c2[:n] = c
-    status, it = tab.iterate(c2, max_iters)
+    status, it = tab.iterate(c2)
     iters += it
     if status == "unbounded":
         return LPResult("unbounded", None, -math.inf, iters)

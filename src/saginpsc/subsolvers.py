@@ -119,16 +119,15 @@ def dual_subgradient(adapter, opts: SolverOptions):
     The adapter supplies ``num_multipliers`` (K); the ``(K, options)``
     tables ``obj`` and ``lat`` of the per-GT Lagrangian ``obj + mult *
     lat``, whose least option per GT (:func:`_least_option`) is the exact
-    minimizer at fixed multipliers; ``primal_of(choice) -> primal`` for a
-    ``(K,)`` array of option indices; ``residuals(primal) -> array``
-    (positive = violated, already normalized); and ``objective(primal) ->
-    float`` (the true block objective, used to rank feasible iterates).
-    ``residuals`` and ``objective`` must be pure functions of the primal:
-    each is evaluated once per distinct choice and reused when the
-    minimizer returns to it.
+    minimizer at fixed multipliers; ``residuals(choice) -> array``
+    (positive = violated, already normalized) and ``objective(choice) ->
+    float`` (the true block objective, used to rank feasible iterates) of
+    a choice, a ``(K,)`` array of option indices.  ``residuals`` and
+    ``objective`` must be pure functions of the choice: each is evaluated
+    once per distinct choice and reused when the minimizer returns to it.
 
-    The loop advances over a whole run of steps on one primal at a time.
-    While the primal holds, so do its residuals ``r``, and the multipliers
+    The loop advances over a whole run of steps on one choice at a time.
+    While the choice holds, so do its residuals ``r``, and the multipliers
     entering the run's steps follow ``m <- max(0, m + step_t * r)``.
     ``ufunc.accumulate`` adds sequentially, so accumulating the rows ``m,
     step_t * r, step_(t+1) * r, ...`` gives the unclamped sums in the same
@@ -136,16 +135,16 @@ def dual_subgradient(adapter, opts: SolverOptions):
     the clamp, and for ``r_k < 0`` the clamp is absorbing (from 0 the next
     sum is negative again), so ``max(0, .)`` of the accumulated column is
     the clamped sequence.  One batched argmin over a window's multipliers
-    finds the first step whose primal differs.  The stopping rule depends
+    finds the first step whose choice differs.  The stopping rule depends
     on the residuals and the ``mult > 0`` mask only, so within a run it is
-    tested where the mask changes, and never on a primal with a residual
+    tested where the mask changes, and never on a choice with a residual
     that alone keeps the projected norm at ``tol`` or above.  A run's
     first window spans ``_FIRST_WINDOW`` steps, and each next one doubles
     up to ``_MAX_WINDOW``.
 
-    Returns ``(best_primal, multipliers, steps, feasible_found)`` where
-    ``best_primal`` is the feasible iterate of least objective, or the
-    final iterate when none was feasible.
+    Returns ``(best_choice, multipliers, steps, feasible_found)`` where
+    ``best_choice``, a tuple of option indices, is the feasible iterate of
+    least objective, or the final iterate when none was feasible.
     """
     last = opts.dual_max_iters
     tol = opts.dual_tolerance
@@ -153,9 +152,9 @@ def dual_subgradient(adapter, opts: SolverOptions):
     steps = buf = None
     mult = np.zeros(adapter.num_multipliers)  # entering step t
     choice = _least_option(table_obj, table_lat, mult)
-    best_primal = None
+    best_choice = None
     best_obj = math.inf
-    scored = {}  # choice bytes -> (primal, res, res_pos, may_stop)
+    scored = {}  # choice bytes -> (res, res_pos, may_stop)
 
     def stops(mask):
         """The stopping rule: the subgradient projected on the multipliers'
@@ -166,25 +165,24 @@ def dual_subgradient(adapter, opts: SolverOptions):
 
     t = 1
     done = False
-    while not done:  # a run of steps t, t + 1, ... on one primal
+    while not done:  # a run of steps t, t + 1, ... on one choice
         key = choice.tobytes()
         if key not in scored:
-            primal = adapter.primal_of(choice)
-            res = np.asarray(adapter.residuals(primal), dtype=float)
+            res = np.asarray(adapter.residuals(choice), dtype=float)
             res_pos = np.maximum(res, 0.0)
             # The projected subgradient keeps every positive residual, and a
             # dot product of non-negative terms is at least each rounded term,
-            # so a residual this large rules out a stop on this primal (as
+            # so a residual this large rules out a stop on this choice (as
             # does a NaN, whichever value ``max`` returns then).
             worst = max(res_pos.tolist())
             may_stop = not math.sqrt(worst * worst) >= tol
-            scored[key] = primal, res, res_pos, may_stop
-            obj = (adapter.objective(primal)
+            scored[key] = res, res_pos, may_stop
+            obj = (adapter.objective(choice)
                    if np.all(res <= tol) else math.inf)
             if obj < best_obj:
                 best_obj = obj
-                best_primal = primal
-        primal, res, res_pos, may_stop = scored[key]
+                best_choice = choice
+        res, res_pos, may_stop = scored[key]
         if may_stop and stops(mult > 0.0):
             break
         if steps is None:
@@ -205,7 +203,7 @@ def dual_subgradient(adapter, opts: SolverOptions):
             moved = (after != choice).nonzero()[0]
             span = int(moved[0]) if moved.size else len(after)
             if may_stop and span:
-                # Steps t + 1 .. t + span keep the primal; test the stopping
+                # Steps t + 1 .. t + span keep the choice; test the stopping
                 # rule where the mask changes (a row may repeat).
                 pos = rows[:span + 1] > 0.0
                 flips = ((pos[1:] != pos[:-1]).nonzero()[0] + 1).tolist()
@@ -222,9 +220,9 @@ def dual_subgradient(adapter, opts: SolverOptions):
             t, mult, width = t + w, rows[w], min(2 * width, _MAX_WINDOW)
     if buf is not None:
         mult = mult.copy()  # not a view of the window buffer
-    if best_primal is not None:
-        return best_primal, mult, t, True
-    return primal, mult, t, False
+    if best_choice is not None:
+        return tuple(best_choice.tolist()), mult, t, True
+    return tuple(choice.tolist()), mult, t, False
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +264,8 @@ class _OptionAdapter:
     """A dual block whose option ``j`` of GT ``k`` is the sites ``a_s[k,
     j]``, ``a_u[k, j]`` with ``overhead[k, j]`` at ``ratio[k, j]``, the
     rest of the state held.  ``obj`` and ``lat`` hold each option's energy
-    and latency by :func:`_gt_model`; a primal, with one option per GT
-    (its ``_columns``), scores as that state from the same pieces."""
+    and latency by :func:`_gt_model`; a choice, with one option per GT,
+    scores as that state from the same pieces."""
 
     def __init__(self, cfg: ScenarioConfig, state: SolutionState,
                  terms: LatencyTerms, a_s, a_u, overhead, ratio):
@@ -281,27 +279,27 @@ class _OptionAdapter:
         self._rows = np.arange(cfg.num_gts)
         self._t_prop, self._budget = terms.t_prop, cfg.latency_budget
 
-    def residuals(self, primal):
-        pick = self._rows, self._columns(primal)
+    def residuals(self, choice):
+        pick = self._rows, choice
         latency = (float(np.add.reduce(self._shared[pick])) + self._t_prop
                    + self._local[pick])
         return (latency - self._budget) / self._budget
 
-    def objective(self, primal):
-        pick = self._rows, self._columns(primal)
-        return float(np.add.reduce(self._gt_energy[pick]))
+    def objective(self, choice):
+        return float(np.add.reduce(self._gt_energy[self._rows, choice]))
 
     def solve(self, incumbent, opts: SolverOptions):
-        """``(primal, feasible)`` of :func:`dual_subgradient`, or
-        ``(incumbent, True)`` when the incumbent is feasible and either the
-        loop found nothing feasible or the incumbent is strictly better: a
-        block must never worsen the state it was given."""
-        primal, _, _, feasible = dual_subgradient(self, opts)
+        """``(choice, feasible)`` of :func:`dual_subgradient`, or the
+        ``incumbent`` choice (an array) as a tuple with ``True`` when it is
+        feasible and either the loop found nothing feasible or the
+        incumbent is strictly better: a block must never worsen the state
+        it was given."""
+        choice, _, _, feasible = dual_subgradient(self, opts)
         if float(np.max(self.residuals(incumbent))) <= opts.dual_tolerance:
             if (not feasible
-                    or self.objective(incumbent) < self.objective(primal)):
-                return incumbent, True
-        return primal, feasible
+                    or self.objective(incumbent) < self.objective(choice)):
+                return tuple(incumbent.tolist()), True
+        return choice, feasible
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +307,11 @@ class _OptionAdapter:
 
 
 class _TaskAdapter(_OptionAdapter):
-    """Primal: ``(task_sat, task_uav)``.  Each GT's options are none (0),
-    satellite and UAV at its ratio, and the tables ``obj`` and ``lat``
-    hold them relative to none; the least option wins, and ``argmin``
-    keeps the first minimum, so ties resolve to none, then satellite.
-    GTs without a positive UAV CPU share price the UAV option at +inf."""
+    """Each GT's options are none (0), satellite (1) and UAV (2) at its
+    ratio, and the tables ``obj`` and ``lat`` hold them relative to none;
+    the least option wins, and ``argmin`` keeps the first minimum, so ties
+    resolve to none, then satellite.  GTs without a positive UAV CPU share
+    price the UAV option at +inf."""
 
     def __init__(self, cfg: ScenarioConfig, state: SolutionState,
                  terms: LatencyTerms):
@@ -328,14 +326,6 @@ class _TaskAdapter(_OptionAdapter):
         no_share = ~(np.array(al.cpu) > 0.0)
         self.obj[no_share, 2], self.lat[no_share, 2] = math.inf, 0.0
 
-    def primal_of(self, choice):
-        return (tuple((choice == 1).astype(int).tolist()),
-                tuple((choice == 2).astype(int).tolist()))
-
-    @staticmethod
-    def _columns(primal):
-        return np.dot((1, 2), primal)
-
 
 def solve_task_allocation(cfg: ScenarioConfig, state: SolutionState,
                           opts: SolverOptions, terms: LatencyTerms):
@@ -345,9 +335,10 @@ def solve_task_allocation(cfg: ScenarioConfig, state: SolutionState,
     positive UAV CPU share can only be assigned to the satellite or left
     uncompressed.
     """
-    adapter = _TaskAdapter(cfg, state, terms)
-    (task_sat, task_uav), feasible = adapter.solve(
-        (state.allocation.task_sat, state.allocation.task_uav), opts)
+    al = state.allocation
+    choice, feasible = _TaskAdapter(cfg, state, terms).solve(
+        np.dot((1, 2), (al.task_sat, al.task_uav)), opts)
+    task_sat, task_uav = (np.array(choice) == ((1,), (2,))).astype(int).tolist()
     return tuple(task_sat), tuple(task_uav), feasible
 
 
@@ -356,11 +347,11 @@ def solve_task_allocation(cfg: ScenarioConfig, state: SolutionState,
 
 
 class _SegmentAdapter(_OptionAdapter):
-    """Primal: the chosen 0-based segment per GT.  Each GT's options are
-    its segments at their midpoints, the sites held; the padded columns of
-    curves with fewer segments hold +inf in ``obj``.  ``argmin`` keeps the
-    first minimum, so ties, and GTs compressed nowhere (which score alike
-    on every segment), resolve to the shallowest segment."""
+    """Each GT's options are its 0-based segments at their midpoints, the
+    sites held; the padded columns of curves with fewer segments hold +inf
+    in ``obj``.  ``argmin`` keeps the first minimum, so ties, and GTs
+    compressed nowhere (which score alike on every segment), resolve to
+    the shallowest segment."""
 
     def __init__(self, cfg: ScenarioConfig, state: SolutionState,
                  terms: LatencyTerms):
@@ -373,13 +364,6 @@ class _SegmentAdapter(_OptionAdapter):
         self.obj = np.where(pad, math.inf, self.obj)
         self.lat = np.where(pad, 0.0, self.lat)
 
-    def primal_of(self, choice):
-        return tuple(choice.tolist())
-
-    @staticmethod
-    def _columns(chosen):
-        return np.array(chosen)
-
 
 def select_segments(cfg: ScenarioConfig, state: SolutionState,
                     opts: SolverOptions, terms: LatencyTerms):
@@ -391,7 +375,7 @@ def select_segments(cfg: ScenarioConfig, state: SolutionState,
     segment = np.minimum(_overhead(cfg, state.allocation.ratio, True)[1],
                          cfg._tables.last)
     return _SegmentAdapter(cfg, state, terms).solve(
-        tuple((segment - cfg._tables.first).tolist()), opts)
+        segment - cfg._tables.first, opts)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from saginpsc.oracle import (
     oracle_power_bandwidth,
     oracle_ratio,
 )
-from saginpsc.physics import latency_breakdown, latency_terms, total_energy
+from saginpsc.physics import latency_terms, total_energy
 from saginpsc.scenario import default_document, loads_scenario
 from saginpsc.subsolvers import (
     SolverOptions,
@@ -81,7 +81,7 @@ def test_c02_cpu_shares_tight_and_optimal():
             cpu = solve_cpu_allocation(cfg, state, latency_terms(cfg, state))
             cand = replace(state, allocation=replace(state.allocation,
                                                      cpu=cpu))
-            lat = latency_breakdown(cfg, cand)
+            lat = latency_terms(cfg, cand)
             for k in range(cfg.num_gts):
                 if state.allocation.task_uav[k]:
                     assert _rel(lat.total[k], cfg.latency_budget) < 1e-12
@@ -103,7 +103,7 @@ def test_c03_power_bandwidth_tight_and_optimal():
             assert sum(pw) <= cfg.uav_power_budget * (1 + 1e-9)
             cand = replace(state, allocation=replace(state.allocation,
                                                      bandwidth=bw, power=pw))
-            lat = latency_breakdown(cfg, cand)
+            lat = latency_terms(cfg, cand)
             for k in range(cfg.num_gts):
                 assert _rel(lat.total[k], cfg.latency_budget) < 1e-6
             sol = oracle_power_bandwidth(cfg, state)

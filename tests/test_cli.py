@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from saginpsc import cli
 from saginpsc.algorithm import run_scheme
 from saginpsc.cli import OPTIONS_ENV_VAR, _grid_axis, main
 from saginpsc.physics import (
     check_feasibility,
     downlink_energy_grid,
     energy_breakdown,
-    latency_breakdown,
     latency_terms,
 )
 from saginpsc.scenario import default_document, load_scenario, loads_scenario
@@ -349,7 +349,7 @@ class TestHeatmap:
                 power=tuple(scale * p for p in base.allocation.power)))
             relaxed = replace(cfg, latency_budget=10.0 * cfg.latency_budget)
             tight = replace(cfg, latency_budget=max(
-                latency_breakdown(cfg, base).total))
+                latency_terms(cfg, base).total.tolist()))
             for case, state in ((cfg, base), (cfg, over_budget),
                                 (relaxed, base), (tight, base)):
                 cover = state.placement.coverage_radius
@@ -386,6 +386,21 @@ class TestHeatmap:
         res = runner.invoke(main, ["heatmap", "--scenario", str(scenario_path),
                                    "--grid-points", "1"])
         assert res.exit_code == 1
+
+    def test_rejects_grid_too_large_to_hold_before_the_solve(
+            self, runner, scenario_path, tmp_path, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the count is known before the solve")
+
+        monkeypatch.setattr(cli, "run_scheme", no_solve)
+        out = tmp_path / "heat.csv"
+        res = runner.invoke(main, ["heatmap", "--scenario", str(scenario_path),
+                                   "--grid-points", str(2**62),
+                                   "--out", str(out)])
+        # a usage error's exit, not an exception escaping the command
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert "--grid-points" in res.output
+        assert not out.exists()
 
 
 class TestConvergence:

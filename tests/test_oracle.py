@@ -23,10 +23,9 @@ from saginpsc.oracle import (
     reference_evaluation,
 )
 from saginpsc.physics import (
-    channel_gain_ug,
+    _squared_distance,
     check_feasibility,
     energy_breakdown,
-    latency_breakdown,
     latency_terms,
     rate_sat_uav,
     rate_uav_gt,
@@ -1071,7 +1070,7 @@ class TestFormulaCatalog:
         pl = Placement(uav_xy=(cfg.gt_positions[0][0] - 300.0,
                                cfg.gt_positions[0][1]),
                        altitude=400.0, half_beamwidth=1.0)
-        ours = channel_gain_ug(cfg, pl, 0)
+        ours = cfg.ref_channel_gain / _squared_distance(cfg, pl)[0]
         ref = eval_formula_extended("g_k", cfg, horizontal_offset=300.0,
                                     altitude=400.0)
         assert ours == pytest.approx(ref, rel=1e-12)
@@ -1108,6 +1107,6 @@ class TestReferenceEvaluation:
         for cfg, state in feasible_instances(3, start_seed=21):
             energy, latencies = reference_evaluation(cfg, state)
             assert energy == pytest.approx(total_energy(cfg, state), rel=1e-12)
-            lat = latency_breakdown(cfg, state)
+            lat = latency_terms(cfg, state)
             for k in range(cfg.num_gts):
                 assert latencies[k] == pytest.approx(lat.total[k], rel=1e-12)

@@ -13,11 +13,9 @@ from saginpsc.physics import (
     ModelError,
     Placement,
     SolutionState,
-    channel_gain_ug,
+    _squared_distance,
     check_feasibility,
-    effective_fraction,
     energy_breakdown,
-    latency_breakdown,
     latency_terms,
     rate_sat_uav,
     rate_uav_gt,
@@ -58,8 +56,8 @@ class TestRates:
         pl = Placement(uav_xy=(0.0, 0.0), altitude=400.0,
                        half_beamwidth=math.pi / 4)
         # 300^2 + 400^2 = 2.5e5
-        assert channel_gain_ug(cfg, pl, 0) == pytest.approx(1.42e-4 / 2.5e5,
-                                                            rel=1e-14)
+        gain = cfg.ref_channel_gain / _squared_distance(cfg, pl)[0]
+        assert gain == pytest.approx(1.42e-4 / 2.5e5, rel=1e-14)
 
     def test_uav_gt_rate_reference_value(self):
         cfg = single_gt_cfg(offset=300.0)
@@ -110,10 +108,17 @@ class TestRates:
 
 
 class TestEffectiveFraction:
-    def test_cases(self):
-        assert effective_fraction(0, 0, 0.4) == 1.0
-        assert effective_fraction(1, 0, 0.4) == pytest.approx(0.4)
-        assert effective_fraction(0, 1, 0.4) == pytest.approx(0.4)
+    def test_cases(self, cfg):
+        # The UAV delivers the fraction rho of a GT's data where it was
+        # compressed upstream (GT 1 on the satellite, GT 2 on the UAV),
+        # else all of it (GT 0).
+        state = _state(cfg, task_sat=(0, 1, 0, 0), task_uav=(0, 0, 1, 0),
+                       cpu=(0.0, 0.0, cfg.uav_cpu_total, 0.0),
+                       ratio=(0.4,) * 4)
+        bits = latency_terms(cfg, state).bits
+        assert bits[0] / cfg.data_bits[0] == 1.0
+        assert bits[1] / cfg.data_bits[1] == pytest.approx(0.4)
+        assert bits[2] / cfg.data_bits[2] == pytest.approx(0.4)
 
 
 def _state(cfg, **overrides):
@@ -134,25 +139,25 @@ def _state(cfg, **overrides):
 class TestLatency:
     def test_propagation_delay_exact(self, cfg):
         state = _state(cfg)
-        lat = latency_breakdown(cfg, state)
-        assert lat.sat_uav_prop == 200000 / 299792458
+        lat = latency_terms(cfg, state)
+        assert lat.t_prop == 200000 / 299792458
 
     def test_unassigned_gt_needs_no_cpu(self, cfg):
         # a * X / Y with a == 0 is 0 even when f == 0.
-        lat = latency_breakdown(cfg, _state(cfg))
-        assert lat.uav_compute == (0.0,) * 4
+        lat = latency_terms(cfg, _state(cfg))
+        assert lat.t_uav.tolist() == [0.0] * 4
 
     def test_uav_assignment_with_zero_cpu_raises(self, cfg):
         state = _state(cfg, task_uav=(1, 0, 0, 0), ratio=(0.4,) * 4)
         with pytest.raises(ModelError):
-            latency_breakdown(cfg, state)
+            latency_terms(cfg, state)
 
     def test_totals_are_componentwise_sums(self, cfg):
         state = _state(cfg, task_sat=(1, 1, 0, 0), ratio=(0.3,) * 4)
-        lat = latency_breakdown(cfg, state)
+        lat = latency_terms(cfg, state)
         for k in range(4):
-            expected = (lat.sat_compute + lat.sat_uav_tx + lat.sat_uav_prop
-                        + lat.uav_compute[k] + lat.uav_gt_tx[k])
+            expected = (lat.t_sat + lat.t_tx + lat.t_prop
+                        + lat.t_uav[k] + lat.t_ug[k])
             assert lat.total[k] == expected
 
 
@@ -246,7 +251,7 @@ class TestEnergy:
         for cfg, state in feasible_instances(5, start_seed=100):
             e_ref, lat_ref = reference_evaluation(cfg, state)
             assert total_energy(cfg, state) == pytest.approx(e_ref, rel=1e-12)
-            lat = latency_breakdown(cfg, state).total
+            lat = latency_terms(cfg, state).total
             for a, b in zip(lat, lat_ref):
                 assert a == pytest.approx(b, rel=1e-12)
 

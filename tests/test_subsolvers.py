@@ -21,9 +21,8 @@ from saginpsc.oracle import (
 )
 from saginpsc.physics import (
     ModelError,
-    channel_gain_ug,
+    _squared_distance,
     energy_breakdown,
-    latency_breakdown,
     latency_terms,
     total_energy,
 )
@@ -63,29 +62,25 @@ def rel(a, b):
 
 class _TableAdapter:
     """A dual-loop adapter over given ``(K, options)`` tables, for
-    exercising the loop in isolation.  The primal is the tuple of chosen
-    options; ``residual_fn(primal)`` gives the K residuals and the
-    objective is the summed ``obj`` entries of the chosen options.  Counts
-    every call of the adapter contract."""
+    exercising the loop in isolation.  ``residual_fn(choice)`` gives the K
+    residuals of a choice of one option per GT, and the objective is the
+    summed ``obj`` entries of the chosen options.  Counts every call of
+    the adapter contract."""
 
     def __init__(self, obj, lat, residual_fn):
         self.obj = np.array(obj, dtype=float)
         self.lat = np.array(lat, dtype=float)
         self.num_multipliers = self.obj.shape[0]
         self._fn = residual_fn
-        self.calls = {"primal_of": 0, "residuals": 0, "objective": 0}
+        self.calls = {"residuals": 0, "objective": 0}
 
-    def primal_of(self, choice):
-        self.calls["primal_of"] += 1
-        return tuple(choice.tolist())
-
-    def residuals(self, primal):
+    def residuals(self, choice):
         self.calls["residuals"] += 1
-        return np.array(self._fn(primal), dtype=float)
+        return np.array(self._fn(choice), dtype=float)
 
-    def objective(self, primal):
+    def objective(self, choice):
         self.calls["objective"] += 1
-        return float(sum(self.obj[k, c] for k, c in enumerate(primal)))
+        return float(sum(self.obj[k, c] for k, c in enumerate(choice)))
 
 
 def _stub_adapter(residual_fn):
@@ -114,7 +109,7 @@ def reference_dual_subgradient(adapter, opts, history=None):
     t = 0
     for t in range(1, opts.dual_max_iters + 1):
         choice = (adapter.obj + mult[:, None] * adapter.lat).argmin(axis=1)
-        primal = adapter.primal_of(choice)
+        primal = tuple(choice.tolist())
         if history is not None:
             history.append((t, primal, mult))
         res = np.asarray(adapter.residuals(primal), dtype=float)
@@ -175,6 +170,16 @@ def reference_segment_minimize(cfg, adapter, mult):
                   for d in range(curve.num_segments)]
         chosen.append(min(range(len(scores)), key=lambda d: (scores[d], d)))
     return tuple(chosen)
+
+
+def _primal(adapter, choice):
+    """A dual block's choice of option indices as the block returns it:
+    ``(task_sat, task_uav)`` of a task choice (0 none, 1 satellite, 2
+    UAV), or the 0-based segments of a segment choice."""
+    choice = np.asarray(choice).tolist()
+    if isinstance(adapter, _TaskAdapter):
+        return tuple(tuple(int(c == site) for c in choice) for site in (1, 2))
+    return tuple(choice)
 
 
 def _task_table_adapter(sat, uav):
@@ -240,8 +245,7 @@ class TestDualSubgradient:
         adapter = _fixed_primal_adapter()
         primal, mult, steps, feasible = dual_subgradient(adapter, OPTS)
         assert steps == OPTS.dual_max_iters
-        assert adapter.calls == {"primal_of": 1, "residuals": 1,
-                                 "objective": 1}
+        assert adapter.calls == {"residuals": 1, "objective": 1}
         ref = reference_dual_subgradient(_fixed_primal_adapter(), OPTS)
         assert (primal, steps, feasible) == (ref[0], ref[2], ref[3])
         assert np.array_equal(mult, ref[1])
@@ -268,10 +272,10 @@ class TestTableMinimize:
         batch = _least_option(adapter.obj, adapter.lat, np.array(mults))
         for mult, row in zip(mults, batch):
             expected = reference(adapter, mult)
-            assert adapter.primal_of(
-                _least_option(adapter.obj, adapter.lat, mult)) == expected
+            assert _primal(adapter, _least_option(
+                adapter.obj, adapter.lat, mult)) == expected
             # a batch of multiplier vectors ranks each row alike
-            assert adapter.primal_of(row) == expected
+            assert _primal(adapter, row) == expected
 
     def test_task_matches_scalar_reference(self):
         rng = np.random.default_rng(5)
@@ -457,8 +461,8 @@ class TestTaskAllocation:
             assert _assignment_rule(a_s, a_u) == expected
             adapter = _task_table_adapter(
                 [(a_s, 0.0)], [None if a_u is None else (a_u, 0.0)])
-            task_sat, task_uav = adapter.primal_of(
-                _least_option(adapter.obj, adapter.lat, np.zeros(1)))
+            task_sat, task_uav = _primal(adapter, _least_option(
+                adapter.obj, adapter.lat, np.zeros(1)))
             assert (task_sat[0], task_uav[0]) == expected
 
     def test_output_is_binary_and_exclusive(self):
@@ -560,7 +564,7 @@ class TestCpuAllocation:
                 continue
             cpu = solve_cpu_allocation(cfg, state, latency_terms(cfg, state))
             cand = replace(state, allocation=replace(state.allocation, cpu=cpu))
-            lat = latency_breakdown(cfg, cand).total
+            lat = latency_terms(cfg, cand).total
             for k in range(cfg.num_gts):
                 if state.allocation.task_uav[k]:
                     assert rel(lat[k], cfg.latency_budget) < 1e-12
@@ -605,7 +609,7 @@ class TestPowerBandwidth:
             assert sum(pw) <= cfg.uav_power_budget * (1 + 1e-9)
             cand = replace(state, allocation=replace(
                 state.allocation, bandwidth=bw, power=pw))
-            lat = latency_breakdown(cfg, cand).total
+            lat = latency_terms(cfg, cand).total
             for t in lat:
                 assert rel(t, cfg.latency_budget) < 1e-9
 
@@ -792,10 +796,11 @@ class TestDualBlocksDeriveEachStateOnce:
             assert derived == [], block
 
 
-def _stands_for(cfg, adapter, state, primal):
-    """The state that a primal of a dual block's ``adapter`` stands for:
-    ``state`` with the primal's sites, or with each GT's ratio at the
+def _stands_for(cfg, adapter, state, choice):
+    """The state that a choice of a dual block's ``adapter`` stands for:
+    ``state`` with the choice's sites, or with each GT's ratio at the
     midpoint of its chosen segment."""
+    primal = _primal(adapter, choice)
     if isinstance(adapter, _TaskAdapter):
         al = replace(state.allocation, task_sat=primal[0],
                      task_uav=primal[1])
@@ -806,7 +811,7 @@ def _stands_for(cfg, adapter, state, primal):
 
 
 class TestModelScoresLikePhysics:
-    """The dual blocks score a primal from the per-GT model; its
+    """The dual blocks score a choice from the per-GT model; its
     latencies and energy must be those that ``latency_terms`` and
     ``energy_breakdown`` derive for the state it stands for."""
 
@@ -822,12 +827,12 @@ class TestModelScoresLikePhysics:
                 priced = np.isfinite(adapter.obj[:, column])
                 if not priced.any():
                     continue
-                primal = adapter.primal_of(np.where(priced, column, 0))
-                moved = _stands_for(cfg, adapter, state, primal)
+                choice = np.where(priced, column, 0)
+                moved = _stands_for(cfg, adapter, state, choice)
                 np.testing.assert_allclose(
-                    budget * (1.0 + adapter.residuals(primal)),
+                    budget * (1.0 + adapter.residuals(choice)),
                     latency_terms(cfg, moved).total, rtol=1e-12, atol=0.0)
-                assert rel(adapter.objective(primal),
+                assert rel(adapter.objective(choice),
                            energy_breakdown(cfg, moved).total) <= 1e-12
 
     @pytest.mark.parametrize("num_gts", [1, 3, 8])
@@ -1313,6 +1318,7 @@ def _downlink_terms(cfg, state, terms):
     ``w = slack / v``, as the power/bandwidth block builds them from the
     state's latency ``terms``."""
     slacks, bits = terms.hop_slack.tolist(), terms.bits.tolist()
+    d2 = _squared_distance(cfg, state.placement).tolist()
     u = []
     v = []
     w = []
@@ -1321,7 +1327,7 @@ def _downlink_terms(cfg, state, terms):
             raise InfeasibleBlockError(
                 "solve_power_bandwidth",
                 f"GT {k}: no latency left for the downlink (slack {slacks[k]:.3e} s)")
-        g_k = channel_gain_ug(cfg, state.placement, k)
+        g_k = cfg.ref_channel_gain / d2[k]  # LoS inverse-square gain
         theta = state.placement.half_beamwidth
         u.append(bits[k] / slacks[k])
         v.append(cfg.antenna_gain_const * g_k / (theta * theta * cfg.noise_psd))
@@ -1444,7 +1450,7 @@ def _check_against_reference(cfg, state):
     assert sum(pw) <= cfg.uav_power_budget * (1 + 1e-9)
     if sum(ref_pw) >= cfg.uav_power_budget * (1 - 1e-9):
         assert sum(pw) >= cfg.uav_power_budget * (1 - 1e-9)
-    for t in latency_breakdown(cfg, cand).total:
+    for t in latency_terms(cfg, cand).total:
         assert rel(t, cfg.latency_budget) < 1e-9
     return False
 
