@@ -90,6 +90,11 @@ class IterationTrace:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """The answer of one alternating loop.  ``converged`` holds only when
+    the loop met its stopping rule at a feasible state: an infeasible
+    answer never reports converged, and for such an answer ``iterations``
+    below ``max_outer_iters`` means that the loop stalled."""
+
     scheme: str
     state: SolutionState
     objective: float
@@ -203,7 +208,8 @@ def run_blocks(cfg: ScenarioConfig, state: SolutionState,
     Convergence needs both a relative objective change below
     ``outer_tolerance`` and either an exact fixed point or a second
     consecutive small change (which absorbs sub-tolerance oscillation
-    between equally good states).
+    between equally good states).  A loop that stops on this rule at an
+    infeasible state has stalled, and does not report converged.
     """
     options = options or AlgorithmOptions()
     unknown = set(blocks) - set(ALL_BLOCKS)
@@ -221,7 +227,7 @@ def run_blocks(cfg: ScenarioConfig, state: SolutionState,
         rel = abs(prev_obj - obj) / max(abs(prev_obj), 1e-30)
         small = rel < options.outer_tolerance
         if small and (state == prev_state or prev_small):
-            converged = True
+            converged = trace[-1].feasible
             break
         prev_small = small
     return SolveResult(
@@ -246,40 +252,30 @@ def _equal_cpu_for(cfg: ScenarioConfig, task_uav: tuple[int, ...]):
 def run_scheme(cfg: ScenarioConfig, scheme: SchemeId | str,
                options: AlgorithmOptions | None = None,
                seed: int = 0) -> SolveResult:
-    """Run one of the comparison schemes from the deterministic start.
+    """Run one of the comparison schemes: one alternating loop from the
+    deterministic start of :func:`initialize`.
 
-    ``sagin_psc`` warm-starts the full block sweep from the converged
-    no-compression solution.  ``non_semantic`` forwards everything raw
-    and only tunes the communication and placement blocks.
+    ``sagin_psc`` sweeps every block.  ``non_semantic`` forwards
+    everything raw and only tunes the communication and placement blocks.
     ``random_comp`` draws the compression site per GT uniformly from
     {none, satellite, UAV} with the given seed and never revisits it.
     ``fixed_location`` keeps the UAV pinned above the GT centroid.
     """
-    options = options or AlgorithmOptions()
     scheme = SchemeId(scheme)
-    start = initialize(cfg)
-
+    state = initialize(cfg)
+    blocks = ALL_BLOCKS
     if scheme is SchemeId.NON_SEMANTIC:
-        return run_blocks(cfg, start, options,
-                          blocks=("power_bandwidth", "placement", "location"),
-                          scheme=scheme.value)
-
-    if scheme is SchemeId.SAGIN_PSC:
-        warm = run_scheme(cfg, SchemeId.NON_SEMANTIC, options)
-        return run_blocks(cfg, warm.state, options, scheme=scheme.value)
-
-    if scheme is SchemeId.RANDOM_COMP:
+        blocks = ("power_bandwidth", "placement", "location")
+    elif scheme is SchemeId.RANDOM_COMP:
         rng = np.random.default_rng(seed)
         pairs = ((0, 0), (0, 1), (1, 0))
         picks = [pairs[int(i)] for i in rng.integers(0, 3, size=cfg.num_gts)]
         task_sat = tuple(p[0] for p in picks)
         task_uav = tuple(p[1] for p in picks)
-        al = replace(start.allocation, task_sat=task_sat, task_uav=task_uav,
+        al = replace(state.allocation, task_sat=task_sat, task_uav=task_uav,
                      cpu=_equal_cpu_for(cfg, task_uav))
-        state = replace(start, allocation=al)
+        state = replace(state, allocation=al)
         blocks = tuple(b for b in ALL_BLOCKS if b != "tasks")
-        return run_blocks(cfg, state, options, blocks=blocks,
-                          scheme=scheme.value)
-
-    blocks = tuple(b for b in ALL_BLOCKS if b != "location")
-    return run_blocks(cfg, start, options, blocks=blocks, scheme=scheme.value)
+    elif scheme is SchemeId.FIXED_LOCATION:
+        blocks = tuple(b for b in ALL_BLOCKS if b != "location")
+    return run_blocks(cfg, state, options, blocks=blocks, scheme=scheme.value)

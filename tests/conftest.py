@@ -85,6 +85,27 @@ def scale_document(num_gts: int) -> dict:
     return doc
 
 
+def probe_documents(num_gts: int, seed: int):
+    """The base and the compute-dear scenario documents of one probe draw.
+
+    ``default_rng(seed)`` draws, in this order: ``data_kib`` U(8, 64),
+    the disk radius U(100, 600) (GT positions from
+    ``default_document(num_gts, data_kib, radius, seed)``), a factor
+    U(0.5, 4) on ``sat_cpu``, a factor U(0.5, 4) on ``uav_cpu_total``;
+    that is the base document.  Then a factor U(0.5, 8) on the base
+    ``sat_cpu`` and ``comp_energy_coeff`` from {1e-28, 1e-27}, which
+    replace those two fields in a copy: the compute-dear document."""
+    rng = np.random.default_rng(seed)
+    base = default_document(num_gts=num_gts,
+                            data_kib=float(rng.uniform(8, 64)),
+                            radius=float(rng.uniform(100, 600)), seed=seed)
+    base["sat_cpu"] *= float(rng.uniform(0.5, 4))
+    base["uav_cpu_total"] *= float(rng.uniform(0.5, 4))
+    dear = dict(base, sat_cpu=base["sat_cpu"] * float(rng.uniform(0.5, 8)),
+                comp_energy_coeff=(1e-28, 1e-27)[int(rng.integers(2))])
+    return base, dear
+
+
 def record_latency_terms(monkeypatch, *modules):
     """Bind ``latency_terms`` in ``physics`` and each of ``modules`` to a
     wrapper that appends every state it derives to the returned list (a

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from saginpsc.algorithm import (
 )
 from saginpsc.oracle import GridSpec, refine_minimize
 from saginpsc.physics import check_feasibility, rate_sat_uav, total_energy
-from saginpsc.scenario import default_document, loads_scenario
+from saginpsc.scenario import default_document, load_scenario, loads_scenario
 
-from conftest import record_latency_terms
+from conftest import probe_documents, record_latency_terms
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _default_cfg(**doc_kwargs):
@@ -133,6 +136,29 @@ class TestOuterLoop:
         assert not res.feasible
         assert any(t.infeasible_blocks for t in res.trace)
 
+    @pytest.mark.parametrize("scenario", ["default", "heatmap_unequal"])
+    @pytest.mark.parametrize("scheme", [SchemeId.NON_SEMANTIC,
+                                        SchemeId.RANDOM_COMP])
+    def test_stalled_infeasible_run_is_not_converged(self, scenario, scheme):
+        # Both schemes stop after one sweep on the shipped scenarios,
+        # stuck at a state that misses the latency budget.
+        res = run_scheme(load_scenario(SCENARIOS / f"{scenario}.json"),
+                         scheme)
+        assert not res.feasible
+        assert res.iterations < AlgorithmOptions().max_outer_iters
+        assert not res.converged
+
+    def test_stalled_infeasible_full_solve_is_not_converged(self):
+        # 16 GTs on a satellite CPU and a UAV bandwidth too small for
+        # them: ``sagin_psc`` stops on its rule while infeasible.
+        doc = default_document(num_gts=16, data_kib=16.0)
+        doc.update(sat_cpu=4e9, uav_cpu_total=2e9, uav_bandwidth_total=40e6)
+        res = run_scheme(loads_scenario(doc), SchemeId.SAGIN_PSC)
+        assert res.objective == pytest.approx(1.1602550562782221, rel=1e-9)
+        assert not res.feasible
+        assert res.iterations < AlgorithmOptions().max_outer_iters
+        assert not res.converged
+
 
 class TestSchemes:
     def test_scheme_id_accepts_strings(self):
@@ -175,6 +201,25 @@ class TestSchemes:
         cfg = _default_cfg(num_gts=3, data_kib=16.0)
         res = run_scheme(cfg, SchemeId.FIXED_LOCATION)
         assert res.state.placement.uav_xy == initialize(cfg).placement.uav_xy
+
+
+class TestGtOrderSymmetry:
+    """Relabelling the GTs poses the same problem, so it moves no
+    answer's energy beyond rounding and flips no feasibility.  A miss here
+    is a certain bug, so the bound stays at 1e-12."""
+
+    @pytest.mark.parametrize("document", [0, 1], ids=["base", "compute_dear"])
+    @pytest.mark.parametrize("num_gts", [4, 8])
+    def test_permuted_gts_keep_the_answer(self, num_gts, document):
+        for seed in range(50):
+            doc = probe_documents(num_gts, seed)[document]
+            order = np.random.default_rng(seed).permutation(num_gts)
+            moved = dict(doc, **{key: [doc[key][i] for i in order]
+                                 for key in ("gt_positions", "data_bytes")})
+            a = run_scheme(loads_scenario(doc), SchemeId.SAGIN_PSC)
+            b = run_scheme(loads_scenario(moved), SchemeId.SAGIN_PSC)
+            assert b.feasible == a.feasible, seed
+            assert abs(b.objective - a.objective) <= 1e-12 * a.objective, seed
 
 
 class TestAgainstJointBruteForce:

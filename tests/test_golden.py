@@ -24,7 +24,18 @@ and both digest files changed: one ``default`` heatmap cell's 12-digit
 print moved (the cells' largest relative change is 1.3e-14, no flag
 changed), and the K = 16/64/256 solves kept their objectives, flags and
 iteration counts.  The ``sat_cpu`` sweep and the probe digest were added
-after that.  The ``data_bits`` sweep must write the same bytes on one
+after that.  They were regenerated once more when ``sagin_psc`` stopped
+warm-starting from a converged ``non_semantic`` solve and began from
+``initialize``, and a run that stops on its rule at an infeasible state
+stopped reporting ``converged``: the ``non_semantic`` and ``random_comp``
+``solve`` JSONs of both shipped scenarios changed only ``converged``
+(true to false; largest relative change 0 over 47 floats), the K =
+16/64/256 digests moved because ``trace[0]`` is now the energy of the
+``initialize`` state (every later trace entry, the answer and the
+iteration count kept), and the probe digest moved (744 of its 1,600
+lines changed only ``converged``, 15 ``sagin_psc`` lines only their
+iteration count, and no line its objective, flag or state); every other
+file kept its bytes.  The ``data_bits`` sweep must write the same bytes on one
 thread and on two.  A change that keeps every result must keep these
 bytes.  They pin the floating-point rounding of the numpy build and CPU
 that wrote them, so they may be regenerated (``python
@@ -39,15 +50,14 @@ import math
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from saginpsc.algorithm import SchemeId, run_scheme
 from saginpsc.cli import main
-from saginpsc.scenario import default_document, loads_scenario
+from saginpsc.scenario import loads_scenario
 
-from conftest import scale_document
+from conftest import probe_documents, scale_document
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -96,36 +106,15 @@ def _scale_digest(num_gts, tmp: Path) -> dict:
             "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
 
 
-def _probe_documents(num_gts: int, seed: int):
-    """The base and the compute-dear scenario documents of one probe draw.
-
-    ``default_rng(seed)`` draws, in this order: ``data_kib`` U(8, 64),
-    the disk radius U(100, 600) (GT positions from
-    ``default_document(num_gts, data_kib, radius, seed)``), a factor
-    U(0.5, 4) on ``sat_cpu``, a factor U(0.5, 4) on ``uav_cpu_total``;
-    that is the base document.  Then a factor U(0.5, 8) on the base
-    ``sat_cpu`` and ``comp_energy_coeff`` from {1e-28, 1e-27}, which
-    replace those two fields in a copy: the compute-dear document."""
-    rng = np.random.default_rng(seed)
-    base = default_document(num_gts=num_gts,
-                            data_kib=float(rng.uniform(8, 64)),
-                            radius=float(rng.uniform(100, 600)), seed=seed)
-    base["sat_cpu"] *= float(rng.uniform(0.5, 4))
-    base["uav_cpu_total"] *= float(rng.uniform(0.5, 4))
-    dear = dict(base, sat_cpu=base["sat_cpu"] * float(rng.uniform(0.5, 8)),
-                comp_energy_coeff=(1e-28, 1e-27)[int(rng.integers(2))])
-    return base, dear
-
-
 def _probe_digest() -> dict:
     """Count and SHA-256 digest of ``repr((objective, feasible, converged,
     iterations, state))`` of ``run_scheme(cfg, scheme, seed=seed)``, one
     line each, over K in (4, 8), seeds 0-99, both documents of
-    :func:`_probe_documents` and the four schemes, in that nesting."""
+    :func:`conftest.probe_documents` and the four schemes, in that nesting."""
     digest, count = hashlib.sha256(), 0
     for num_gts in (4, 8):
         for seed in range(100):
-            for document in _probe_documents(num_gts, seed):
+            for document in probe_documents(num_gts, seed):
                 cfg = loads_scenario(document)
                 for scheme in SchemeId:
                     r = run_scheme(cfg, scheme, seed=seed)

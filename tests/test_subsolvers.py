@@ -760,7 +760,9 @@ def _outcome(solver, cfg, state, opts=OPTS):
 
 def _block_calls(cfg, block, scheme="sagin_psc"):
     """The ``(cfg, state)`` of every call of the block solver named
-    ``block`` in one solve of ``scheme``."""
+    ``block`` in one solve of ``scheme``; for ``sagin_psc``, those of a
+    ``non_semantic`` solve first, whose no-compression states the
+    communication and placement blocks also meet."""
     calls = []
     solver = getattr(subsolvers, block)
 
@@ -768,9 +770,12 @@ def _block_calls(cfg, block, scheme="sagin_psc"):
         calls.append((cfg, state))
         return solver(cfg, state, *args)
 
+    schemes = (("non_semantic", scheme) if scheme == "sagin_psc"
+               else (scheme,))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(algorithm, block, record)
-        run_scheme(cfg, scheme)
+        for name in schemes:
+            run_scheme(cfg, name)
     return calls
 
 
