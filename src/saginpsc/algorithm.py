@@ -4,11 +4,13 @@ comparison schemes built on top of it.
 The outer loop visits the blocks in a fixed order (compression-site
 assignment, segment selection with exact ratios, CPU shares, bandwidth
 and power, altitude and beamwidth, horizontal location).  A block's
-candidate is accepted only when it does not increase the total energy,
-or when it repairs a latency-infeasible state; blocks that cannot
-produce any feasible point keep their previous values and are reported
-per iteration.  This keeps the objective trace non-increasing even
-while the loop is still climbing out of an infeasible starting point.
+candidate is accepted only when it raises the total energy by at most
+``_REL_TOL`` relative, or repairs a latency-infeasible state; blocks
+without a feasible point keep their values and are reported per
+iteration.  So the energy is non-increasing, up to ``_REL_TOL``, while
+the state meets every budget.  A cheaper candidate is accepted even
+when late, and a repair may raise the energy, so the trace need not be
+monotone.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .physics import (
+    _REL_TOL,
     Allocation,
     ModelError,
     Placement,
@@ -53,9 +56,6 @@ __all__ = [
     "run_blocks",
     "run_scheme",
 ]
-
-_ACCEPT_SLACK = 1e-9
-
 
 class SchemeId(str, enum.Enum):
     """Solver variants compared against each other."""
@@ -194,7 +194,7 @@ def _sweep(cfg: ScenarioConfig, scored, blocks: tuple[str, ...],
         except ModelError:
             continue
         cand_obj, cand_met = cand[2:]
-        if cand_obj <= obj * (1.0 + _ACCEPT_SLACK) or (cand_met and not met):
+        if cand_obj <= obj * (1.0 + _REL_TOL) or (cand_met and not met):
             scored = cand
     return scored, tuple(stuck)
 

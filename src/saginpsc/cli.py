@@ -24,6 +24,7 @@ import numpy as np
 
 from .algorithm import AlgorithmOptions, SchemeId, run_scheme
 from .physics import (
+    ModelError,
     check_feasibility,
     downlink_energy_grid,
     energy_breakdown,
@@ -159,6 +160,8 @@ def solve(scenario, scheme, seed, out, opts) -> None:
 
 
 def _sweep_row(cfg, name, value, scheme, options, seed):
+    """One CSV row; a row whose input the model rejects is NaN and
+    infeasible, and any other error propagates."""
     row_cfg = _apply_parameter(cfg, name, value)
     try:
         result = run_scheme(row_cfg, scheme, options, seed=seed)
@@ -166,7 +169,7 @@ def _sweep_row(cfg, name, value, scheme, options, seed):
         return (scheme, name, value, eb.sat_compute, eb.sat_uav_comm,
                 eb.uav_compute, eb.uav_gt_comm, eb.total,
                 result.iterations, result.feasible)
-    except (ScenarioError, ValueError):
+    except (ScenarioError, ModelError):
         return (scheme, name, value, math.nan, math.nan, math.nan,
                 math.nan, math.nan, 0, False)
 

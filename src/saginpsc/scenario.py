@@ -218,8 +218,9 @@ class _GtTables:
     ``xy``, ``data_bits`` and, one curve per row, segment bounds ``lower``
     and ``upper`` and midpoints ``mid``; ``line`` holds slopes and
     intercepts, flat.  Rows run one past the most segments
-    (``lower`` -inf, the line repeated, NaN elsewhere); ``first`` and
-    ``last`` are each curve's first and last flat segment index."""
+    (``lower`` -inf, the line repeated, NaN elsewhere); ``first`` is each
+    curve's first flat segment index, and ``ratio_min`` the lower bound of
+    its last segment."""
 
     def __init__(self, cfg: ScenarioConfig):
         curves = cfg.overhead_curves
@@ -238,8 +239,8 @@ class _GtTables:
         self.upper = table([(1.0,) + c.boundaries[:-1] for c in curves], math.nan)
         self.mid = 0.5 * (self.lower + self.upper)
         self.first = width * np.arange(cfg.num_gts)
-        self.last = self.first + [c.num_segments - 1 for c in curves]
-        self.ratio_min = self.lower.take(self.last)
+        self.ratio_min = self.lower.take(
+            self.first + [c.num_segments - 1 for c in curves])
 
 
 def _linear_to_db(x: float) -> float:

@@ -19,9 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .physics import (
+    _REL_TOL,
     LatencyTerms,
     SolutionState,
     _overhead,
+    _satisfied,
     _squared_distance,
     rate_uav_gt_at,
 )
@@ -60,7 +62,7 @@ class SolverOptions:
     grid_step_theta: float = 1e-3
     location_grid_points: int = 201
     refinement_levels: int = 1
-    kkt_tolerance: float = 1e-9
+    kkt_tolerance: float = _REL_TOL
 
     def __post_init__(self):
         _require_positive(
@@ -90,8 +92,8 @@ def _require_positive(options, integers=(), reals=()) -> None:
 
 # The power/bandwidth block leaves each GT's downlink latency exactly
 # tight, so the later blocks admit a latency (or the matching disk radius)
-# up to this factor past its limit, to absorb roundoff.
-_TIGHT_BOUNDARY = 1.0 + 1e-9
+# up to the model's relative tolerance past its limit, to absorb roundoff.
+_TIGHT_BOUNDARY = 1.0 + _REL_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +144,12 @@ def dual_subgradient(adapter, opts: SolverOptions):
     first window spans ``_FIRST_WINDOW`` steps, and each next one doubles
     up to ``_MAX_WINDOW``.
 
-    Returns ``(best_choice, multipliers, steps, feasible_found)`` where
-    ``best_choice``, a tuple of option indices, is the feasible iterate of
-    least objective, or the final iterate when none was feasible.
+    A choice is feasible when every residual is at most ``_REL_TOL``, the
+    model's own latency test; ``dual_tolerance`` is only the stopping
+    rule's.  Returns ``(best_choice, multipliers, steps, feasible_found)``
+    where ``best_choice``, a tuple of option indices, is the feasible
+    iterate of least objective, or the final iterate when none was
+    feasible.
     """
     last = opts.dual_max_iters
     tol = opts.dual_tolerance
@@ -178,7 +183,7 @@ def dual_subgradient(adapter, opts: SolverOptions):
             may_stop = not math.sqrt(worst * worst) >= tol
             scored[key] = res, res_pos, may_stop
             obj = (adapter.objective(choice)
-                   if np.all(res <= tol) else math.inf)
+                   if np.all(res <= _REL_TOL) else math.inf)
             if obj < best_obj:
                 best_obj = obj
                 best_choice = choice
@@ -288,19 +293,6 @@ class _OptionAdapter:
     def objective(self, choice):
         return float(np.add.reduce(self._gt_energy[self._rows, choice]))
 
-    def solve(self, incumbent, opts: SolverOptions):
-        """``(choice, feasible)`` of :func:`dual_subgradient`, or the
-        ``incumbent`` choice (an array) as a tuple with ``True`` when it is
-        feasible and either the loop found nothing feasible or the
-        incumbent is strictly better: a block must never worsen the state
-        it was given."""
-        choice, _, _, feasible = dual_subgradient(self, opts)
-        if float(np.max(self.residuals(incumbent))) <= opts.dual_tolerance:
-            if (not feasible
-                    or self.objective(incumbent) < self.objective(choice)):
-                return tuple(incumbent.tolist()), True
-        return choice, feasible
-
 
 # ---------------------------------------------------------------------------
 # Block 1: compression-site assignment (satellite / UAV / none)
@@ -333,11 +325,19 @@ def solve_task_allocation(cfg: ScenarioConfig, state: SolutionState,
 
     Returns ``(task_sat, task_uav, feasible)``.  GTs without a
     positive UAV CPU share can only be assigned to the satellite or left
-    uncompressed.
+    uncompressed.  The incumbent sites are kept when they are feasible and
+    either the loop found nothing feasible or they cost strictly less (the
+    options price the state's own energy), so the block never worsens the
+    state it was given.
     """
     al = state.allocation
-    choice, feasible = _TaskAdapter(cfg, state, terms).solve(
-        np.dot((1, 2), (al.task_sat, al.task_uav)), opts)
+    adapter = _TaskAdapter(cfg, state, terms)
+    choice, _, _, feasible = dual_subgradient(adapter, opts)
+    incumbent = np.dot((1, 2), (al.task_sat, al.task_uav))
+    if float(np.max(adapter.residuals(incumbent))) <= _REL_TOL and (
+            not feasible
+            or adapter.objective(incumbent) < adapter.objective(choice)):
+        choice, feasible = incumbent, True
     task_sat, task_uav = (np.array(choice) == ((1,), (2,))).astype(int).tolist()
     return tuple(task_sat), tuple(task_uav), feasible
 
@@ -371,11 +371,11 @@ def select_segments(cfg: ScenarioConfig, state: SolutionState,
     under the dual multipliers.  Returns ``(chosen, feasible)``: one
     0-based segment index per GT, the tuple :func:`solve_ratio_lp` and
     ``oracle.oracle_ratio`` take; ties resolve to the shallowest
-    segment."""
-    segment = np.minimum(_overhead(cfg, state.allocation.ratio, True)[1],
-                         cfg._tables.last)
-    return _SegmentAdapter(cfg, state, terms).solve(
-        segment - cfg._tables.first, opts)
+    segment.  The incumbent segments are not weighed against the choice:
+    midpoint energies are not the state's."""
+    choice, _, _, feasible = dual_subgradient(
+        _SegmentAdapter(cfg, state, terms), opts)
+    return choice, feasible
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +389,11 @@ def solve_ratio_lp(cfg: ScenarioConfig, state: SolutionState,
 
     Returns ``(ratios, fully_feasible)``.  Latency rows whose coefficients
     are all zero (no decision variable can influence them) are dropped and
-    reported through ``fully_feasible=False`` when violated; this lets the
-    outer loop keep improving a state whose infeasibility is owned by
-    other blocks.  A genuinely contradictory LP raises
-    :class:`InfeasibleBlockError` naming the most violated constraint at
-    the center of the ratio box.
+    reported through ``fully_feasible=False`` when late by the model's
+    test; this lets the outer loop keep improving a state whose
+    infeasibility is owned by other blocks.  A genuinely contradictory LP
+    raises :class:`InfeasibleBlockError` naming the most violated
+    constraint at the center of the ratio box.
     """
     from .simplex import solve_bounded_lp
 
@@ -414,11 +414,7 @@ def solve_ratio_lp(cfg: ScenarioConfig, state: SolutionState,
     limit = cfg.latency_budget - (float(np.add.reduce(shared[:, 1]))
                                   + terms.t_prop + uav[:, 1] + hop[:, 1])
     bound = np.maximum.reduce(np.abs(matrix), axis=1) != 0.0
-    rows, rhs, external_violation = matrix, limit, False
-    if np.count_nonzero(bound) < n:
-        external_violation = bool(np.count_nonzero(limit[~bound] < 0.0))
-        rows, rhs = matrix[bound], limit[bound]
-
+    rows, rhs = matrix[bound], limit[bound]
     result = solve_bounded_lp(energy[:, 0], rows, rhs, lo, hi)
     if result.status != "optimal":
         worst = np.max(rows @ (0.5 * (lo + hi)) - rhs)
@@ -429,7 +425,8 @@ def solve_ratio_lp(cfg: ScenarioConfig, state: SolutionState,
     # Simplex arithmetic can overshoot a bound by an ulp; keep the ratios
     # inside their segments so downstream segment lookups never reject them.
     ratios = np.clip(result.x, lo, hi)
-    return tuple(float(x) for x in ratios), not external_violation
+    return (tuple(float(x) for x in ratios),
+            bool(np.all(_satisfied(limit[~bound], cfg.latency_budget))))
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +474,6 @@ _MU_STEP_TOL = 1e-14  # the multiplier search stops at a smaller log-step
 _MU_STEPS = 200  # bound on the multiplier search's evaluations
 _LOG_MU_EXPAND = math.log(1e3)
 _LOG_MU_CAP = 700.0  # math.exp overflows just above 709
-# A minimum-power split this far (relative) over the power budget proves
-# the budget unreachable; it is far past the split's roundoff.
-_UNREACHABLE_MARGIN = 1e-9
 
 
 def _q(u: float, b: float) -> float:
@@ -628,7 +622,7 @@ def solve_power_bandwidth(cfg: ScenarioConfig, state: SolutionState,
         # nu -> inf limit) as nu grows, so a split over the budget by more
         # than roundoff decides the walk below before it starts.
         min_power = _split(u, v, [1.0 / v[k] for k in range(n)], b_total)[1]
-        if min_power > cfg.uav_power_budget * (1.0 + _UNREACHABLE_MARGIN):
+        if min_power > cfg.uav_power_budget * (1.0 + _REL_TOL):
             raise unreachable()
         nu_lo, nu_hi = 0.0, max(w) * max(v)
         while allocation_for(nu_hi)[1] > cfg.uav_power_budget:

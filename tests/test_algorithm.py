@@ -203,6 +203,20 @@ class TestSchemes:
         assert res.state.placement.uav_xy == initialize(cfg).placement.uav_xy
 
 
+class TestSegmentBlockKeepsItsDual:
+    """The segment block used to keep its incumbent segments whenever
+    their midpoint energy beat the dual loop's choice; midpoint energies
+    are not the state's, and that guard held this probe draw at
+    0.3655871286144981 J."""
+
+    @pytest.mark.parametrize("scheme", [SchemeId.SAGIN_PSC,
+                                        SchemeId.FIXED_LOCATION])
+    def test_probe_draw_reaches_the_lower_energy(self, scheme):
+        res = run_scheme(loads_scenario(probe_documents(8, 25)[1]), scheme)
+        assert res.feasible
+        assert res.objective <= 0.34418628882574076 * (1 + 1e-12)
+
+
 class TestGtOrderSymmetry:
     """Relabelling the GTs poses the same problem, so it moves no
     answer's energy beyond rounding and flips no feasibility.  A miss here

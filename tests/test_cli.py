@@ -288,6 +288,21 @@ class TestSweep:
                                    "--schemes", "sagin_psc,quantum"])
         assert res.exit_code == 1
 
+    def test_program_errors_are_not_rows(self, runner, scenario_path,
+                                         tmp_path, monkeypatch):
+        # Any ValueError used to become a NaN row, and the sweep exited 0.
+        def broken(*args, **kwargs):
+            raise ValueError("not a model error")
+
+        monkeypatch.setattr(cli, "run_scheme", broken)
+        out = tmp_path / "sweep.csv"
+        res = runner.invoke(main, ["sweep", "--scenario", str(scenario_path),
+                                   "--param", "data_bits",
+                                   "--values", "65536", "--out", str(out)])
+        assert res.exit_code != 0
+        assert isinstance(res.exception, ValueError)
+        assert not out.exists()
+
     def test_negative_value_exits_one(self, runner, scenario_path):
         res = runner.invoke(main, ["sweep", "--scenario", str(scenario_path),
                                    "--param", "data_bits",

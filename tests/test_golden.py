@@ -35,7 +35,12 @@ stopped reporting ``converged``: the ``non_semantic`` and ``random_comp``
 iteration count kept), and the probe digest moved (744 of its 1,600
 lines changed only ``converged``, 15 ``sagin_psc`` lines only their
 iteration count, and no line its objective, flag or state); every other
-file kept its bytes.  The ``data_bits`` sweep must write the same bytes on one
+file kept its bytes.  The probe digest alone was regenerated again when
+the segment block stopped overruling its dual loop with the incumbent
+segments' midpoint energies: 2 of its 1,600 lines moved, ``sagin_psc``
+and ``fixed_location`` on the compute-dear draw at K = 8, seed 25, both
+feasible before and after, from 0.3655871286144981 to
+0.34418628882574076 J.  The ``data_bits`` sweep must write the same bytes on one
 thread and on two.  A change that keeps every result must keep these
 bytes.  They pin the floating-point rounding of the numpy build and CPU
 that wrote them, so they may be regenerated (``python

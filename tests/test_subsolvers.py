@@ -20,6 +20,7 @@ from saginpsc.oracle import (
     oracle_ratio,
 )
 from saginpsc.physics import (
+    _REL_TOL,
     ModelError,
     _squared_distance,
     energy_breakdown,
@@ -90,18 +91,25 @@ def _stub_adapter(residual_fn):
                          lambda p: [residual_fn(p[0])])
 
 
+# A stopping tolerance far below the residuals of the fixed primal below.
+FIXED_PRIMAL_OPTS = SolverOptions(dual_tolerance=1e-12)
+
+
 def _fixed_primal_adapter():
-    """Always the same feasible primal (one option per GT) whose residuals
-    keep the projected subgradient above the tolerance, so the loop runs
-    its full budget."""
+    """Always the same feasible primal (one option per GT), with residuals
+    within the model's latency tolerance; under ``FIXED_PRIMAL_OPTS`` they
+    keep the projected subgradient above the stopping tolerance, so the
+    loop runs its full budget."""
     return _TableAdapter(np.ones((16, 1)), np.ones((16, 1)),
-                         lambda p: np.full(16, 0.5 * OPTS.dual_tolerance))
+                         lambda p: np.full(16, 0.5 * _REL_TOL))
 
 
 def reference_dual_subgradient(adapter, opts, history=None):
     """The dual loop one step at a time, with every iterate scored afresh
-    (the sequential reference for ``dual_subgradient``).  Each step's
-    ``(t, primal, multipliers)`` is appended to ``history`` when given."""
+    (the sequential reference for ``dual_subgradient``).  A primal is
+    feasible when every residual is at most the model's ``_REL_TOL``.
+    Each step's ``(t, primal, multipliers)`` is appended to ``history``
+    when given."""
     mult = np.zeros(adapter.num_multipliers)
     best_primal = None
     best_obj = math.inf
@@ -113,7 +121,7 @@ def reference_dual_subgradient(adapter, opts, history=None):
         if history is not None:
             history.append((t, primal, mult))
         res = np.asarray(adapter.residuals(primal), dtype=float)
-        if np.all(res <= opts.dual_tolerance):
+        if np.all(res <= _REL_TOL):
             obj = adapter.objective(primal)
             if obj < best_obj:
                 best_obj = obj
@@ -243,12 +251,25 @@ class TestDualSubgradient:
 
     def test_repeated_primal_is_scored_once(self):
         adapter = _fixed_primal_adapter()
-        primal, mult, steps, feasible = dual_subgradient(adapter, OPTS)
-        assert steps == OPTS.dual_max_iters
+        primal, mult, steps, feasible = dual_subgradient(
+            adapter, FIXED_PRIMAL_OPTS)
+        assert steps == FIXED_PRIMAL_OPTS.dual_max_iters
         assert adapter.calls == {"residuals": 1, "objective": 1}
-        ref = reference_dual_subgradient(_fixed_primal_adapter(), OPTS)
+        ref = reference_dual_subgradient(_fixed_primal_adapter(),
+                                         FIXED_PRIMAL_OPTS)
         assert (primal, steps, feasible) == (ref[0], ref[2], ref[3])
         assert np.array_equal(mult, ref[1])
+
+    @pytest.mark.parametrize("residual, feasible", [
+        (5e-7, False), (0.5 * _REL_TOL, True)])
+    def test_feasible_means_within_the_model_tolerance(self, residual,
+                                                       feasible):
+        # A residual inside the stopping tolerance but past the model's
+        # latency tolerance is late, as check_feasibility would report it.
+        adapter = _TableAdapter([[0.0]], [[1.0]], lambda p: [residual])
+        assert residual <= OPTS.dual_tolerance
+        assert dual_subgradient(adapter, OPTS)[3] is feasible
+        assert reference_dual_subgradient(adapter, OPTS)[3] is feasible
 
     def test_matches_sequential_reference_on_block_adapters(self):
         adapters = [_TableAdapter([[0.0]], [[1.0]], lambda p: [1.0]),
@@ -781,9 +802,9 @@ def _block_calls(cfg, block, scheme="sagin_psc"):
 
 class TestDualBlocksDeriveEachStateOnce:
     """A dual block derives no latency terms: it scores every distinct
-    primal of the dual loop, and the incumbent that the block's answer is
-    compared with, from the per-GT model over the terms of its own state,
-    which its caller hands it."""
+    primal of the dual loop, and the task block the incumbent that its
+    answer is compared with, from the per-GT model over the terms of its
+    own state, which its caller hands it."""
 
     def test_no_state_is_derived_twice(self, monkeypatch):
         blocks = ("solve_task_allocation", "select_segments")
