@@ -3,13 +3,14 @@ comparison schemes built on top of it.
 
 The outer loop visits the blocks in a fixed order (compression-site
 assignment, segment selection with exact ratios, CPU shares, bandwidth
-and power, altitude and beamwidth, horizontal location).  A block's
-candidate is accepted only when it raises the total energy by at most
-``_REL_TOL`` relative, or repairs a latency-infeasible state; blocks
-without a feasible point keep their values and are reported per
-iteration.  So the energy is non-increasing, up to ``_REL_TOL``, while
-the state meets every budget.  A cheaper candidate is accepted even
-when late, and a repair may raise the energy, so the trace need not be
+and power, altitude and beamwidth, horizontal location).  While the
+state misses a latency budget, every block's candidate is accepted;
+while it meets every budget, a candidate is accepted only when it raises
+the total energy by at most ``_REL_TOL`` relative.  Blocks without a
+feasible point keep their values and are reported per iteration.  So
+the energy is non-increasing, up to ``_REL_TOL``, while the state meets
+every budget.  A cheaper candidate is accepted even when late, and a
+move from a late state may raise the energy, so the trace need not be
 monotone.
 """
 
@@ -173,8 +174,9 @@ def _sweep(cfg: ScenarioConfig, scored, blocks: tuple[str, ...],
     """One pass over the enabled blocks from the :func:`_score` tuple
     ``scored``; returns the updated tuple and the names of blocks without
     a feasible move.  A candidate equal to the state is kept without
-    scoring it again; any other is accepted iff it does not worsen the
-    energy, or it turns a latency-infeasible state feasible."""
+    scoring it again; any other is accepted iff the state misses a
+    latency budget or the candidate raises the energy by at most
+    ``_REL_TOL`` relative."""
     stuck: list[str] = []
     for name, (record, fields, solve) in _BLOCKS.items():
         if name not in blocks:
@@ -193,8 +195,7 @@ def _sweep(cfg: ScenarioConfig, scored, blocks: tuple[str, ...],
             cand = _score(cfg, candidate)
         except ModelError:
             continue
-        cand_obj, cand_met = cand[2:]
-        if cand_obj <= obj * (1.0 + _REL_TOL) or (cand_met and not met):
+        if not met or cand[2] <= obj * (1.0 + _REL_TOL):
             scored = cand
     return scored, tuple(stuck)
 

@@ -332,6 +332,37 @@ def _report(cfg: ScenarioConfig, state: SolutionState,
     return FeasibilityReport(violations=tuple(out))
 
 
+def _hop_at(cfg: ScenarioConfig, state: SolutionState, terms: LatencyTerms,
+            px, py):
+    """UAV-to-GT energy, and whether every GT is covered and within its
+    latency budget, with the UAV moved to ``(px, py)`` (arrays that
+    broadcast) and everything else held at ``state``, whose latency terms
+    are ``terms``.
+
+    Returns ``(energy, met)`` in the broadcast shape: ``energy`` sums
+    ``(bits / r) * p`` over the GTs as :func:`_energy` does, and ``met`` is
+    :func:`_report`'s coverage test and :func:`_late`'s latency test, with
+    each latency added in :func:`latency_terms`' order.  ``terms`` exists,
+    so every GT has power and bandwidth; raises :class:`ModelError` where
+    a moved GT's rate still vanishes."""
+    pl, cover = state.placement, state.placement.coverage_radius
+    bandwidth, power = np.array((state.allocation.bandwidth,
+                                 state.allocation.power), dtype=float)
+    dx = np.asarray(px, dtype=float)[..., None] - cfg._tables.xy[0]
+    dy = np.asarray(py, dtype=float)[..., None] - cfg._tables.xy[1]
+    r = rate_uav_gt_at(cfg, dx * dx + dy * dy + pl.altitude * pl.altitude,
+                       pl.half_beamwidth, bandwidth, power)
+    if np.count_nonzero(r <= 0.0):
+        k = int((r <= 0.0).any(axis=tuple(range(r.ndim - 1))).argmax())
+        raise ModelError(f"GT {k}: zero UAV-GT rate with positive data")
+    t_ug = terms.bits / r
+    total = terms.t_sat + terms.t_tx + terms.t_prop + terms.t_uav + t_ug
+    met = np.all(_satisfied(cover - np.hypot(dx, dy), cover)
+                 & _satisfied(cfg.latency_budget - total, cfg.latency_budget),
+                 axis=-1)
+    return np.add.reduce(t_ug * power, axis=-1), met
+
+
 def downlink_energy_grid(cfg: ScenarioConfig, state: SolutionState,
                          xs: np.ndarray, ys: np.ndarray):
     """UAV-to-GT energy and feasibility with the UAV moved to every
@@ -340,35 +371,19 @@ def downlink_energy_grid(cfg: ScenarioConfig, state: SolutionState,
     Returns ``(energy, feasible)``, two ``(len(xs), len(ys))`` arrays whose
     cells equal ``energy_breakdown(...).uav_gt_comm`` and
     ``check_feasibility(...).feasible`` of the moved state.  Only coverage
-    and the hop are evaluated per cell, in ``(rows, len(ys), K)`` blocks of
-    about 16k entries.  Raises :class:`ModelError` where
-    ``energy_breakdown`` would.
+    and the hop are evaluated per cell (:func:`_hop_at`), in ``(rows,
+    len(ys), K)`` blocks of about 16k entries.  Raises :class:`ModelError`
+    where ``energy_breakdown`` would.
     """
     terms = latency_terms(cfg, state)
     static_ok = all(v.code in ("coverage", "latency")
                     for v in _report(cfg, state, terms).violations)
-    pl, cover = state.placement, state.placement.coverage_radius
-    bandwidth, power = np.array((state.allocation.bandwidth,
-                                 state.allocation.power), dtype=float)
-    shared = terms.t_sat + terms.t_tx + terms.t_prop
-    px = np.asarray(xs, dtype=float)
-    dy = np.asarray(ys, dtype=float)[:, None] - cfg._tables.xy[1]
-    energy = np.empty((px.size, dy.shape[0]))
+    px, py = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    energy = np.empty((px.size, py.size))
     feasible = np.empty(energy.shape, dtype=bool)
-    rows = max(1, (1 << 14) // dy.size)
+    rows = max(1, (1 << 14) // (py.size * cfg.num_gts))
     for i in range(0, px.size, rows):
-        dx = px[i:i + rows, None, None] - cfg._tables.xy[0]
-        # latency_terms above raised unless power and bandwidth are
-        # positive, so only a vanishing per-cell rate is left to reject.
-        r = rate_uav_gt_at(cfg, dx * dx + dy * dy + pl.altitude * pl.altitude,
-                           pl.half_beamwidth, bandwidth, power)
-        if np.count_nonzero(r <= 0.0):
-            k = int((r <= 0.0).any(axis=(0, 1)).argmax())
-            raise ModelError(f"GT {k}: zero UAV-GT rate with positive data")
-        t_ug = terms.bits / r
-        energy[i:i + rows] = (t_ug * power).sum(axis=-1)
-        feasible[i:i + rows] = static_ok & np.all(
-            _satisfied(cover - np.hypot(dx, dy), cover)
-            & _satisfied(cfg.latency_budget - (shared + terms.t_uav + t_ug),
-                         cfg.latency_budget), axis=-1)
+        energy[i:i + rows], met = _hop_at(cfg, state, terms,
+                                          px[i:i + rows, None], py)
+        feasible[i:i + rows] = static_ok & met
     return energy, feasible

@@ -22,6 +22,7 @@ from .physics import (
     _REL_TOL,
     LatencyTerms,
     SolutionState,
+    _hop_at,
     _overhead,
     _satisfied,
     _squared_distance,
@@ -62,15 +63,13 @@ class SolverOptions:
     grid_step_theta: float = 1e-3
     location_grid_points: int = 201
     refinement_levels: int = 1
-    kkt_tolerance: float = _REL_TOL
 
     def __post_init__(self):
         _require_positive(
             self,
             integers=("dual_max_iters", "location_grid_points",
                       "refinement_levels"),
-            reals=("dual_step_scale", "dual_tolerance", "grid_step_theta",
-                   "kkt_tolerance"))
+            reals=("dual_step_scale", "dual_tolerance", "grid_step_theta"))
 
 
 def _require_positive(options, integers=(), reals=()) -> None:
@@ -88,12 +87,6 @@ def _require_positive(options, integers=(), reals=()) -> None:
                 or not math.isfinite(value) or value <= 0):
             raise ValueError(f"{name} must be a positive finite number, "
                              f"got {value!r}")
-
-
-# The power/bandwidth block leaves each GT's downlink latency exactly
-# tight, so the later blocks admit a latency (or the matching disk radius)
-# up to the model's relative tolerance past its limit, to absorb roundoff.
-_TIGHT_BOUNDARY = 1.0 + _REL_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +431,7 @@ def solve_cpu_allocation(cfg: ScenarioConfig, state: SolutionState,
     """Closed-form CPU shares: each UAV-compressed GT gets exactly the
     cycles-per-second that make its end-to-end latency hit the budget;
     everyone else gets zero.  Raises when a slack is nonpositive or the
-    shares exceed the UAV CPU budget."""
+    shares miss the UAV CPU budget by the model's test."""
     uav = np.array(state.allocation.task_uav) != 0
     slack = cfg.latency_budget - terms.t_sat - terms.t_tx - terms.t_prop - terms.t_ug
     starved = uav & (slack <= 0.0)
@@ -450,7 +443,7 @@ def solve_cpu_allocation(cfg: ScenarioConfig, state: SolutionState,
     cpu = np.divide(cfg.cycles_per_overhead * terms.overhead, slack,
                     out=np.zeros(cfg.num_gts), where=uav)
     total = float(np.add.reduce(cpu))
-    if total > cfg.uav_cpu_total:
+    if not _satisfied(cfg.uav_cpu_total - total, cfg.uav_cpu_total):
         raise InfeasibleBlockError(
             "solve_cpu_allocation",
             f"required CPU {total:.3e} exceeds budget {cfg.uav_cpu_total:.3e}")
@@ -616,23 +609,26 @@ def solve_power_bandwidth(cfg: ScenarioConfig, state: SolutionState,
             "solve_power_bandwidth",
             "power budget unreachable even at the minimum-power split")
 
+    def over(sum_p: float) -> bool:
+        """Whether a split's power misses the budget by the model's test."""
+        return not _satisfied(cfg.uav_power_budget - sum_p, cfg.uav_power_budget)
+
     b, sum_p = allocation_for(0.0)
-    if sum_p > cfg.uav_power_budget * (1.0 + opts.kkt_tolerance):
+    if over(sum_p):
         # The power falls toward the minimum-power split (weights 1/v, the
-        # nu -> inf limit) as nu grows, so a split over the budget by more
-        # than roundoff decides the walk below before it starts.
-        min_power = _split(u, v, [1.0 / v[k] for k in range(n)], b_total)[1]
-        if min_power > cfg.uav_power_budget * (1.0 + _REL_TOL):
+        # nu -> inf limit) as nu grows, so a split over the budget decides
+        # the walk below before it starts.
+        if over(_split(u, v, [1.0 / v[k] for k in range(n)], b_total)[1]):
             raise unreachable()
         nu_lo, nu_hi = 0.0, max(w) * max(v)
-        while allocation_for(nu_hi)[1] > cfg.uav_power_budget:
+        while over(allocation_for(nu_hi)[1]):
             nu_hi *= 10.0
             if nu_hi > 1e80:
                 raise unreachable()
         for _ in range(200):
             nu_mid = 0.5 * (nu_lo + nu_hi)
             b, sum_p = allocation_for(nu_mid)
-            if sum_p > cfg.uav_power_budget:
+            if over(sum_p):
                 nu_lo = nu_mid
             else:
                 nu_hi = nu_mid
@@ -653,27 +649,28 @@ def solve_power_bandwidth(cfg: ScenarioConfig, state: SolutionState,
 _HOP_BLOCK = 16
 
 
-def _hop_scores(cfg: ScenarioConfig, al, bits, slacks, uav_xy, altitudes,
-                thetas):
+def _hop_scores(cfg: ScenarioConfig, al, terms: LatencyTerms, uav_xy,
+                altitudes, thetas):
     """UAV-to-GT energy at each trial ``(altitudes[i], thetas[i])``.
 
     Returns ``(admitted, energy)``: the indices, in order, of the trials
-    at which every GT gets a positive rate ``r`` with ``bits / r`` within
-    its latency slack (times ``_TIGHT_BOUNDARY``), and each one's sum of
-    ``(p * bits) / r`` in GT order.  The GTs are taken in blocks of
-    ``_HOP_BLOCK``, then twice as many each step, over the trials that met
-    every GT so far: most fail within the first GTs, so the steps over the
-    few left (often only the incumbent) number about ``log2(K /
-    _HOP_BLOCK)``.  One sequential ``np.add.accumulate`` adds a block's
-    energies to the running sums of the trials that meet all its GTs.
+    at which every GT's latency, ``t_sat + t_tx + t_prop + t_uav + bits /
+    r`` added in ``latency_terms``' order, meets the budget by the model's
+    test, and each one's sum of ``(bits / r) * p`` in GT order.  The GTs
+    are taken in blocks of ``_HOP_BLOCK``, then twice as many each step,
+    over the trials that met every GT so far: most fail within the first
+    GTs, so the steps over the few left (often only the incumbent) number
+    about ``log2(K / _HOP_BLOCK)``.  One sequential ``np.add.accumulate``
+    adds a block's energies to the running sums of the trials that meet
+    all its GTs.
     """
     dx, dy = np.array(uav_xy)[:, None] - cfg._tables.xy
     horizontal2 = (dx * dx + dy * dy)[:, None]
     bw, pw = (np.asarray(v, dtype=float)[:, None]
               for v in (al.bandwidth, al.power))
-    data = bits[:, None]
-    load = pw * data
-    limit = slacks[:, None] * _TIGHT_BOUNDARY
+    data = terms.bits[:, None]
+    before = (terms.t_sat + terms.t_tx + terms.t_prop + terms.t_uav)[:, None]
+    budget = cfg.latency_budget
     admitted = np.arange(thetas.size)
     energy = np.zeros((1, thetas.size))
     lo, width = 0, _HOP_BLOCK
@@ -684,10 +681,11 @@ def _hop_scores(cfg: ScenarioConfig, al, bits, slacks, uav_xy, altitudes,
             h = altitudes[admitted]
             r = rate_uav_gt_at(cfg, horizontal2[ks] + h * h, thetas[admitted],
                                bw[ks], pw[ks])
-            met = ~((r <= 0.0) | (data[ks] / r > limit[ks])).any(axis=0)
+            t_ug = data[ks] / r
+            met = _satisfied(budget - (before[ks] + t_ug), budget).all(axis=0)
             admitted = admitted[met]
-            terms = np.concatenate((energy[:, met], load[ks] / r[:, met]))
-            energy = np.add.accumulate(terms)[-1:]
+            energy = np.add.accumulate(np.concatenate(
+                (energy[:, met], t_ug[:, met] * pw[ks])))[-1:]
             if admitted.size == 0:
                 break
     return admitted, energy[0]
@@ -704,8 +702,7 @@ def solve_altitude_beamwidth(cfg: ScenarioConfig, state: SolutionState,
     every GT from the minimum altitude, and a sweep along the
     coverage-tight curve within the altitude range.  ``_hop_scores``
     scores them all in one pass, and the first least admitted trial wins.
-    The sweep's altitudes come from ``np.tan``; the winner's is re-derived
-    with ``math.tan``.  Returns ``(altitude, theta)``.
+    Returns the winning trial's ``(altitude, theta)``, as it was scored.
     """
     al = state.allocation
     slacks = terms.hop_slack
@@ -737,35 +734,18 @@ def solve_altitude_beamwidth(cfg: ScenarioConfig, state: SolutionState,
         thetas = np.concatenate((thetas, sweep[inside]))
         altitudes = np.concatenate((altitudes, tight[inside]))
 
-    admitted, energy = _hop_scores(cfg, al, terms.bits, slacks,
-                                   state.placement.uav_xy, altitudes, thetas)
+    admitted, energy = _hop_scores(cfg, al, terms, state.placement.uav_xy,
+                                   altitudes, thetas)
     if admitted.size == 0:
         raise InfeasibleBlockError(
             "solve_altitude_beamwidth",
             "no (altitude, beamwidth) pair meets coverage and latency")
-    theta = float(thetas[admitted[np.argmin(energy)]])
-    return pinned_altitude(theta), theta
+    best = admitted[np.argmin(energy)]
+    return float(altitudes[best]), float(thetas[best])
 
 
 # ---------------------------------------------------------------------------
 # Block 6: horizontal location
-
-
-def _score_inside_disks(score, px, py, xs, ys, limit):
-    """``score`` of the points inside every disk, +inf for the others.
-
-    Disk ``k`` admits the points with squared horizontal distance to
-    ``(xs[k], ys[k])`` at most ``limit[k]``; one ``(M, K)`` pass tests
-    the M points against every disk.  ``score`` maps the ``(M', K)``
-    squared horizontal distances of the M' points inside all of them to
-    their objective values, row by row, so a point's value does not depend
-    on which other points are inside.
-    """
-    d2 = (px[:, None] - xs[None, :]) ** 2 + (py[:, None] - ys[None, :]) ** 2
-    inside = np.all(d2 <= limit[None, :], axis=1)
-    out = np.full(px.shape, np.inf)
-    out[inside] = score(d2[inside])
-    return out
 
 
 # The row pre-test's relative margin, far larger than the few roundings
@@ -778,7 +758,8 @@ _ROW_PAD = 1e-150
 def _grid_candidates(gx, gy, xs, ys, limit) -> np.ndarray:
     """Row-major flat indices, in order, of the points of the grid
     ``gx x gy`` (``gy`` sorted) that may lie inside every disk; every
-    point left out fails ``_score_inside_disks``'s disk test.
+    point left out fails the disk test: its squared horizontal distance
+    ``(x - xs[k])**2 + (y - ys[k])**2`` to some centre exceeds ``limit[k]``.
 
     Along row ``gx[i]``, disk ``k`` admits only the ``y`` with
     ``(y - ys[k])**2 <= limit[k] - a``, ``a = (gx[i] - xs[k])**2`` rounded
@@ -811,15 +792,19 @@ def solve_location(cfg: ScenarioConfig, state: SolutionState,
     grid search over the disks' bounding box, with one 9 x 9 refinement
     window around the best point per level.
 
-    Each grid is searched filter-first.  ``_grid_candidates`` finds, row
-    by row, the run of columns that may lie inside every disk, in
-    O(rows x K) work; only those candidates go through the exact disk
-    test and the rate and energy terms (``_score_inside_disks``), in grid
-    order.  Every point left out fails the disk test, and a point's score
-    does not depend on which others were scored, so the result is that of
-    scoring the whole grid.  The incumbent is scored first and kept
-    unless a grid point beats it; ties go to the first minimum in grid
-    order, and a grid whose first minimum is NaN moves nothing.
+    A point is admitted and scored by the model's own evaluator
+    (``physics._hop_at``): coverage and every latency by the model's
+    test, and the energy that ``energy_breakdown`` reports as
+    ``uav_gt_comm`` for the moved state.  Each grid is searched
+    filter-first: ``_grid_candidates`` finds, row by row, the run of
+    columns that may lie inside every disk widened to the model's
+    allowance (the hop slack plus ``_REL_TOL`` of the budget, the coverage
+    radius times ``1 + _REL_TOL``), which holds every admitted point, in
+    O(rows x K) work, and only those candidates are scored, in grid
+    order.  A point's score does not depend on which others were scored,
+    so the result is that of scoring the whole grid.  The incumbent is
+    scored first and kept unless a grid point beats it; ties go to the
+    first minimum in grid order.
 
     Returns ``(uav_xy, objective)``.
     """
@@ -830,16 +815,20 @@ def solve_location(cfg: ScenarioConfig, state: SolutionState,
         raise InfeasibleBlockError("solve_location",
                                    "no latency left for the downlink")
     theta, h = pl.half_beamwidth, pl.altitude
-    cover = h * math.tan(theta)
     bw, pw = np.array((al.bandwidth, al.power), dtype=float)
+    # Row 0: each GT's disk at its hop slack and coverage radius, whose
+    # bounding box the grid spans; row 1: the disk at the model's
+    # allowance, which holds every point the model admits.
+    allowance = np.array([[0.0], [_REL_TOL]])
+    cover = pl.coverage_radius * (1.0 + allowance)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        demand = terms.bits / (bw * slacks)
+        demand = terms.bits / (bw * (slacks + allowance * cfg.latency_budget))
         q2 = (cfg.antenna_gain_const * cfg.ref_channel_gain * pw
               / (theta * theta * bw * cfg.noise_psd
                  * (np.float_power(2.0, np.minimum(demand, _EXP_CAP)) - 1.0))) - h * h
         root = np.sqrt(q2)
-    empty = np.array((pw <= 0.0, demand > _EXP_CAP, q2 < 0.0))
+    empty = np.array((pw <= 0.0, demand[0] > _EXP_CAP, q2[0] < 0.0))
     if np.count_nonzero(empty):
         k = int(empty.any(axis=0).argmax())
         raise InfeasibleBlockError("solve_location", (
@@ -847,7 +836,7 @@ def solve_location(cfg: ScenarioConfig, state: SolutionState,
             "GT {}: rate demand overflows, disk empty",
             "GT {}: latency disk has imaginary radius")[
                 int(empty[:, k].argmax())].format(k))
-    rr = np.where(root < cover, root, cover)  # as min(cover, root) picks
+    rr, allowed = np.where(root < cover, root, cover)  # as min(cover, root)
 
     xs, ys = cfg._tables.xy
     x_lo, x_hi = float(np.max(xs - rr)), float(np.min(xs + rr))
@@ -856,17 +845,7 @@ def solve_location(cfg: ScenarioConfig, state: SolutionState,
         raise InfeasibleBlockError("solve_location",
                                    "admissible disks have empty intersection")
 
-    load = pw * terms.bits
-    limit = (rr ** 2) * _TIGHT_BOUNDARY
-
-    def downlink(d2: np.ndarray) -> np.ndarray:
-        """Downlink energy per row of squared horizontal distances."""
-        return np.sum(load / rate_uav_gt_at(cfg, d2 + h * h, theta, bw, pw),
-                      axis=1)
-
-    def evaluate(px: np.ndarray, py: np.ndarray):
-        """Objective over flat point arrays, +inf outside any disk."""
-        return _score_inside_disks(downlink, px, py, xs, ys, limit)
+    limit = allowed * allowed
 
     def grid_best(gx: np.ndarray, gy: np.ndarray):
         """``(objective, xy)`` of the first minimum of the grid
@@ -875,15 +854,16 @@ def solve_location(cfg: ScenarioConfig, state: SolutionState,
         if rows.size == 0:
             return math.inf, None
         px, py = gx[rows], gy[cols]
-        obj = evaluate(px, py)
+        energy, met = _hop_at(cfg, state, terms, px, py)
+        obj = np.where(met, energy, math.inf)
         idx = int(np.argmin(obj))
         return float(obj[idx]), (float(px[idx]), float(py[idx]))
 
-    # The incumbent location is evaluated first: when the admissible
+    # The incumbent location is scored first: when the admissible
     # intersection is thinner than the grid pitch (latency constraints
     # tight), the current point is still a valid answer.
-    cur = np.array([pl.uav_xy[0]]), np.array([pl.uav_xy[1]])
-    best_obj = float(evaluate(*cur)[0])
+    energy, met = _hop_at(cfg, state, terms, *pl.uav_xy)
+    best_obj = float(energy) if met else math.inf
     best_xy = pl.uav_xy
 
     n = opts.location_grid_points

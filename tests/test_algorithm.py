@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -149,15 +150,48 @@ class TestOuterLoop:
         assert not res.converged
 
     def test_stalled_infeasible_full_solve_is_not_converged(self):
-        # 16 GTs on a satellite CPU and a UAV bandwidth too small for
-        # them: ``sagin_psc`` stops on its rule while infeasible.
-        doc = default_document(num_gts=16, data_kib=16.0)
-        doc.update(sat_cpu=4e9, uav_cpu_total=2e9, uav_bandwidth_total=40e6)
-        res = run_scheme(loads_scenario(doc), SchemeId.SAGIN_PSC)
-        assert res.objective == pytest.approx(1.1602550562782221, rel=1e-9)
+        # A compute-dear probe draw: ``sagin_psc`` stops on its rule after
+        # two sweeps while infeasible.
+        res = run_scheme(loads_scenario(probe_documents(4, 9)[1]),
+                         SchemeId.SAGIN_PSC)
+        assert res.objective == pytest.approx(1.035192974574978, rel=1e-9)
         assert not res.feasible
         assert res.iterations < AlgorithmOptions().max_outer_iters
         assert not res.converged
+
+
+def _reproducer(name):
+    """A scenario on which ``sagin_psc`` used to stall infeasible: 16 GTs
+    on a satellite CPU and a UAV bandwidth too small for them, or
+    ``default.json`` with a faster satellite CPU, or with dearer compute
+    (``comp_energy_coeff = 1e-27``) at 3 or 5 GHz."""
+    if name == "16_gts":
+        doc = default_document(num_gts=16, data_kib=16.0)
+        doc.update(sat_cpu=4e9, uav_cpu_total=2e9, uav_bandwidth_total=40e6)
+        return loads_scenario(doc)
+    doc = json.loads((SCENARIOS / "default.json").read_text())
+    doc.update({"sat_cpu_8e9": dict(sat_cpu=8e9),
+                "dear_3e9": dict(comp_energy_coeff=1e-27, sat_cpu=3e9),
+                "dear_5e9": dict(comp_energy_coeff=1e-27, sat_cpu=5e9)}[name])
+    return loads_scenario(doc)
+
+
+class TestInfeasibleStateTakesEveryMove:
+    """While the state misses a latency budget, the loop takes every
+    block's move, so a repair that raises the energy is kept.  When it
+    took only moves that lowered the energy or met every budget, each of
+    these solves stalled infeasible, at 1.1602550562782221 J (16 GTs) or
+    1.1692095762015082 J (the three ``default.json`` variants)."""
+
+    ENERGY = {"16_gts": 1.1989005937071997, "sat_cpu_8e9": 1.198900639618761,
+              "dear_3e9": 1.428485945001322, "dear_5e9": 2.7467118810522444}
+
+    @pytest.mark.parametrize("name", sorted(ENERGY))
+    def test_reproducer_turns_feasible(self, name):
+        res = run_scheme(_reproducer(name), SchemeId.SAGIN_PSC)
+        assert res.feasible
+        assert res.converged
+        assert res.objective == pytest.approx(self.ENERGY[name], rel=1e-9)
 
 
 class TestSchemes:

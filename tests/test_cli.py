@@ -206,6 +206,19 @@ class TestSolve:
                                    "--opts", str(opts)])
         assert res.exit_code == 1
 
+    def test_removed_kkt_tolerance_is_a_bad_options_file(
+            self, runner, scenario_path, tmp_path):
+        # The power block judges its budget by the model's 1e-9 test, so
+        # the solver has no KKT tolerance left to set.
+        opts = tmp_path / "opts.json"
+        opts.write_text(json.dumps({"solver": {"kkt_tolerance": 1e-9}}),
+                        encoding="utf-8")
+        res = runner.invoke(main, ["solve", "--scenario", str(scenario_path),
+                                   "--opts", str(opts)])
+        assert res.exit_code == 1
+        assert "bad options file" in res.output
+        assert "kkt_tolerance" in res.output
+
     @pytest.mark.parametrize("text", [
         '{"solver": {"dual_max_iters": 2.5}}',
         '{"solver": {"location_grid_points": 10.5}}',

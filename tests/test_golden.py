@@ -3,8 +3,8 @@
 ``tests/golden/`` holds the ``solve`` JSON of every scheme on both shipped
 scenarios, two ``sweep`` CSVs on ``default.json`` (over ``data_bits``, and
 the paper's energy-versus-CPU sweep over ``sat_cpu`` at 1-8 GHz, which
-records ``sagin_psc`` infeasible at 8 GHz and ratio 0.45, above the domain
-minimum, at 6-7 GHz), and the exit code and SHA-256 digest of the 101x101
+records ``sagin_psc`` at ratio 0.45, above the domain minimum, at 6-7 GHz
+and 0.6784 at 8 GHz), and the exit code and SHA-256 digest of the 101x101
 ``heatmap`` CSV of both shipped scenarios (about 536 kB each).  The
 shipped scenarios have four GTs, and below eight terms numpy's pairwise
 sum agrees with a sequential one, so ``solve_scale_sha256.json`` also
@@ -40,7 +40,15 @@ the segment block stopped overruling its dual loop with the incumbent
 segments' midpoint energies: 2 of its 1,600 lines moved, ``sagin_psc``
 and ``fixed_location`` on the compute-dear draw at K = 8, seed 25, both
 feasible before and after, from 0.3655871286144981 to
-0.34418628882574076 J.  The ``data_bits`` sweep must write the same bytes on one
+0.34418628882574076 J.  The probe digest and the ``sat_cpu`` sweep were
+regenerated when the loop began to take every block's move while the
+state misses a latency budget, and the beamwidth, location, power and CPU
+blocks began to judge their budgets by the model's 1e-9 test: both 8 GHz
+sweep rows (``sagin_psc`` and ``fixed_location``) turned from infeasible
+at 1.1692095762 J to feasible at 1.19890063962 J in 4 iterations, and
+130 of the 1,600 probe lines moved (94 turned feasible, none turned
+infeasible, and no feasible answer moved by more than 1e-12 relative);
+every other file kept its bytes.  The ``data_bits`` sweep must write the same bytes on one
 thread and on two.  A change that keeps every result must keep these
 bytes.  They pin the floating-point rounding of the numpy build and CPU
 that wrote them, so they may be regenerated (``python

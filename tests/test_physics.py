@@ -13,6 +13,7 @@ from saginpsc.physics import (
     ModelError,
     Placement,
     SolutionState,
+    _hop_at,
     _squared_distance,
     check_feasibility,
     energy_breakdown,
@@ -294,6 +295,37 @@ class TestFeasibility:
         state = _state(cfg, power=(cfg.uav_power_budget / n,) * n)
         codes = check_feasibility(cfg, state).codes()
         assert "power_budget" not in codes
+
+
+class TestHopAt:
+    """The moved-UAV evaluator that the location block and the heatmap
+    share reads every point as the model reads the moved state."""
+
+    def test_matches_moved_states_on_random_points(self, shipped_answer):
+        # Random points within 1.3 coverage radii of the UAV, around
+        # states with latency slack (K = 2 and 8) and the shipped answer,
+        # whose downlink latencies are tight: each point's energy is
+        # ``uav_gt_comm`` of the moved state, to the bit, and it is met iff
+        # ``check_feasibility`` flags neither coverage nor latency there.
+        rng = np.random.default_rng(5)
+        cases = (feasible_instances(10, start_seed=0)
+                 + feasible_instances(5, start_seed=0, num_gts=8)
+                 + [shipped_answer])
+        verdicts = set()
+        for cfg, state in cases:
+            pl = state.placement
+            radius = 1.3 * pl.coverage_radius
+            px, py = (np.array(pl.uav_xy)[:, None]
+                      + rng.uniform(-radius, radius, size=(2, 40)))
+            energy, met = _hop_at(cfg, state, latency_terms(cfg, state), px, py)
+            for x, y, e, ok in zip(px.tolist(), py.tolist(), energy.tolist(),
+                                   met.tolist()):
+                moved = replace(state, placement=replace(pl, uav_xy=(x, y)))
+                assert e == energy_breakdown(cfg, moved).uav_gt_comm
+                codes = check_feasibility(cfg, moved).codes()
+                assert ok == (not codes & {"coverage", "latency"})
+                verdicts.add(ok)
+        assert verdicts == {True, False}
 
 
 @pytest.fixture(scope="module")

@@ -23,6 +23,7 @@ from saginpsc.physics import (
     _REL_TOL,
     ModelError,
     _squared_distance,
+    check_feasibility,
     energy_breakdown,
     latency_terms,
     total_energy,
@@ -51,7 +52,12 @@ from saginpsc.subsolvers import (
     solve_task_allocation,
 )
 
-from conftest import feasible_instances, record_latency_terms, scale_document
+from conftest import (
+    feasible_instances,
+    probe_documents,
+    record_latency_terms,
+    scale_document,
+)
 
 OPTS = SolverOptions()
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -753,9 +759,9 @@ class TestZeroCpuShare:
 
 
 def dense_score_inside_disks(score, px, py, xs, ys, limit):
-    """The location search's scoring before the disk filter came first:
-    every (point, GT) pair is scored, then points outside a disk are
-    masked to +inf."""
+    """The disk test over every point: every (point, GT) pair is scored,
+    then points with a squared horizontal distance past some ``limit[k]``
+    are masked to +inf."""
     d2 = ((px[:, None] - xs[None, :]) ** 2
           + (py[:, None] - ys[None, :]) ** 2)
     inside = np.all(d2 <= limit[None, :], axis=1)
@@ -907,16 +913,52 @@ class TestBlocksReadTheirTerms:
         assert "solved" in outcomes
 
 
+class TestDownlinkBlocksKeepTheModelsBudgets:
+    """The beamwidth and location blocks admit a moved UAV by the model's
+    own coverage and latency tests, so no candidate either returns to the
+    loop is late or uncovered by ``check_feasibility``."""
+
+    def test_no_returned_candidate_is_late_or_uncovered(self, monkeypatch):
+        flagged = []
+
+        def check(block, fields):
+            solver = getattr(subsolvers, block)
+
+            def call(cfg, state, *args):
+                values = solver(cfg, state, *args)
+                moved = replace(state, placement=replace(
+                    state.placement, **dict(zip(fields, values))))
+                flagged.append(check_feasibility(cfg, moved).codes()
+                               & {"latency", "coverage"})
+                return values
+            monkeypatch.setattr(algorithm, block, call)
+
+        check("solve_altitude_beamwidth", ("altitude", "half_beamwidth"))
+        check("solve_location", ("uav_xy",))
+        runs = [(loads_scenario(doc), seed) for seed in range(100)
+                for doc in probe_documents(4, seed)]
+        runs += [(load_scenario(SCENARIOS / name), 0)
+                 for name in ("default.json", "heatmap_unequal.json")]
+        runs.append((_scale_config(16), 0))
+        for cfg, seed in runs:
+            for scheme in algorithm.SchemeId:
+                run_scheme(cfg, scheme, seed=seed)
+        assert len(flagged) > 1000
+        assert not any(flagged)
+
+
 def _scale_config(num_gts=256):
     """The scenario of ``scale_document(num_gts)``."""
     return loads_scenario(scale_document(num_gts))
 
 
 def reference_solve_location(cfg, state, opts, terms, grids):
-    """``solve_location`` before the row pre-test: every point of the full
-    grid and of each refinement window is scored by
-    ``dense_score_inside_disks``.  Appends each grid's count of finite
-    scores to ``grids``."""
+    """``solve_location`` without the row pre-test: every point of the
+    full grid and of each refinement window is admitted by the model's
+    coverage and latency tests (1e-9 of the radius and of the budget) and
+    scored by its sum of ``(bits / r) * p``.  The grid spans the bounding
+    box of the disks at the budget.  Appends each grid's count of
+    admitted points to ``grids``."""
     al = state.allocation
     pl = state.placement
     slacks = terms.hop_slack
@@ -955,17 +997,25 @@ def reference_solve_location(cfg, state, opts, terms, grids):
 
     pw = np.array(al.power)
     bw = np.array(al.bandwidth)
-    limit = (rr ** 2) * subsolvers._TIGHT_BOUNDARY
+    budget = cfg.latency_budget
+    # each GT's latency before its hop, added as latency_terms adds it
+    before = terms.t_sat + terms.t_tx + terms.t_prop + terms.t_uav
 
-    def downlink(d2):
-        # the UAV-to-GT rate at squared distance d2 + h * h
-        snr = (cfg.antenna_gain_const * (cfg.ref_channel_gain / (d2 + h * h))
+    def score(px, py):
+        dx = px[:, None] - xs[None, :]
+        dy = py[:, None] - ys[None, :]
+        snr = (cfg.antenna_gain_const
+               * (cfg.ref_channel_gain / (dx * dx + dy * dy + h * h))
                * pw / (theta * theta * bw * cfg.noise_psd))
-        r = bw * np.log2(1.0 + snr)
-        return np.sum(pw * terms.bits / r, axis=1)
+        t_ug = terms.bits / (bw * np.log2(1.0 + snr))
+        covered = cover - np.hypot(dx, dy) >= -1e-9 * cover
+        on_time = budget - (before + t_ug) >= -1e-9 * budget
+        energy = np.add.reduce(t_ug * pw, axis=1)
+        return np.where(np.all(covered & on_time, axis=1), energy, np.inf)
 
     def evaluate(px, py):
-        return dense_score_inside_disks(downlink, px, py, xs, ys, limit)
+        return np.concatenate([score(px[i:i + 4096], py[i:i + 4096])
+                               for i in range(0, px.size, 4096)])
 
     def mesh_best(gx, gy):
         mx, my = np.meshgrid(gx, gy, indexing="ij")
@@ -1101,21 +1151,22 @@ class TestFilteredLocationSearch:
     def test_full_grid_scores_no_point_on_the_sweep_states(self, monkeypatch):
         # The benchmark's sweep leaves every downlink latency tight, so the
         # disks meet only near the incumbent: no point of the full grid is
-        # handed to the scorer, only the incumbent and window points.
+        # handed to the model's evaluator, only the incumbent and window
+        # points.
         scored, grids = [], []
-        score = subsolvers._score_inside_disks
+        score = subsolvers._hop_at
         candidates = subsolvers._grid_candidates
 
-        def counting_score(fn, px, *args):
-            scored.append(px.size)
-            return score(fn, px, *args)
+        def counting_score(cfg, state, terms, px, py):
+            scored.append(np.size(px))
+            return score(cfg, state, terms, px, py)
 
         def counting_candidates(gx, gy, *args):
             out = candidates(gx, gy, *args)
             grids.append((gx.size * gy.size, out.size))
             return out
 
-        monkeypatch.setattr(subsolvers, "_score_inside_disks", counting_score)
+        monkeypatch.setattr(subsolvers, "_hop_at", counting_score)
         monkeypatch.setattr(subsolvers, "_grid_candidates", counting_candidates)
         calls = _sweep_location_calls()
         assert len(calls) >= 16
@@ -1147,33 +1198,15 @@ class TestFilteredLocationSearch:
             tracemalloc.stop()
         assert peak < 16 * opts.location_grid_points * cfg.num_gts * 8
 
-    def test_filter_matches_dense_scores_on_random_points(self):
-        # Disks of radius 150..500 around centres within 200 of the
-        # origin: some draws leave points inside all of them, some none.
-        rng = np.random.default_rng(5)
-        counts = []
-        for _ in range(40):
-            k = int(rng.integers(1, 40))
-            xs, ys = rng.uniform(-200, 200, size=(2, k))
-            limit = rng.uniform(150, 500, size=k) ** 2
-            px, py = rng.uniform(-400, 400, size=(2, 2000))
 
-            def score(d2):
-                return np.sum(np.log2(1.0 + 1e6 / (d2 + 1e4)), axis=1)
-
-            got = subsolvers._score_inside_disks(score, px, py, xs, ys, limit)
-            want = dense_score_inside_disks(score, px, py, xs, ys, limit)
-            assert got.tobytes() == want.tobytes()
-            counts.append(int(np.isfinite(got).sum()))
-        assert 0 in counts and max(counts) > 0
-
-
-def reference_downlink_objective(cfg, al, bits, positions, uav_xy,
-                                 altitude, theta, slacks):
+def reference_downlink_objective(cfg, al, terms, positions, uav_xy,
+                                 altitude, theta):
     """UAV-to-GT communication energy at a trial (altitude, beamwidth),
-    one GT at a time, or (inf, False) when some GT misses its latency
-    slack.  The rate is the model's one expression, with numpy's
-    ``log2``."""
+    one GT at a time, or (inf, False) when some GT's end-to-end latency
+    misses the budget by the model's test (more than 1e-9 of it).  The
+    rate is the model's one expression, with numpy's ``log2``; the
+    latency adds the state's terms in ``latency_terms``' order."""
+    budget = cfg.latency_budget
     total = 0.0
     for k in range(cfg.num_gts):
         dx = uav_xy[0] - positions[k][0]
@@ -1182,18 +1215,23 @@ def reference_downlink_objective(cfg, al, bits, positions, uav_xy,
         snr = (cfg.antenna_gain_const * (cfg.ref_channel_gain / d2) * al.power[k]
                / (theta * theta * al.bandwidth[k] * cfg.noise_psd))
         r_k = al.bandwidth[k] * float(np.log2(1.0 + snr))
-        if r_k <= 0.0 or bits[k] / r_k > slacks[k] * subsolvers._TIGHT_BOUNDARY:
+        t_ug = terms.bits[k] / r_k if r_k > 0.0 else math.inf
+        latency = (terms.t_sat + terms.t_tx + terms.t_prop + terms.t_uav[k]
+                   + t_ug)
+        if not budget - latency >= -1e-9 * budget:
             return math.inf, False
-        total += al.power[k] * bits[k] / r_k
+        total += t_ug * al.power[k]
     return total, True
 
 
 def reference_solve_altitude_beamwidth(cfg, state, opts, terms):
     """``solve_altitude_beamwidth`` as a scalar search: the incumbent, the
-    minimum-altitude case (behind its closed-form latency test) and every
-    in-range sweep beamwidth are scored one at a time by
-    ``reference_downlink_objective``, with every altitude from
-    ``math.tan``."""
+    minimum-altitude case (behind its closed-form latency test at the
+    model's allowance) and every in-range sweep beamwidth are scored one
+    at a time by ``reference_downlink_objective``.  The incumbent's and
+    the minimum-altitude case's altitudes come from ``math.tan``, the
+    sweep's from ``np.tan`` over the sweep, and each trial returns the
+    altitude it was scored at."""
     al = state.allocation
     slacks = terms.hop_slack
     if min(slacks) <= 0.0:
@@ -1216,8 +1254,7 @@ def reference_solve_altitude_beamwidth(cfg, state, opts, terms):
         cur_h = pinned_altitude(cur_theta)
         if cur_h <= h_max:
             obj, ok = reference_downlink_objective(
-                cfg, al, terms.bits, positions, uav_xy, cur_h, cur_theta,
-                slacks)
+                cfg, al, terms, positions, uav_xy, cur_h, cur_theta)
             if ok:
                 candidates.append((obj, cur_h, cur_theta))
 
@@ -1232,7 +1269,8 @@ def reference_solve_altitude_beamwidth(cfg, state, opts, terms):
                 break
             i_k = (state.placement.horizontal_distance(positions[k]) ** 2
                    + h_min * h_min)
-            j_k = terms.bits[k] / (al.bandwidth[k] * slacks[k])
+            allowance = slacks[k] + 1e-9 * cfg.latency_budget
+            j_k = terms.bits[k] / (al.bandwidth[k] * allowance)
             if j_k > _EXP_CAP:
                 feasible1 = False
                 break
@@ -1244,21 +1282,19 @@ def reference_solve_altitude_beamwidth(cfg, state, opts, terms):
         if feasible1 and theta1 <= limit:
             h1 = pinned_altitude(theta1)
             obj, ok = reference_downlink_objective(
-                cfg, al, terms.bits, positions, uav_xy, h1, theta1, slacks)
+                cfg, al, terms, positions, uav_xy, h1, theta1)
             if ok:
                 candidates.append((obj, h1, theta1))
 
     # Coverage-tight sweep: altitude rides L_max / tan(theta).
     if l_max > 0.0:
         steps = max(2, int(math.ceil((th_hi - th_lo) / opts.grid_step_theta)) + 1)
-        for theta in np.linspace(th_lo, th_hi, steps):
-            theta = float(theta)
-            h = l_max / math.tan(theta)
+        sweep = np.linspace(th_lo, th_hi, steps)
+        for theta, h in zip(sweep.tolist(), (l_max / np.tan(sweep)).tolist()):
             if h < h_min or h > h_max:
                 continue
-            h = pinned_altitude(theta)
             obj, ok = reference_downlink_objective(
-                cfg, al, terms.bits, positions, uav_xy, h, theta, slacks)
+                cfg, al, terms, positions, uav_xy, h, theta)
             if ok:
                 candidates.append((obj, h, theta))
 
@@ -1364,10 +1400,16 @@ def _downlink_terms(cfg, state, terms):
 def reference_solve_power_bandwidth(cfg, state, opts, terms):
     """``solve_power_bandwidth`` as a nested bisection: each GT's
     bandwidth bisected on q', the bandwidth multiplier bisected on the
-    capped bandwidth sum, and the power multiplier walked and bisected."""
+    capped bandwidth sum, and the power multiplier walked and bisected
+    until the power meets its budget by the model's test (within 1e-9 of
+    it)."""
     u, v, w = _downlink_terms(cfg, state, terms)
     n = cfg.num_gts
     b_total = cfg.uav_bandwidth_total
+    budget = cfg.uav_power_budget
+
+    def over(sum_p):
+        return not budget - sum_p >= -1e-9 * budget
 
     def allocation_for(nu):
         weights = [w[k] + nu / v[k] for k in range(n)]
@@ -1401,9 +1443,9 @@ def reference_solve_power_bandwidth(cfg, state, opts, terms):
         return b, sum_p
 
     b, sum_p = allocation_for(0.0)
-    if sum_p > cfg.uav_power_budget * (1.0 + opts.kkt_tolerance):
+    if over(sum_p):
         nu_lo, nu_hi = 0.0, max(w) * max(v)
-        while allocation_for(nu_hi)[1] > cfg.uav_power_budget:
+        while over(allocation_for(nu_hi)[1]):
             nu_hi *= 10.0
             if nu_hi > 1e80:
                 raise InfeasibleBlockError(
@@ -1412,7 +1454,7 @@ def reference_solve_power_bandwidth(cfg, state, opts, terms):
         for _ in range(200):
             nu_mid = 0.5 * (nu_lo + nu_hi)
             b, sum_p = allocation_for(nu_mid)
-            if sum_p > cfg.uav_power_budget:
+            if over(sum_p):
                 nu_lo = nu_mid
             else:
                 nu_hi = nu_mid
