@@ -81,16 +81,19 @@ def _apply_parameter(cfg: ScenarioConfig, name: str, value: float) -> ScenarioCo
     if not (math.isfinite(value) and value > 0):
         raise click.ClickException(f"{name}: values must be finite and positive")
     if name == "data_bits":
-        return replace(cfg, data_bits=tuple(value for _ in range(cfg.num_gts)))
-    if name == "sat_beam_gain":
-        return replace(cfg, sat_beam_gain=value)
-    if name == "sat_uav_distance":
-        return replace(cfg, sat_uav_distance=value)
-    if name == "latency_budget":
-        return replace(cfg, latency_budget=value)
-    if name == "sat_cpu":
-        return replace(cfg, sat_cpu=value)
-    raise click.ClickException(f"unknown sweep parameter: {name}")
+        value = (value,) * cfg.num_gts
+    return replace(cfg, **{name: value})
+
+
+def _number_list(text: str, option: str) -> list[float]:
+    """The numbers of the comma-separated ``text`` given to ``option``."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise click.ClickException(f"{option} must be comma-separated numbers")
+    if not values:
+        raise click.ClickException(f"{option} must be nonempty")
+    return values
 
 
 def _grid_axis(lo: float, hi: float, n: int) -> np.ndarray:
@@ -192,12 +195,7 @@ def sweep(scenario, param_name, values, schemes, seed, jobs, out, opts) -> None:
     """Sweep one parameter over several values for several schemes."""
     cfg = _load_cfg(scenario)
     options = _load_options(opts)
-    try:
-        value_list = [float(v) for v in values.split(",") if v.strip()]
-    except ValueError:
-        raise click.ClickException("--values must be comma-separated numbers")
-    if not value_list:
-        raise click.ClickException("--values must be nonempty")
+    value_list = _number_list(values, "--values")
     scheme_list = [s.strip() for s in schemes.split(",") if s.strip()]
     if not scheme_list:
         raise click.ClickException("--schemes must be nonempty")
@@ -276,12 +274,7 @@ def convergence(scenario, sat_cpus, seed, out, opts) -> None:
     """Objective trace of the full scheme for each satellite CPU value."""
     cfg = _load_cfg(scenario)
     options = _load_options(opts)
-    try:
-        values = [float(v) for v in sat_cpus.split(",") if v.strip()]
-    except ValueError:
-        raise click.ClickException("--sat-cpus must be comma-separated numbers")
-    if not values:
-        raise click.ClickException("--sat-cpus must be nonempty")
+    values = _number_list(sat_cpus, "--sat-cpus")
     lines = ["sat_cpu,iteration,objective"]
     any_infeasible = False
     for value in values:

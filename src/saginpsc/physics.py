@@ -188,25 +188,27 @@ def _overhead(cfg: ScenarioConfig, ratio: tuple, where):
     """Each GT's overhead at ``ratio`` where ``where`` holds (else 0.0), and
     the flat index of its segment as :meth:`OverheadCurve.segment_of` finds
     it (one past the last, on its line, at the domain minimum); raises
-    that method's error for a GT in ``where``."""
+    :class:`ModelError` for the first GT in ``where`` whose ratio lies
+    outside its curve's domain or is NaN."""
     tables, rho = cfg._tables, np.array(ratio, dtype=float)
     segment = tables.first + (tables.lower < rho[:, None]).argmax(axis=1)
     slope, intercept = tables.line.take(segment, axis=1)
     outside = where & (np.minimum(np.maximum(rho, tables.ratio_min), 1.0) != rho)
     if np.count_nonzero(outside):  # outside the curve's domain, or NaN
         k = int(outside.argmax())
-        cfg.overhead_curves[k].segment_of(ratio[k])
+        raise ModelError(f"ratio {ratio[k]} outside overhead domain"
+                         f" [{cfg.overhead_curves[k].ratio_min}, 1]")
     return np.where(where, slope * rho + intercept, 0.0), segment
 
 
 def latency_terms(cfg: ScenarioConfig, state: SolutionState) -> LatencyTerms:
     """Derive every latency term of ``state`` over the GT arrays; the only
-    derivation outside the grid oracles.  A ratio outside its curve's
-    domain is an error only where its GT is compressed.  Raises
-    :class:`ModelError` for the first GT that is UAV-compressed with no
-    CPU share, or has power and no bandwidth, or has data to receive and
-    no rate.  The arrays are read-only, as one record may be read by
-    several blocks."""
+    derivation outside the grid oracles.  Raises :class:`ModelError` for
+    the first compressed GT whose ratio lies outside its curve's domain
+    (an uncompressed GT's ratio is not read), then for the first GT that
+    is UAV-compressed with no CPU share, or has power and no bandwidth, or
+    has data to receive and no rate.  The arrays are read-only, as one
+    record may be read by several blocks."""
     al, pl = state.allocation, state.placement
     a_s, a_u, ratio, cpu, bandwidth, power = v = np.array(
         (al.task_sat, al.task_uav, al.ratio, al.cpu, al.bandwidth, al.power),

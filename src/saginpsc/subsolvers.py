@@ -519,9 +519,10 @@ def _bandwidths(u, weights, mu: float):
     return bs, ts
 
 
-def _split(u, v, weights, b_total: float) -> tuple[list[float], float]:
+def _split(u, v, weights, b_total: float) -> tuple[list, list, float]:
     """Bandwidths minimizing ``sum(weight * q(u, b))`` with the bandwidth
-    budget tight; returns (b, sum_power), the power being ``q(u, b) / v``.
+    budget tight; returns (b, power, sum(power)), each power being
+    ``q(u, b) / v``.
 
     Newton's method on ``log sum(b)`` against ``log mu`` from the
     small-``x`` asymptote ``f(t) ~ t**2 / 2``, which gives
@@ -564,8 +565,8 @@ def _split(u, v, weights, b_total: float) -> tuple[list[float], float]:
         s = nxt
     scale = b_total / total
     b = [x * scale for x in b]  # exact budget despite the root's residue
-    sum_p = sum(_q(u_k, b_k) / v_k for u_k, b_k, v_k in zip(u, b, v))
-    return b, sum_p
+    p = [_q(u_k, b_k) / v_k for u_k, b_k, v_k in zip(u, b, v)]
+    return b, p, sum(p)
 
 
 def solve_power_bandwidth(cfg: ScenarioConfig, state: SolutionState,
@@ -575,16 +576,20 @@ def solve_power_bandwidth(cfg: ScenarioConfig, state: SolutionState,
 
     The bandwidth-only reduction is convex and both the objective and the
     per-GT power decrease with more bandwidth, so the bandwidth budget is
-    always tight; the power budget multiplier activates only when the
-    resulting powers overshoot.  Returns ``(bandwidth, power)``.
+    always tight; the power budget binds only when the resulting powers
+    overshoot.  Returns ``(bandwidth, power)``.
 
     With ``t = u ln2 / b``, a GT's stationarity ``weight * q'(b) + mu = 0``
     reads ``f(t) = mu / weight`` (``_stationary_t``; in closed form
     ``t = 1 + W0((mu / weight - 1) / e)`` with Lambert's W0).  The
     bandwidth multiplier ``mu`` that makes the bandwidth budget tight is
-    one safeguarded Newton root in ``log mu`` (``_split``).
+    one safeguarded Newton root in ``log mu`` (``_split``).  A power
+    multiplier ``nu >= 0`` adds ``nu / v`` to each weight; up to a common
+    scale, which leaves the split unchanged, that is the mix ``alpha =
+    nu / (1 + nu)`` in ``[0, 1]`` of the energy weights and the
+    minimum-power weights ``1 / v``, and the mix is bisected on that
+    bracket until the power meets its budget.
     """
-    n = cfg.num_gts
     slacks = terms.hop_slack
     if np.count_nonzero(slacks <= 0.0):
         k = int((slacks <= 0.0).argmax())
@@ -599,44 +604,36 @@ def solve_power_bandwidth(cfg: ScenarioConfig, state: SolutionState,
 
     b_total = cfg.uav_bandwidth_total
 
-    def allocation_for(nu: float) -> tuple[list[float], float]:
-        """Bandwidths at power multiplier nu with the bandwidth budget
-        tight; returns (b, sum_power)."""
-        return _split(u, v, [w[k] + nu / v[k] for k in range(n)], b_total)
-
-    def unreachable() -> InfeasibleBlockError:
-        return InfeasibleBlockError(
-            "solve_power_bandwidth",
-            "power budget unreachable even at the minimum-power split")
+    def split(alpha: float):
+        """The split at mix ``alpha`` of the energy weights (0) and the
+        minimum-power weights ``1 / v`` (1); returns (b, power, sum_power)."""
+        return _split(u, v, [(1.0 - alpha) * w_k + alpha / v_k
+                             for w_k, v_k in zip(w, v)], b_total)
 
     def over(sum_p: float) -> bool:
         """Whether a split's power misses the budget by the model's test."""
         return not _satisfied(cfg.uav_power_budget - sum_p, cfg.uav_power_budget)
 
-    b, sum_p = allocation_for(0.0)
+    b, power, sum_p = split(0.0)
     if over(sum_p):
-        # The power falls toward the minimum-power split (weights 1/v, the
-        # nu -> inf limit) as nu grows, so a split over the budget decides
-        # the walk below before it starts.
-        if over(_split(u, v, [1.0 / v[k] for k in range(n)], b_total)[1]):
-            raise unreachable()
-        nu_lo, nu_hi = 0.0, max(w) * max(v)
-        while over(allocation_for(nu_hi)[1]):
-            nu_hi *= 10.0
-            if nu_hi > 1e80:
-                raise unreachable()
+        # The power falls toward the minimum-power split as the mix
+        # grows, so the mix 1 decides whether the budget is reachable.
+        b, power, sum_p = split(1.0)
+        if over(sum_p):
+            raise InfeasibleBlockError(
+                "solve_power_bandwidth",
+                "power budget unreachable even at the minimum-power split")
+        lo, hi = 0.0, 1.0
         for _ in range(200):
-            nu_mid = 0.5 * (nu_lo + nu_hi)
-            b, sum_p = allocation_for(nu_mid)
-            if over(sum_p):
-                nu_lo = nu_mid
+            mid = 0.5 * (lo + hi)
+            mid_split = split(mid)
+            if over(mid_split[2]):
+                lo = mid
             else:
-                nu_hi = nu_mid
-            if nu_hi - nu_lo <= 1e-14 * nu_hi:
+                hi = mid
+                b, power, sum_p = mid_split
+            if hi - lo <= 1e-14 * hi:
                 break
-        b, sum_p = allocation_for(nu_hi)
-
-    power = [_q(u[k], b[k]) / v[k] for k in range(n)]
     return tuple(b), tuple(power)
 
 
@@ -700,9 +697,10 @@ def solve_altitude_beamwidth(cfg: ScenarioConfig, state: SolutionState,
     search.  The trials are the incumbent beamwidth (while admissible, so
     the block never worsens the state), the smallest beamwidth covering
     every GT from the minimum altitude, and a sweep along the
-    coverage-tight curve within the altitude range.  ``_hop_scores``
-    scores them all in one pass, and the first least admitted trial wins.
-    Returns the winning trial's ``(altitude, theta)``, as it was scored.
+    coverage-tight curve within the altitude range; one ``np.tan``
+    expression gives every trial's altitude.  ``_hop_scores`` scores them
+    all in one pass, and the first least admitted trial wins.  Returns
+    the winning trial's ``(altitude, theta)``, as it was scored.
     """
     al = state.allocation
     slacks = terms.hop_slack
@@ -714,25 +712,17 @@ def solve_altitude_beamwidth(cfg: ScenarioConfig, state: SolutionState,
     th_lo, th_hi = cfg.beam_range_clamped
     h_min, h_max = cfg.altitude_range
 
-    def pinned_altitude(theta: float) -> float:
-        return max(h_min, l_max / math.tan(theta))
-
-    fixed = []  # the incumbent and the minimum-altitude beamwidth
-    cur_theta = state.placement.half_beamwidth
-    if th_lo <= cur_theta <= th_hi and pinned_altitude(cur_theta) <= h_max:
-        fixed.append(cur_theta)
     theta1 = max(th_lo, math.atan(l_max / h_min))
-    if theta1 <= th_hi:
-        fixed.append(theta1)
-    thetas = np.array(fixed)
-    altitudes = np.array([pinned_altitude(t) for t in fixed])
-    if l_max > 0.0:
-        steps = max(2, int(math.ceil((th_hi - th_lo) / opts.grid_step_theta)) + 1)
-        sweep = np.linspace(th_lo, th_hi, steps)
-        tight = l_max / np.tan(sweep)
-        inside = (tight >= h_min) & (tight <= h_max)
-        thetas = np.concatenate((thetas, sweep[inside]))
-        altitudes = np.concatenate((altitudes, tight[inside]))
+    steps = max(2, int(math.ceil((th_hi - th_lo) / opts.grid_step_theta)) + 1)
+    # the incumbent, the minimum-altitude beamwidth, then the sweep
+    thetas = np.concatenate(([state.placement.half_beamwidth, theta1],
+                             np.linspace(th_lo, th_hi, steps)))
+    tight = l_max / np.tan(thetas)
+    altitudes = np.maximum(h_min, tight)
+    keep = (th_lo <= thetas) & (thetas <= th_hi) & (altitudes <= h_max)
+    # the sweep keeps its coverage-tight trials, none when l_max == 0
+    keep[2:] &= tight[2:] >= h_min
+    thetas, altitudes = thetas[keep], altitudes[keep]
 
     admitted, energy = _hop_scores(cfg, al, terms, state.placement.uav_xy,
                                    altitudes, thetas)

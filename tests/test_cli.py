@@ -323,6 +323,23 @@ class TestSweep:
         assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("command, option, text, message", [
+    ("sweep", "--values", "a,b", "--values must be comma-separated numbers"),
+    ("sweep", "--values", " , ", "--values must be nonempty"),
+    ("convergence", "--sat-cpus", "1e9,x",
+     "--sat-cpus must be comma-separated numbers"),
+    ("convergence", "--sat-cpus", ",", "--sat-cpus must be nonempty"),
+])
+def test_bad_number_lists_exit_one(runner, scenario_path, command, option,
+                                   text, message):
+    args = [command, "--scenario", str(scenario_path), option, text]
+    if command == "sweep":
+        args += ["--param", "data_bits"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert res.output == f"Error: {message}\n"
+
+
 class TestHeatmap:
     def test_single_gt_minimum_sits_near_the_gt(self, runner, tmp_path):
         path = _write_scenario(tmp_path / "one.json", num_gts=1,

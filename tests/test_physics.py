@@ -24,7 +24,6 @@ from saginpsc.physics import (
     total_energy,
 )
 from saginpsc.scenario import (
-    ScenarioError,
     default_document,
     load_scenario,
     loads_scenario,
@@ -169,8 +168,8 @@ _NO_RATE = "GT {}: zero UAV-GT rate with positive data"
 
 class TestLatencyTermsErrors:
     """Which error a state raises: a compressed GT's ratio outside its
-    curve's domain before any :class:`ModelError`, then the first GT that
-    fails, by the first check it fails (CPU share, bandwidth, rate).  The
+    curve's domain before any other :class:`ModelError`, then the first GT
+    that fails, by the first check it fails (CPU share, bandwidth, rate).  The
     default curves' domain is [0.25, 1]; the base state forwards raw data
     on equal power and bandwidth shares with no CPU share."""
 
@@ -178,11 +177,11 @@ class TestLatencyTermsErrors:
         pytest.param(dict(ratio=(1.0, 0.1, 1.0, 1.0)), None, None,
                      id="uncompressed-ratio-outside-domain"),
         pytest.param(dict(task_sat=(0, 1, 0, 0), ratio=(1.0, 0.1, 1.0, 1.0)),
-                     ScenarioError, "ratio 0.1 outside overhead domain",
+                     ModelError, "ratio 0.1 outside overhead domain",
                      id="compressed-ratio-outside-domain"),
         pytest.param(dict(task_uav=(1, 0, 0, 0), task_sat=(0, 0, 1, 0),
                           ratio=(0.5, 1.0, 0.1, 1.0), power=(0.25, 0.0, 0.25, 0.25)),
-                     ScenarioError, "ratio 0.1 outside overhead domain",
+                     ModelError, "ratio 0.1 outside overhead domain",
                      id="domain-before-model-errors-of-lower-gts"),
         pytest.param(dict(task_uav=(0, 0, 1, 0), ratio=(1.0, 1.0, 0.5, 1.0)),
                      ModelError, _NO_CPU.format(2), id="no-cpu-share"),
@@ -357,6 +356,23 @@ class TestNanState:
         assert not report.feasible
         # the outer loop's repair test reads the latency code
         assert "latency" in report.codes()
+
+    @pytest.mark.parametrize("ratio", [0.1, 1.5, math.nan])
+    def test_compressed_ratio_outside_domain_is_reported(self, shipped_answer,
+                                                         ratio):
+        # Every GT of the shipped answer is satellite-compressed at the
+        # domain minimum; a ratio outside [0.25, 1] leaves the latency
+        # terms undefined, so every GT misses its budget.
+        cfg, state = shipped_answer
+        al = state.allocation
+        assert al.task_sat == (1,) * cfg.num_gts
+        assert al.ratio == (0.25,) * cfg.num_gts
+        moved = replace(state, allocation=replace(
+            al, ratio=(ratio,) + al.ratio[1:]))
+        report = check_feasibility(cfg, moved)
+        assert {(v.code, v.gt_index) for v in report.violations} == (
+            {("ratio_bounds", 0)}
+            | {("latency", k) for k in range(cfg.num_gts)})
 
 
 @given(st.floats(min_value=1e-6, max_value=1e3),

@@ -665,13 +665,28 @@ class TestPowerBandwidth:
 
 
 class TestAltitudeBeamwidth:
-    def test_altitude_identity_exact(self):
-        for cfg, state in feasible_instances(10, start_seed=0):
-            h, theta = solve_altitude_beamwidth(
-                cfg, state, OPTS, latency_terms(cfg, state))
+    def test_altitude_identity_exact(self, monkeypatch):
+        # Every returning call of the probe digest's 1,600 solves: each
+        # trial's altitude, so the one returned, is the one expression.
+        answers = []
+
+        def record(cfg, state, *args):
+            h, theta = solve_altitude_beamwidth(cfg, state, *args)
+            answers.append((cfg, state, h, theta))
+            return h, theta
+
+        monkeypatch.setattr(algorithm, "solve_altitude_beamwidth", record)
+        for num_gts in (4, 8):
+            for seed in range(100):
+                for document in probe_documents(num_gts, seed):
+                    cfg = loads_scenario(document)
+                    for scheme in algorithm.SchemeId:
+                        run_scheme(cfg, scheme, seed=seed)
+        assert len(answers) == 2512
+        for cfg, state, h, theta in answers:
             l_max = max(state.placement.horizontal_distance(p)
                         for p in cfg.gt_positions)
-            assert h == max(cfg.altitude_range[0], l_max / math.tan(theta))
+            assert h == max(cfg.altitude_range[0], l_max / np.tan(theta))
 
     def test_within_bounds_and_never_worsens(self):
         for cfg, state in feasible_instances(5, start_seed=0):
@@ -1479,6 +1494,27 @@ def _budget_cases(count=15):
     return cases
 
 
+def _near_minimum_cases(count=15):
+    """Feasible instances with the UAV power budget at ``P_min + eps *
+    (P_free - P_min)``, eps in (1e-6, 1e-3, 0.5), between the power
+    ``P_min`` of the minimum-power split and ``P_free`` of the
+    unconstrained one, where the two differ by more than 1e-6 of
+    ``P_min``: the power mix lands near 1, midway and near 0."""
+    cases = []
+    for cfg, state in feasible_instances(count, start_seed=200):
+        free = replace(cfg, uav_power_budget=math.inf)
+        terms = latency_terms(free, state)
+        p_free = sum(solve_power_bandwidth(free, state, OPTS, terms)[1])
+        u, v, _ = _downlink_terms(cfg, state, terms)
+        p_min = subsolvers._split(u, v, [1.0 / v_k for v_k in v],
+                                  cfg.uav_bandwidth_total)[2]
+        if p_free > p_min * (1.0 + 1e-6):
+            cases += [(replace(cfg, uav_power_budget=budget), state)
+                      for budget in (p_min + eps * (p_free - p_min)
+                                     for eps in (1e-6, 1e-3, 0.5))]
+    return cases
+
+
 def _block_states():
     """Random instances, the states both shipped solves hand to the
     power/bandwidth block, and a K=256 solve's states."""
@@ -1552,9 +1588,8 @@ class TestPowerBandwidthReplay:
             _check_against_reference(cfg, state)
 
     def test_power_budget_bisection_matches(self, monkeypatch):
-        # A call that splits the bandwidth more than twice (no power
-        # multiplier, then the minimum-power split) bisected the power
-        # multiplier.
+        # A call that splits the bandwidth more than twice (mix 0, then
+        # mix 1, the minimum-power split) bisected the power mix.
         cases = _budget_cases()
         splits = _counting(monkeypatch, "_split")
         bisected = 0
@@ -1564,6 +1599,17 @@ class TestPowerBandwidthReplay:
             if splits[0] > 2 and not raised:
                 bisected += 1
         assert bisected >= 3
+
+    def test_budgets_near_the_minimum_power_split_match(self, monkeypatch):
+        # The mix is bisected on [0, 1] in at most 200 steps, after the
+        # splits at 0 and 1.
+        cases = _near_minimum_cases()
+        assert len(cases) >= 15
+        splits = _counting(monkeypatch, "_split")
+        for cfg, state in cases:
+            splits[0] = 0
+            assert not _check_against_reference(cfg, state)
+            assert 2 < splits[0] <= 202
 
     def test_extreme_bandwidth_budgets_match(self, monkeypatch):
         # Budgets from 1 kHz (spectral efficiencies past the 2**x cap, or
@@ -1594,8 +1640,7 @@ class TestPowerBandwidthReplay:
 
     def test_unreachable_budget_is_decided_by_the_minimum_power_split(
             self, monkeypatch):
-        # allocation_for(0) and the minimum-power split, not a walk of
-        # the power multiplier up to 1e80.
+        # The splits at mix 0 and at mix 1, the minimum-power split.
         splits = _counting(monkeypatch, "_split")
         for cfg, state in feasible_instances(10, start_seed=0):
             splits[0] = 0
@@ -1603,7 +1648,7 @@ class TestPowerBandwidthReplay:
                 starved = replace(cfg, uav_power_budget=1e-30)
                 solve_power_bandwidth(starved, state, OPTS,
                                       latency_terms(starved, state))
-            assert splits[0] <= 3
+            assert splits[0] == 2
 
     def test_stationary_bandwidth_matches_reference(self):
         # The root of f(t) = c against 1 + W0((c - 1) / e) at extended
